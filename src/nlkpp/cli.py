@@ -26,10 +26,10 @@ import numpy as np
 from . import __version__
 from .dispersion import (characteristic, classify, g_function, minimal_speed,
                          mu_star, mu_star_bracket, speed_to_abscissa, t_function)
-from .errors import AssumptionFailure, NonConvergence, ToolkitError, UsageError
+from .errors import AssumptionFailure, NonConvergence, UsageError
 from .evolution import evolve, front_speed, step_data
 from .kernels import (KernelPair, Params, check_assumptions, kernel_from_dict,
-                      load_problem, theta)
+                      load_problem, params_from_dict, theta)
 from .profile import GridSpec, compare_up_to_shift, solve_profile, tail_asymptotics
 from .truncation import c_star_sequence
 
@@ -134,10 +134,7 @@ def _resolve_problem(args):
                 raise UsageError(f"cannot read parameter file {raw}: {exc}") from exc
         else:
             d = _parse_params_text(raw)
-        try:
-            params = Params(**d)
-        except TypeError as exc:
-            raise UsageError(f"bad parameter block: {exc}") from exc
+        params = params_from_dict(d)
     if pair is None:
         raise UsageError("a kernel file is required (--kernel FILE)")
     if params is None:
@@ -174,7 +171,8 @@ def _lambda_table(pair, params, c_for_h, rep):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: return (result dict, {csv name: rows})
+# subcommand handlers: return (result dict, {csv name: rows}, input paths,
+# the Params used or None)
 
 def _cmd_check(args):
     pair, params, inputs = _resolve_problem(args)
@@ -191,7 +189,7 @@ def _cmd_check(args):
                                 f"(diagnostic {report.diagnostic(hard[0]):.6g})")
         exc.diagnostics = report.to_dict()
         raise exc
-    return result, {}, inputs
+    return result, {}, inputs, params
 
 
 def _cmd_classify(args):
@@ -207,7 +205,7 @@ def _cmd_classify(args):
                 pair, params, args.c if args.c is not None else rep.c_star, rep)
     except NonConvergence:
         pass
-    return result, csvs, inputs
+    return result, csvs, inputs, params
 
 
 def _cmd_speed(args):
@@ -221,7 +219,7 @@ def _cmd_speed(args):
     if args.csv:
         csvs["dispersion.csv"] = _lambda_table(
             pair, params, args.c if args.c is not None else rep.c_star, rep)
-    return result, csvs, inputs
+    return result, csvs, inputs, params
 
 
 def _cmd_profile(args):
@@ -242,7 +240,7 @@ def _cmd_profile(args):
         rows = [("s", "psi")] + [(float(s), float(v))
                                  for s, v in zip(prof.grid, prof.values)]
         csvs["profile.csv"] = rows
-    return result, csvs, inputs
+    return result, csvs, inputs, params
 
 
 def _cmd_uniqueness(args):
@@ -255,7 +253,7 @@ def _cmd_uniqueness(args):
     dist = compare_up_to_shift(p1, p2)
     return {"speed": args.c, "anchors": [0.0, delta],
             "residuals": [p1.residual_sup, p2.residual_sup],
-            "aligned_distance": dist}, {}, inputs
+            "aligned_distance": dist}, {}, inputs, params
 
 
 def _initial_condition(args, pair, params):
@@ -326,7 +324,7 @@ def _cmd_evolve(args):
                     row.append(float(snap[i]) if i < len(snap) else 0.0)
                 body.append(tuple(row))
             csvs["snapshots.csv"] = [tuple(head)] + body
-    return result, csvs, inputs
+    return result, csvs, inputs, params
 
 
 def _cmd_truncate_sweep(args):
@@ -340,7 +338,7 @@ def _cmd_truncate_sweep(args):
     if args.csv:
         csvs["truncation.csv"] = [("R", "A_plus", "theta_R", "lambda_star_n",
                                    "c_star_n", "gap")] + trace.rows()
-    return trace.to_dict(), csvs, inputs
+    return trace.to_dict(), csvs, inputs, params
 
 
 def _cmd_mu_star(args):
@@ -350,7 +348,7 @@ def _cmd_mu_star(args):
     mu = mu_star(args.q, params)
     lo, hi = mu_star_bracket(args.q, params, mu)
     return {"q": args.q, "mu_star": mu, "bracket": [lo, hi],
-            "inside_bracket": bool(lo < mu < hi)}, {}, []
+            "inside_bracket": bool(lo < mu < hi)}, {}, [], params
 
 
 def _sweep_point(task_payload):
@@ -390,7 +388,7 @@ def _cmd_sweep(args):
         outs = [_sweep_point(j) for j in jobs]
     results = [{"index": i, **out} for i, out in enumerate(outs)]
     return {"task": args.task, "n_points": len(points),
-            "points": results}, {}, [args.points]
+            "points": results}, {}, [args.points], None
 
 
 _HANDLERS = {
@@ -529,18 +527,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "csv", False) and not getattr(args, "out", None):
             raise UsageError("--csv requires --out DIR")
-        result, csvs, inputs = _HANDLERS[args.command](args)
+        result, csvs, inputs, params = _HANDLERS[args.command](args)
         manifest["inputs"] = inputs
-        if getattr(args, "kernel", None) or getattr(args, "params", None):
-            try:
-                _, params, _ = _resolve_problem(args)
-                manifest["params"] = dataclasses.asdict(params)
-            except ToolkitError:
-                pass
-        elif args.command == "mu-star":
-            manifest["params"] = {"kappa_plus": args.kappa_plus, "m": args.m,
-                                  "kappa_local": args.kappa_local,
-                                  "kappa_nonlocal": args.kappa_nonlocal}
+        if params is not None:
+            manifest["params"] = dataclasses.asdict(params)
         manifest["duration_s"] = time.perf_counter() - t0
         doc = {"manifest": manifest, "result": result}
         validate_document(doc)

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import NonConvergence, UsageError
 from .kernels import KernelPair, Params, theta
-from .profile import WaveProfile, kernel_weights
+from .profile import Convolver, WaveProfile
 
 _BURN_IN = 0.30
 _WIDEN_TRIGGER = 0.20   # front inside the last 20% of the grid grows it
@@ -130,8 +129,9 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
 
     x = domain[0] + h * np.arange(int(round((domain[1] - domain[0]) / h)) + 1)
     u = _initial_state(u0, x, th)
-    wp, K = kernel_weights(pair.a_plus, h)
-    wm = kernel_weights(pair.a_minus, h, K)[0] if kn else None
+    conv_plus = Convolver(pair.a_plus, h)
+    K = conv_plus.K
+    conv_minus = Convolver(pair.a_minus, h, K) if kn else None
 
     times, snaps, fronts = [], [], []
 
@@ -143,11 +143,9 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
     record(0.0)
     for k in range(1, n_steps + 1):
         ext = np.concatenate([np.full(K, u[0]), u, np.full(K, u[-1])])
-        convp = fftconvolve(ext, wp, mode="valid")
-        du = kp * convp - m * u - kl * u * u
+        du = kp * conv_plus(ext) - m * u - kl * u * u
         if kn:
-            convm = fftconvolve(ext, wm, mode="valid")
-            du -= kn * u * convm
+            du -= kn * u * conv_minus(ext)
         # the zero state is exponentially unstable (rate kappa_plus - m),
         # so FFT roundoff ahead of the front must not survive in either sign
         u = np.maximum(u + dt * du, 0.0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import integrate, special
@@ -66,6 +66,22 @@ class Params:
     @property
     def kappa(self) -> float:
         return self.kappa_local + self.kappa_nonlocal
+
+
+def params_from_dict(d: dict) -> Params:
+    """Params from a parameter block, with Params' own defaults for the
+    fields it omits. Every entry point (problem file, --params, sweep)
+    builds its Params here, so an input means the same on each."""
+    if not isinstance(d, dict):
+        raise UsageError("parameter block must be an object")
+    names = [f.name for f in fields(Params)]
+    unknown = sorted(set(d) - set(names))
+    if unknown:
+        raise UsageError(f"unknown parameter(s) {unknown}; expected some of {names}")
+    try:
+        return Params(**{k: float(v) for k, v in d.items()})
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad parameter block: {exc}") from exc
 
 
 def theta(params: Params) -> float:
@@ -149,14 +165,6 @@ class Kernel:
         lo, hi = self._support
         return _quad_split(self._tilted(z, order), lo, hi, self._breaks)
 
-    def transform_complex(self, z: complex) -> complex:
-        x, y = z.real, z.imag
-        env = self._tilted(x)
-        lo, hi = self._support
-        re = _quad_split(lambda s: env(s) * math.cos(y * s), lo, hi, self._breaks)
-        im = _quad_split(lambda s: env(s) * math.sin(y * s), lo, hi, self._breaks)
-        return complex(re, im)
-
     def cdf(self, x: float) -> float:
         lo, _ = self._support
         if x <= lo:
@@ -224,9 +232,6 @@ class Laplace(Kernel):
             return 2.0 * mu2 * (mu2 + 3.0 * z * z) / d ** 3
         return super().transform_deriv(z, order)
 
-    def transform_complex(self, z):
-        return self.mu ** 2 / (self.mu ** 2 - z * z)
-
     def cdf(self, x):
         if x < 0:
             return 0.5 * math.exp(self.mu * x)
@@ -276,9 +281,6 @@ class Gaussian(Kernel):
             return (v + (v * z) ** 2) * self.transform(z)
         return super().transform_deriv(z, order)
 
-    def transform_complex(self, z):
-        return np.exp(0.5 * self.variance * z * z)
-
     def moment_first_abs(self):
         return math.sqrt(2.0 * self.variance / math.pi)
 
@@ -326,13 +328,6 @@ class Uniform(Kernel):
             a, b = self.lo, self.hi
             return 1.0 + z * (a + b) / 2 + z * z * (a * a + a * b + b * b) / 6
         return (math.exp(z * self.hi) - math.exp(z * self.lo)) / (z * w)
-
-    def transform_complex(self, z):
-        w = self.hi - self.lo
-        if abs(z) * w < 1e-8:
-            a, b = self.lo, self.hi
-            return 1.0 + z * (a + b) / 2 + z * z * (a * a + a * b + b * b) / 6
-        return (np.exp(z * self.hi) - np.exp(z * self.lo)) / (z * w)
 
     def cdf(self, x):
         return min(1.0, max(0.0, (x - self.lo) / (self.hi - self.lo)))
@@ -486,10 +481,6 @@ class Tabulated(Kernel):
     def transform_deriv(self, z, order=1):
         g = self._grid()
         return float(self.grid_step * np.sum(np.asarray(self.values) * g ** order * np.exp(z * g)))
-
-    def transform_complex(self, z):
-        g = self._grid()
-        return complex(self.grid_step * np.sum(np.asarray(self.values) * np.exp(z * g)))
 
     def cdf(self, x):
         g = self._grid()
@@ -828,7 +819,8 @@ def check_assumptions(pair: KernelPair, params: Params) -> AssumptionReport:
 # ---------------------------------------------------------------------------
 # JSON ingestion
 
-_FAMILIES = ("exp_poly", "laplace", "gaussian", "uniform", "tabulated")
+_FAMILIES = ("exp_poly", "laplace", "gaussian", "uniform", "tabulated",
+             "truncated", "radial_exp_marginal")
 
 
 def kernel_from_dict(d: dict) -> Kernel:
@@ -848,6 +840,8 @@ def kernel_from_dict(d: dict) -> Kernel:
                          tuple(float(v) for v in t["values"]))
     if fam == "truncated":
         return Truncated(kernel_from_dict(d["base"]), float(d["cutoff"]))
+    if fam == "radial_exp_marginal":
+        return RadialExpMarginal(float(d["mu"]), int(d["dim"]))
     raise UsageError(f"unknown kernel family {fam!r}; expected one of {_FAMILIES}")
 
 
@@ -856,7 +850,7 @@ def load_problem(source) -> tuple:
 
     Layout: kernel fields at top level describe a_plus; an optional
     "a_minus" object overrides the competition kernel (defaults to a_plus);
-    "params" holds the coefficient block.
+    "params" holds the coefficient block (see params_from_dict).
     """
     if isinstance(source, dict):
         doc = source
@@ -866,9 +860,7 @@ def load_problem(source) -> tuple:
         with open(source) as fh:
             doc = json.load(fh)
     try:
-        p = doc["params"]
-        params = Params(float(p["kappa_plus"]), float(p["m"]),
-                        float(p.get("kappa_local", 0.0)), float(p.get("kappa_nonlocal", 0.0)))
+        params = params_from_dict(doc["params"])
         a_plus = kernel_from_dict(doc)
         a_minus = kernel_from_dict(doc["a_minus"]) if "a_minus" in doc else a_plus
     except KeyError as e:

@@ -26,9 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq, minimize_scalar
-from scipy.signal import fftconvolve, lfilter
+from scipy.signal import lfilter
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .dispersion import characteristic_deriv, minimal_speed, speed_to_abscissa
@@ -116,16 +117,50 @@ class TailFit:
                 "fit_residual": self.fit_residual}
 
 
-def kernel_weights(kernel, h: float, K: int | None = None):
-    """Quadrature weights h*a(kh) on [-K, K], rescaled to the exact kernel
-    mass so constants are reproduced without discretization error."""
-    if K is None:
-        K = int(np.ceil(kernel.support_radius(1e-17) / h))
-    w = h * np.asarray(kernel.pdf(np.arange(-K, K + 1) * h), dtype=float)
-    tot = w.sum()
-    if tot > 0:
-        w *= kernel.mass / tot
-    return w, K
+def _half_width(kernel, h: float) -> int:
+    """Grid cells beyond which the kernel is below 1e-17 of its peak."""
+    return int(np.ceil(kernel.support_radius(1e-17) / h))
+
+
+class Convolver:
+    """Convolution with one kernel on a uniform grid of step h.
+
+    The weights are h*a(kh) on [-K, K], rescaled to the exact kernel mass
+    so constants are reproduced without discretization error. Their real
+    FFT is kept for the transform length last used (a solver's length is
+    fixed, evolve's only grows), so a call costs one forward and one
+    inverse FFT. A call takes a vector already padded by K cells on the
+    left (and at least K on the right) and returns the 'valid' part of the
+    convolution, cut to n rows; the padding is left to the caller because
+    each caller's boundary panel is different physics.
+    """
+
+    def __init__(self, kernel, h: float, K: int | None = None):
+        if K is None:
+            K = _half_width(kernel, h)
+        w = h * np.asarray(kernel.pdf(np.arange(-K, K + 1) * h), dtype=float)
+        tot = w.sum()
+        if tot > 0:
+            w *= kernel.mass / tot
+        self.w, self.K = w, K
+        self._nfft, self._spec = 0, None
+
+    def __call__(self, ext, n: int | None = None, i_deep: int | None = None):
+        """Rows from i_deep on are recomputed by direct windowed dot
+        products: the FFT's absolute error floor swamps values near 1e-18."""
+        L = len(self.w)
+        nfft = next_fast_len(len(ext) + L - 1, True)
+        if nfft != self._nfft:
+            self._nfft, self._spec = nfft, rfft(self.w, nfft)
+        out = irfft(rfft(ext, nfft) * self._spec, nfft)[L - 1:len(ext)][:n]
+        if i_deep is not None and i_deep < len(out):
+            wrev = self.w[::-1]
+            win = sliding_window_view(ext, L)
+            chunk = max(256, int(4e7 / L))
+            for a in range(i_deep, len(out), chunk):
+                b = min(a + chunk, len(out))
+                out[a:b] = win[a:b] @ wrev
+        return out
 
 
 def _left_rate(pair: KernelPair, params: Params, c: float, th: float):
@@ -181,20 +216,6 @@ def _left_rate(pair: KernelPair, params: Params, c: float, th: float):
     return lam, B
 
 
-def _conv_hybrid(ext, w, N, K, i_deep):
-    """FFT convolution, with rows past i_deep recomputed by direct windowed
-    dot products: the FFT's absolute error floor swamps values near 1e-18."""
-    out = fftconvolve(ext, w, mode="valid")[:N]
-    if i_deep < N:
-        wrev = w[::-1]
-        win = sliding_window_view(ext, 2 * K + 1)
-        chunk = max(256, int(4e7 / (2 * K + 1)))
-        for a in range(i_deep, N, chunk):
-            b = min(a + chunk, N)
-            out[a:b] = win[a:b] @ wrev
-    return out
-
-
 class _Workspace:
     """Grid, weights, and the residual operator for one (pair, params, c)."""
 
@@ -215,12 +236,12 @@ class _Workspace:
         self.s = -Ll + h * np.arange(self.N)
         self.i0 = int(round(Ll / h))
 
-        Kp = int(np.ceil(pair.a_plus.support_radius(1e-17) / h))
-        K = Kp if not self.kn else max(
-            Kp, int(np.ceil(pair.a_minus.support_radius(1e-17) / h)))
+        K = _half_width(pair.a_plus, h)
+        if self.kn:
+            K = max(K, _half_width(pair.a_minus, h))
         self.K = K
-        self.w_plus, _ = kernel_weights(pair.a_plus, h, K)
-        self.w_minus = kernel_weights(pair.a_minus, h, K)[0] if self.kn else None
+        self.conv_plus = Convolver(pair.a_plus, h, K)
+        self.conv_minus = Convolver(pair.a_minus, h, K) if self.kn else None
         self.Wbl = max(2, int(round(1.0 / h)))
 
     # -- analytic boundary panels ------------------------------------------
@@ -264,16 +285,43 @@ class _Workspace:
     def residual_vec(self, psi, i_deep=None):
         N, K = self.N, self.K
         ext = self.build_ext(psi)
-        if i_deep is None:
-            convp = fftconvolve(ext, self.w_plus, mode="valid")[:N]
-        else:
-            convp = _conv_hybrid(ext, self.w_plus, N, K, i_deep)
+        convp = self.conv_plus(ext, N, i_deep)
         dpsi = (ext[K + 1:K + N + 1] - ext[K - 1:K + N - 1]) / (2 * self.h)
         r = self.c * dpsi + self.kp * convp - self.m * psi - self.kl * psi * psi
         if self.kn:
-            convm = fftconvolve(ext, self.w_minus, mode="valid")[:N]
-            r -= self.kn * psi * convm
+            r -= self.kn * psi * self.conv_minus(ext, N)
         return r
+
+    def linearize(self, psi):
+        """Jacobian of residual_vec at psi on all N rows: its diagonal and
+        u -> J u. A direction u is padded like build_ext: zero on the left,
+        where the panel is held fixed, and u[-1] times the decay ansatz on
+        the right."""
+        N, K = self.N, self.K
+        diag = -self.m - 2 * self.kl * psi
+        if self.kn:
+            diag = diag - self.kn * self.conv_minus(self.build_ext(psi), N)
+
+        def jmv(u):
+            uext = np.concatenate([np.zeros(K), u, u[-1] * self.tailg(self.s[-1], 2 * K)])
+            du = (uext[K + 1:K + N + 1] - uext[K - 1:K + N - 1]) / (2 * self.h)
+            out = self.c * du + self.kp * self.conv_plus(uext, N) + diag * u
+            if self.kn:
+                out -= self.kn * psi * self.conv_minus(uext, N)
+            return out
+
+        return diag, jmv
+
+    def band(self, diag, up=1.0, down=1.0):
+        """Tridiagonal part of the Jacobian for the rows of diag in
+        solve_banded layout: the centered difference plus the three central
+        kernel weights. up/down scale the off-diagonals (tilted rows)."""
+        w, K, kp, lo = self.conv_plus.w, self.K, self.kp, self.c / (2 * self.h)
+        ab = np.zeros((3, len(diag)))
+        ab[0, 1:] = (lo + kp * w[K - 1]) * up
+        ab[1, :] = diag + kp * w[K]
+        ab[2, :-1] = (-lo + kp * w[K + 1]) * down
+        return ab
 
     def i_deep(self, psi):
         return int(np.searchsorted(-psi, -_DEEP_FLOOR * self.th))
@@ -345,12 +393,10 @@ def _sweep_phase(ws: _Workspace, psi, max_sweeps, sweep_tol, hook):
     b0, b1 = (I0 - I1) / c, I1 / c
     for it in range(max_sweeps):
         ext = ws.build_ext(psi)
-        convp = fftconvolve(ext, ws.w_plus, mode="valid")
         vals = np.concatenate([psi, ws.rpad(psi[-1], K)])
-        narr = (rho - ws.m) * vals + ws.kp * convp - ws.kl * vals * vals
+        narr = (rho - ws.m) * vals + ws.kp * ws.conv_plus(ext) - ws.kl * vals * vals
         if ws.kn:
-            convm = fftconvolve(ext, ws.w_minus, mode="valid")
-            narr -= ws.kn * vals * convm
+            narr -= ws.kn * vals * ws.conv_minus(ext)
         q = narr[::-1]
         x = np.empty(N + K)
         x[0] = vals[-1]
@@ -368,15 +414,30 @@ def _sweep_phase(ws: _Workspace, psi, max_sweeps, sweep_tol, hook):
     return psi
 
 
+def _line_search(resid, x, dlt, fn, hi):
+    """Backtracking on the sup norm of resid, iterates clipped to [0, hi]:
+    the first of 12 halvings that decreases it by 5% of the step, else the
+    last one if it decreases it at all. None when no step helps."""
+    step = 1.0
+    for _bt in range(12):
+        cand = np.clip(x + step * dlt, 0.0, hi)
+        rc = resid(cand)
+        if np.abs(rc).max() < fn * (1.0 - 0.05 * step):
+            return cand, rc
+        step *= 0.5
+    cand = np.clip(x + step * dlt, 0.0, hi)
+    rc = resid(cand)
+    if np.abs(rc).max() < fn:
+        return cand, rc
+    return None
+
+
 def _bulk_newton(ws: _Workspace, psi, max_outer=25, tol=1e-9):
     """Damped Newton on the rows with psi >= 1e-3 theta, tail frozen."""
-    th, N, K, h, c = ws.th, ws.N, ws.K, ws.h, ws.c
-    i_cut = int(np.searchsorted(-psi, -_BULK_FLOOR * th))
-    nb = i_cut
-    tailv = psi[i_cut:].copy()
-    vb = psi[:i_cut].copy()
-    w, kp = ws.w_plus, ws.kp
-    lo = c / (2 * h)
+    nb = int(np.searchsorted(-psi, -_BULK_FLOOR * ws.th))
+    tailv = psi[nb:].copy()
+    vb = psi[:nb].copy()
+    frozen = np.zeros(ws.N - nb)
 
     def rb(vv):
         return ws.residual_vec(np.concatenate([vv, tailv]))[:nb]
@@ -386,45 +447,16 @@ def _bulk_newton(ws: _Workspace, psi, max_outer=25, tol=1e-9):
         fn = float(np.abs(r).max())
         if fn <= tol:
             break
-        full = np.concatenate([vb, tailv])
-        diag = -ws.m - 2 * ws.kl * vb
-        if ws.kn:
-            ext = ws.build_ext(full)
-            convm_psi = fftconvolve(ext, ws.w_minus, mode="valid")[:N][:nb]
-            diag = diag - ws.kn * convm_psi
-
-        def jmv(u):
-            uext = np.concatenate([np.zeros(K), u, np.zeros(N - nb + 2 * K)])
-            convu = fftconvolve(uext, w, mode="valid")[:N][:nb]
-            du = (uext[K + 1:K + N + 1] - uext[K - 1:K + N - 1]) / (2 * h)
-            out = c * du[:nb] + kp * convu + diag * u
-            if ws.kn:
-                convmu = fftconvolve(uext, ws.w_minus, mode="valid")[:N][:nb]
-                out -= ws.kn * full[:nb] * convmu
-            return out
-
-        jop = LinearOperator((nb, nb), matvec=jmv)
-        ab = np.zeros((3, nb))
-        ab[0, 1:] = lo + kp * w[K - 1]
-        ab[1, :] = diag + kp * w[K]
-        ab[2, :-1] = -lo + kp * w[K + 1]
+        diag, jmv = ws.linearize(np.concatenate([vb, tailv]))
+        jop = LinearOperator((nb, nb),
+                             matvec=lambda u: jmv(np.concatenate([u, frozen]))[:nb])
+        ab = ws.band(diag[:nb])
         mop = LinearOperator((nb, nb), matvec=lambda u: solve_banded((1, 1), ab, u))
         dlt, _ = lgmres(jop, -r, M=mop, rtol=1e-3, atol=0.0, inner_m=30, maxiter=4)
-        step, ok = 1.0, False
-        for _bt in range(12):
-            cand = np.clip(vb + step * dlt, 0.0, th)
-            rc = rb(cand)
-            if np.abs(rc).max() < fn * (1.0 - 0.05 * step):
-                vb, r, ok = cand, rc, True
-                break
-            step *= 0.5
-        if not ok:
-            cand = np.clip(vb + step * dlt, 0.0, th)
-            rc = rb(cand)
-            if np.abs(rc).max() < fn:
-                vb, r = cand, rc
-            else:
-                break
+        nxt = _line_search(rb, vb, dlt, fn, ws.th)
+        if nxt is None:
+            break
+        vb, r = nxt
     return np.concatenate([vb, tailv]), float(np.abs(r).max())
 
 
@@ -433,20 +465,18 @@ def _tail_newton(ws: _Workspace, psi, max_outer=15, tol=2e-7):
     ansatz anchored at the bulk edge. The shift family makes the Jacobian
     nearly singular along the amplitude mode, so the system is bordered by
     a deflation row pinning the mean of v."""
-    th, N, K, h, c = ws.th, ws.N, ws.K, ws.h, ws.c
-    i_cut = int(np.searchsorted(-psi, -_BULK_FLOOR * th))
+    i_cut = int(np.searchsorted(-psi, -_BULK_FLOOR * ws.th))
     i_dp = ws.i_deep(psi)
-    nt = N - i_cut
+    nt = ws.N - i_cut
     bulk = psi[:i_cut].copy()
+    frozen = np.zeros(i_cut)
     env = psi[i_cut - 1] * ws.tailg(ws.s[i_cut - 1], nt)
-    E = np.maximum(env, 1e-13 * th)
+    E = np.maximum(env, 1e-13 * ws.th)
     eru = np.ones(nt)
     eru[:-1] = E[1:] / E[:-1]
     erd = np.ones(nt)
     erd[1:] = E[:-1] / E[1:]
     vt = np.clip(psi[i_cut:] / E, 0.0, 2.0)
-    w, kp = ws.w_plus, ws.kp
-    lo = c / (2 * h)
 
     def gres(vv):
         pt = np.concatenate([bulk, E * vv])
@@ -457,36 +487,20 @@ def _tail_newton(ws: _Workspace, psi, max_outer=15, tol=2e-7):
         gn = float(np.abs(g).max())
         if gn < tol:
             break
-        pt = np.concatenate([bulk, E * vt])
-        diag = -ws.m - 2 * ws.kl * pt[i_cut:]
-        if ws.kn:
-            ext = ws.build_ext(pt)
-            convm_psi = fftconvolve(ext, ws.w_minus, mode="valid")[:N][i_cut:]
-            diag = diag - ws.kn * convm_psi
+        diag, jmv = ws.linearize(np.concatenate([bulk, E * vt]))
 
-        def jmv(u):
-            ue = E * u
-            uext = np.concatenate([np.zeros(K + i_cut), ue, ue[-1] * ws.tailg(ws.s[-1], 2 * K)])
-            convu = fftconvolve(uext, w, mode="valid")[:N][i_cut:]
-            du = (uext[K + 1:K + N + 1] - uext[K - 1:K + N - 1]) / (2 * h)
-            out = c * du[i_cut:] + kp * convu + diag * ue
-            if ws.kn:
-                convmu = fftconvolve(uext, ws.w_minus, mode="valid")[:N][i_cut:]
-                out -= ws.kn * pt[i_cut:] * convmu
-            return out / E
+        def jt(u):
+            return jmv(np.concatenate([frozen, E * u]))[i_cut:] / E
 
         z = np.ones(nt)
-        u_amp = jmv(z)
+        u_amp = jt(z)
 
         def jaug(vv):
             v, al = vv[:nt], vv[nt]
-            return np.concatenate([jmv(v) + al * u_amp, [z @ v]])
+            return np.concatenate([jt(v) + al * u_amp, [z @ v]])
 
         jop = LinearOperator((nt + 1, nt + 1), matvec=jaug)
-        ab = np.zeros((3, nt))
-        ab[0, 1:] = (lo + kp * w[K - 1]) * eru[:-1]
-        ab[1, :] = diag + kp * w[K]
-        ab[2, :-1] = (-lo + kp * w[K + 1]) * erd[1:]
+        ab = ws.band(diag[i_cut:], eru[:-1], erd[1:])
         x2 = solve_banded((1, 1), ab, u_amp)
         zx2 = z @ x2
 
@@ -498,22 +512,10 @@ def _tail_newton(ws: _Workspace, psi, max_outer=15, tol=2e-7):
         mop = LinearOperator((nt + 1, nt + 1), matvec=maug)
         sol, _ = lgmres(jop, np.concatenate([-g, [0.0]]), M=mop,
                         rtol=1e-3, atol=0.0, inner_m=30, maxiter=6)
-        dlt = sol[:nt] + sol[nt] * z
-        step, ok = 1.0, False
-        for _bt in range(12):
-            cand = np.clip(vt + step * dlt, 0.0, None)
-            gc = gres(cand)
-            if np.abs(gc).max() < gn * (1.0 - 0.05 * step):
-                vt, g, ok = cand, gc, True
-                break
-            step *= 0.5
-        if not ok:
-            cand = np.clip(vt + step * dlt, 0.0, None)
-            gc = gres(cand)
-            if np.abs(gc).max() < gn:
-                vt, g = cand, gc
-            else:
-                break
+        nxt = _line_search(gres, vt, sol[:nt] + sol[nt] * z, gn, None)
+        if nxt is None:
+            break
+        vt, g = nxt
     return np.concatenate([bulk, E * vt]), float(np.abs(g).max())
 
 
@@ -649,10 +651,9 @@ def _tail_prefactor(profile: WaveProfile, pair: KernelPair, params: Params) -> f
     kl, kn = params.kappa_local, params.kappa_nonlocal
     f = kl * psi * psi
     if kn:
-        h = profile.h
-        w, K = kernel_weights(pair.a_minus, h)
-        ext = np.concatenate([np.full(K, th), psi, np.zeros(K)])
-        f = f + kn * psi * fftconvolve(ext, w, mode="valid")[:len(psi)]
+        conv = Convolver(pair.a_minus, profile.h)
+        ext = np.concatenate([np.full(conv.K, th), psi, np.zeros(conv.K)])
+        f = f + kn * psi * conv(ext)
     integrand = f * np.exp(lam * g)
     val = float(np.trapezoid(integrand, g))
     # the grid misses (-inf, s_0]; there f -> (kl+kn) theta^2, so close it

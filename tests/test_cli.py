@@ -111,6 +111,21 @@ def test_params_inline_override(kernel_file, capsys):
     assert doc["result"]["c_star"] > 3.3302
 
 
+@pytest.mark.parametrize("block", [{"kappa_plus": 2, "m": 1},
+                                   {"kappa_plus": 2, "m": 1, "kappa_nonlocal": 0.5}],
+                         ids=["no-competition-fields", "nonlocal-only"])
+def test_params_file_and_inline_agree(block, capsys, tmp_path):
+    # omitted fields take Params' defaults on both paths
+    p = tmp_path / "prob.json"
+    p.write_text(json.dumps({"family": "laplace", "mu": 1.0, "params": block}))
+    inline = ",".join(f"{k}={v}" for k, v in block.items())
+    code_f, doc_f = run_cli(capsys, "check", "--kernel", str(p))
+    code_i, doc_i = run_cli(capsys, "check", "--kernel", str(p), "--params", inline)
+    assert code_f == code_i == 0
+    assert doc_f["manifest"]["params"] == doc_i["manifest"]["params"]
+    assert doc_f["manifest"]["params"]["kappa_local"] == 1.0
+
+
 def test_mu_star_document(capsys):
     code, doc = run_cli(capsys, "mu-star", "--q", "3")
     assert code == 0

@@ -266,7 +266,8 @@ def test_check_assumptions_q2_fails_with_dominant_competition():
 
 @pytest.mark.parametrize("k", [Laplace(0.7), Gaussian(2.0), Uniform(-1, 2),
                                ExpPoly(1.0, 3.0, 0.8),
-                               Truncated(Laplace(1.0), 5.0)],
+                               Truncated(Laplace(1.0), 5.0),
+                               RadialExpMarginal(1.0, 2), RadialExpMarginal(1.0, 3)],
                          ids=lambda k: repr(k))
 def test_kernel_dict_round_trip(k):
     back = kernel_from_dict(k.to_dict())
@@ -296,3 +297,10 @@ def test_load_problem_defaults_a_minus(tmp_path):
 def test_load_problem_missing_params():
     with pytest.raises(UsageError):
         load_problem({"family": "laplace", "mu": 1.0})
+
+
+def test_load_problem_rejects_unknown_parameter():
+    with pytest.raises(UsageError):
+        load_problem({"family": "laplace", "mu": 1.0,
+                      "params": {"kappa_plus": 2.0, "m": 1.0, "kappa_local": 1.0,
+                                 "kapa_nonlocal": 0.5}})

@@ -10,9 +10,9 @@ from nlkpp.errors import (AssumptionFailure, NonConvergence, NoWave,
                           UsageError)
 from nlkpp.kernels import (ExpPoly, KernelPair, Laplace, Params, Truncated,
                            theta)
-from nlkpp.profile import (GridSpec, WaveProfile, compare_up_to_shift,
-                           normalize_shift, residual, solve_profile,
-                           tail_asymptotics)
+from nlkpp.profile import (Convolver, GridSpec, WaveProfile,
+                           compare_up_to_shift, normalize_shift, residual,
+                           solve_profile, tail_asymptotics)
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 PAIR = KernelPair(Laplace(1.0), Laplace(1.0))
@@ -41,6 +41,24 @@ def _strictly_decreasing(prof, floor=1e-12):
     v = prof.values
     live = v[:-1] > floor
     return bool(np.all(np.diff(v)[live] < 0.0))
+
+
+# ---------------------------------------------------------------------------
+# convolution operator
+
+def test_convolver_matches_fftconvolve_and_direct_rows():
+    from scipy.signal import fftconvolve
+    conv = Convolver(Laplace(1.0), 0.05)
+    w = conv.w
+    assert abs(w.sum() - 1.0) < 1e-14
+    for n in (3000, 5000, 3000):   # the spectrum is recomputed per FFT length
+        ext = np.exp(-0.02 * np.arange(n + 2 * conv.K))
+        assert np.array_equal(conv(ext, n), fftconvolve(ext, w, mode="valid")[:n])
+        i_deep = n // 2
+        direct = np.convolve(ext, w, "valid")[:n]
+        out = conv(ext, n, i_deep=i_deep)
+        assert np.allclose(out[i_deep:], direct[i_deep:], rtol=1e-12, atol=0.0)
+        assert np.array_equal(out[:i_deep], conv(ext, n)[:i_deep])
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,8 @@ from . import __version__
 from .dispersion import (characteristic, classify, g_function, minimal_speed,
                          mu_star, mu_star_bracket, speed_to_abscissa, t_function)
 from .errors import AssumptionFailure, NonConvergence, UsageError
-from .evolution import evolve, front_speed, step_data
-from .kernels import (KernelPair, Params, check_assumptions, kernel_from_dict,
-                      load_problem, params_from_dict, theta)
+from .evolution import evolve, step_data
+from .kernels import Params, check_assumptions, load_problem, params_from_dict, theta
 from .profile import GridSpec, compare_up_to_shift, solve_profile, tail_asymptotics
 from .truncation import c_star_sequence
 
@@ -379,7 +378,9 @@ def _cmd_sweep(args):
     if args.task not in ("check", "classify", "speed"):
         raise UsageError(f"unknown sweep task {args.task!r}")
     jobs = [(args.task, p) for p in points]
-    workers = int(os.environ.get(_WORKERS_ENV, "1"))
+    raw = os.environ.get(_WORKERS_ENV, "1")
+    if not raw.isdecimal() or (workers := int(raw)) < 1:
+        raise UsageError(f"{_WORKERS_ENV} must be a positive integer; got {raw!r}")
     if workers > 1:
         from multiprocessing import Pool
         with Pool(workers) as pool:

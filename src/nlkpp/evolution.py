@@ -11,7 +11,7 @@ so the two spatially constant states are exact fixed points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,9 +178,8 @@ def _speed_of(run: EvolutionRun, level: float):
                          "need at least 10 for a speed fit")
     pos = []
     for k in np.where(keep)[0]:
-        snap = run.snapshots[k]
-        xk = run.grid[: len(snap)]
-        p = _crossing(xk, snap, level)
+        xk = run.snapshot_grid(k)
+        p = _crossing(xk, run.snapshots[k], level)
         if not math.isfinite(p) or p <= xk[0] + run.h or p >= xk[-1] - run.h:
             raise NonConvergence("front-left-domain",
                                  f"level {level!r} crossing left the grid "

@@ -29,7 +29,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq, minimize_scalar
-from scipy.signal import lfilter
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .dispersion import characteristic_deriv, minimal_speed, speed_to_abscissa
@@ -384,6 +383,7 @@ def _sweep_phase(ws: _Workspace, psi, max_sweeps, sweep_tol, hook):
     """Monotone integrating-factor iteration: each sweep applies
     (rho - c d/ds)^{-1} to N[psi] = (rho - m) psi + kp conv+ - kl psi^2
     - kn psi conv-, integrating from +inf where the resolvent decays."""
+    from scipy.signal import lfilter  # deferred: 0.25 s to import, only solves use it
     c, rho, h = ws.c, ws.rho, ws.h
     N, K, th = ws.N, ws.K, ws.th
     alpha = math.exp(-rho * h / c)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .dispersion import _as_pair, g_function, minimal_speed
 from .errors import AssumptionFailure, UsageError
-from .kernels import KernelPair, Params, Truncated, theta
+from .kernels import KernelPair, Params, Truncated
 
 
 def truncate(kernel, R: float) -> Truncated:

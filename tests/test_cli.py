@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlkpp
 from nlkpp.cli import dumps, main, validate_document
 from nlkpp.errors import UsageError
 
@@ -27,6 +31,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def _source_tree_env():
+    """The environment with the directory of the imported nlkpp package first
+    on PYTHONPATH, so that a fresh interpreter imports the same code."""
+    src = str(Path(nlkpp.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # ---------------------------------------------------------------------------
@@ -284,42 +296,21 @@ def test_sweep_worker_pool_matches_serial(capsys, tmp_path, monkeypatch):
     assert serial == pooled
 
 
-def test_console_script_runs(tmp_path):
-    """The `nlkpp` entry point declared in pyproject.toml runs as a process of
-    its own, launched the way the generated console-script wrapper launches
-    it, so the check needs no install; an installed script is run too."""
-    import shutil
-    import subprocess
-    import sys
-    from pathlib import Path
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_sweep_rejects_bad_worker_count(capsys, tmp_path, monkeypatch, value):
+    import multiprocessing
 
-    import nlkpp
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python 3.10
-        tomllib = pytest.importorskip("tomli")
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
 
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    spec = tomllib.loads(pyproject.read_text())["project"]["scripts"]["nlkpp"]
-    module, _, attr = spec.partition(":")
-    p = tmp_path / "k.json"
-    p.write_text(json.dumps(LK1_DOC))
-    args = ["classify", "--kernel", str(p)]
-
-    src = str(Path(nlkpp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    runs = [subprocess.run([sys.executable, "-c", wrapper, *args], env=env,
-                           capture_output=True, text=True)]
-    installed = shutil.which("nlkpp")
-    if installed:
-        runs.append(subprocess.run([installed, *args],
-                                   capture_output=True, text=True))
-    for r in runs:
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(r.stdout)
-        assert doc["result"]["kernel_class"] == "V"
+    p = tmp_path / "points.json"
+    p.write_text(json.dumps([LK1_DOC]))
+    monkeypatch.setenv("NLKPP_WORKERS", value)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, doc = run_cli(capsys, "sweep", "--points", str(p), "--task", "speed")
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert "NLKPP_WORKERS" in doc["error"]["message"]
 
 
 def test_sweep_keeps_going_past_bad_point(capsys, tmp_path):
@@ -335,3 +326,58 @@ def test_sweep_keeps_going_past_bad_point(capsys, tmp_path):
     assert "c_star" in rows[0]
     assert rows[1]["error"]["label"] == "Q1"
     assert "c_star" in rows[2]
+
+
+# ---------------------------------------------------------------------------
+# entry point and start-up
+
+def test_console_script_runs(tmp_path):
+    """The `nlkpp` entry point declared in pyproject.toml runs as a process of
+    its own, launched the way the generated console-script wrapper launches
+    it, so the check needs no install; an installed script is run too."""
+    import shutil
+
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    spec = tomllib.loads(pyproject.read_text())["project"]["scripts"]["nlkpp"]
+    module, _, attr = spec.partition(":")
+    p = tmp_path / "k.json"
+    p.write_text(json.dumps(LK1_DOC))
+    args = ["classify", "--kernel", str(p)]
+
+    env = _source_tree_env()
+    wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+    runs = [subprocess.run([sys.executable, "-c", wrapper, *args], env=env,
+                           capture_output=True, text=True)]
+    installed = shutil.which("nlkpp")
+    if installed:
+        runs.append(subprocess.run([installed, *args],
+                                   capture_output=True, text=True))
+    for r in runs:
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["result"]["kernel_class"] == "V"
+
+
+def test_dispersion_command_leaves_scipy_signal_unloaded(tmp_path):
+    """`import nlkpp` and `classify` load none of scipy.signal, scipy.stats
+    or scipy.ndimage: only profile solves import scipy.signal. A fresh
+    interpreter runs the check, since this one has loaded them already."""
+    p = tmp_path / "k.json"
+    p.write_text(json.dumps(LK1_DOC))
+    child = (
+        "import json, sys\n"
+        "import nlkpp, nlkpp.cli\n"
+        f"code = nlkpp.cli.main(['classify', '--kernel', {str(p)!r}])\n"
+        "heavy = ('scipy.signal', 'scipy.stats', 'scipy.ndimage')\n"
+        "print(json.dumps({'code': code,\n"
+        "                  'loaded': [m for m in heavy if m in sys.modules]}))\n")
+    r = subprocess.run([sys.executable, "-c", child], env=_source_tree_env(),
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout.splitlines()[-1])
+    assert report == {"code": 0, "loaded": []}

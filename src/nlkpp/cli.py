@@ -285,7 +285,12 @@ def _initial_condition(args, pair, params):
             return np.clip(np.interp(x, grid, vals), 0.0, th)
         return u0
     if shape.startswith("exp:"):
-        rate = float(shape.split(":", 1)[1])
+        text = shape.split(":", 1)[1]
+        try:
+            rate = float(text)
+        except ValueError:
+            raise UsageError(f"bad decay rate {text!r} in --u0 {shape!r}; "
+                             "use exp:RATE with a number") from None
         x0 = args.u0_x0
 
         def u0(x):

@@ -570,9 +570,9 @@ class Truncated(Kernel):
 class RadialExpMarginal(Kernel):
     """1D marginal of the d-dimensional radial exponential e^{-mu |x|}.
 
-    d=2 has the closed Bessel form; higher d falls back to a radial
-    quadrature per evaluation point, which is slow but only used for
-    cross-checks.
+    Closed forms in every dimension, with x = mu|s| and w = 1 - z^2/mu^2:
+    pdf(s) = mu x^{d/2} K_{d/2}(x) / (sqrt(pi) Gamma((d+1)/2) 2^{d/2}), and
+    the transform is w^{-(d+1)/2} (the Laplace kernel's for d = 1).
     """
 
     mu: float
@@ -585,23 +585,30 @@ class RadialExpMarginal(Kernel):
             raise UsageError("radial exponential marginal needs mu > 0, dim >= 2")
 
     def pdf(self, s):
+        nu = self.dim / 2.0
         x = self.mu * np.abs(np.asarray(s, dtype=float))
-        if self.dim == 2:
-            # mu/pi * (x K1(x)), with x K1(x) -> 1 at the origin
-            xs = np.where(x > 0, x, 1.0)
-            return self.mu / math.pi * np.where(
-                x > 0, xs * special.k1e(xs) * np.exp(-xs), 1.0)
-        d = self.dim
-        surf = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
-        norm = self.mu ** d * math.gamma(d / 2.0) / (2.0 * math.pi ** (d / 2.0) * math.gamma(d))
+        xs = np.where(x > 0, x, 1.0)
+        # x^nu K_nu(x) tends to 2^{nu-1} Gamma(nu) at the origin
+        xk = np.where(x > 0, xs ** nu * special.kve(nu, xs) * np.exp(-xs),
+                      2.0 ** (nu - 1.0) * math.gamma(nu))
+        return self.mu * xk / (math.sqrt(math.pi) * math.gamma(nu + 0.5) * 2.0 ** nu)
 
-        def one(si):
-            val, _ = integrate.quad(
-                lambda r: r ** (d - 2) * math.exp(-self.mu * math.hypot(si, r)),
-                0, math.inf, limit=200, epsabs=QUAD_ABS, epsrel=QUAD_REL)
-            return norm * surf * val
+    def transform(self, z):
+        w = 1.0 - (z / self.mu) ** 2
+        if w <= 0.0:
+            return math.inf
+        return w ** (-(self.dim + 1) / 2.0)
 
-        return np.vectorize(one)(s)
+    def transform_deriv(self, z, order=1):
+        d, mu2 = self.dim, self.mu ** 2
+        w = 1.0 - z * z / mu2
+        if w <= 0.0:
+            return math.inf
+        if order == 1:
+            return (d + 1) * z / mu2 * w ** (-(d + 3) / 2.0)
+        if order == 2:
+            return (d + 1) / mu2 * (1.0 + (d + 2) * z * z / mu2) * w ** (-(d + 5) / 2.0)
+        return super().transform_deriv(z, order)
 
     @property
     def sigma_right(self):

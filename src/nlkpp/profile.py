@@ -4,14 +4,16 @@ The profile equation
 
     c psi' + kappa_plus (a+ * psi) - m psi - kl psi^2 - kn psi (a- * psi) = 0
 
-is solved on a uniform grid in three phases: monotone integrating-factor
-sweeps from the supersolution min{theta, theta e^{-lambda_c (s-s0)}}, then
-damped Newton restricted to the bulk (psi >= 1e-3 theta) with the tail
-frozen, then Newton on the tail in tilted coordinates psi = E v with an
+is solved on a uniform grid: a warm start of 40 monotone integrating-factor
+sweeps from the supersolution min{theta, theta e^{-lambda_c (s-s0)}} (longer
+runs drift along the shift family at high speed), one recentering, then
+rounds of damped Newton on the bulk (psi >= 1e-3 theta) with the tail
+frozen and Newton on the tail in tilted coordinates psi = E v with an
 amplitude-deflated bordered system (the shift family makes the plain
 Jacobian near-singular). Boundary panels always come from the analytic
 expansions: theta minus a two-term exponential on the left, the
-D s^{j-1} e^{-lambda_c s} ansatz on the right.
+D s^{j-1} e^{-lambda_c s} ansatz on the right; the converged profile is
+grafted onto them once.
 
 Orientation: speeds are positive for fronts invading to the right. A
 negative speed is read as the mirrored problem (solve the reflected pair
@@ -41,6 +43,8 @@ _BULK_FLOOR = 1e-3      # psi/theta above this is "bulk" for the Newton split
 _DEEP_FLOOR = 1e-6      # below this the convolution rows go direct, not FFT
 _RIGHT_GRAFT = 3e-13
 _LEFT_GRAFT = 1e-4      # two-term left expansion is cube-accurate here
+_SWEEPS = 40            # warm start; much past 80 the iterate drifts at high speed
+_NEWTON_ROUNDS = 5
 # crossing() evaluates g[i-1] + t (g[i] - g[i-1]) with six roundings (three
 # in t). For a crossing at the origin both grid points lie within h of it,
 # so each rounding moves the result by less than one ulp of h, and the grid
@@ -241,7 +245,6 @@ class _Workspace:
         self.K = K
         self.conv_plus = Convolver(pair.a_plus, h, K)
         self.conv_minus = Convolver(pair.a_minus, h, K) if self.kn else None
-        self.Wbl = max(2, int(round(1.0 / h)))
 
     # -- analytic boundary panels ------------------------------------------
 
@@ -260,16 +263,24 @@ class _Workspace:
         disc = max(1.0 + 4.0 * self.B_left * v0, 0.0)
         return 2.0 * v0 / (1.0 + math.sqrt(disc))
 
+    def _left_front(self, psi0):
+        """False where the left panel is constant: psi0 >= theta, or no front
+        near the left edge (psi0 < theta/2, e.g. the psi = 0 state)."""
+        return 0.0 < self.th - psi0 <= 0.5 * self.th
+
     def lpad(self, psi0):
-        v0 = self.th - psi0
-        if v0 <= 0.0:
+        if not self._left_front(psi0):
             return np.full(self.K, psi0)
-        if v0 > 0.5 * self.th:
-            # no front near the left edge; constant continuation is the
-            # only faithful panel (covers the psi=0 stationary state)
-            return np.full(self.K, psi0)
-        V = self.ampleft(max(v0, 1e-300))
+        V = self.ampleft(self.th - psi0)
         return self.th - self.vleft(V, -self.h * np.arange(1, self.K + 1)[::-1])
+
+    def dlpad(self, psi0):
+        """d lpad / d psi0: V solves V + B V^2 = theta - psi0."""
+        if not self._left_front(psi0):
+            return np.ones(self.K)
+        V = self.ampleft(self.th - psi0)
+        e = np.exp(-self.lam_left * self.h * np.arange(1, self.K + 1)[::-1])
+        return (e + 2.0 * self.B_left * V * e * e) / (1.0 + 2.0 * self.B_left * V)
 
     def rpad(self, psi_last, n):
         if psi_last > 0.5 * self.th:
@@ -293,16 +304,18 @@ class _Workspace:
 
     def linearize(self, psi):
         """Jacobian of residual_vec at psi on all N rows: its diagonal and
-        u -> J u. A direction u is padded like build_ext: zero on the left,
-        where the panel is held fixed, and u[-1] times the decay ansatz on
-        the right."""
+        u -> J u. A direction u is padded like build_ext, by the derivatives
+        of the boundary panels: u[0] times d lpad / d psi[0] on the left and
+        u[-1] times the decay ansatz on the right."""
         N, K = self.N, self.K
         diag = -self.m - 2 * self.kl * psi
         if self.kn:
             diag = diag - self.kn * self.conv_minus(self.build_ext(psi), N)
+        lcol = self.dlpad(psi[0])
+        rcol = self.tailg(self.s[-1], 2 * K)
 
         def jmv(u):
-            uext = np.concatenate([np.zeros(K), u, u[-1] * self.tailg(self.s[-1], 2 * K)])
+            uext = np.concatenate([u[0] * lcol, u, u[-1] * rcol])
             du = (uext[K + 1:K + N + 1] - uext[K - 1:K + N - 1]) / (2 * self.h)
             out = self.c * du + self.kp * self.conv_plus(uext, N) + diag * u
             if self.kn:
@@ -325,42 +338,22 @@ class _Workspace:
     def i_deep(self, psi):
         return int(np.searchsorted(-psi, -_DEEP_FLOOR * self.th))
 
-    # -- grafts ------------------------------------------------------------
+    # -- graft and recentering ----------------------------------------------
 
-    def graft_right(self, psi, floor=_RIGHT_GRAFT, blend=False):
-        idx = np.where(psi >= floor * self.th)[0]
-        iA = idx[-1] if len(idx) else 0
+    def graft(self, psi):
+        """Replace both ends by their analytic panels: within 1e-4 theta of
+        theta the left expansion, below 3e-13 theta the decay ansatz, each
+        anchored at the last grid value outside that band."""
         psi = psi.copy()
-        N = self.N
-        if not blend:
-            if iA < N - 1:
-                psi[iA + 1:] = psi[iA] * self.tailg(self.s[iA], N - 1 - iA)
-            return psi
-        iB = max(iA - self.Wbl, 0)
-        anz = psi[iB] * self.tailg(self.s[iB], N - 1 - iB)
-        nbl = iA - iB
-        if nbl > 0:
-            sig = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, nbl + 1) / nbl))
-            psi[iB + 1:iA + 1] = (1 - sig) * psi[iB + 1:iA + 1] + sig * anz[:nbl]
-        psi[iA + 1:] = anz[nbl:]
-        return psi
-
-    def graft_left(self, psi, floor=_LEFT_GRAFT, blend=False):
         v = self.th - psi
-        idx = np.where(v >= floor * self.th)[0]
+        idx = np.where(v >= _LEFT_GRAFT * self.th)[0]
         iA = idx[0] if len(idx) else self.N - 1
-        psi = psi.copy()
-        if not blend:
-            if iA > 0:
-                psi[:iA] = self.th - self.vleft(self.ampleft(v[iA]), self.s[:iA] - self.s[iA])
-            return psi
-        iB = min(iA + self.Wbl, self.N - 1)
-        vg = self.vleft(self.ampleft(v[iB]), self.s[:iB] - self.s[iB])
-        nbl = iB - iA
-        if nbl > 0:
-            sig = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, nbl + 1) / nbl))[::-1]
-            psi[:iA] = self.th - vg[:iA]
-            psi[iA:iB] = (1 - sig) * psi[iA:iB] + sig * (self.th - vg[iA:iB])
+        if iA > 0:
+            psi[:iA] = self.th - self.vleft(self.ampleft(v[iA]), self.s[:iA] - self.s[iA])
+        idx = np.where(psi >= _RIGHT_GRAFT * self.th)[0]
+        iA = idx[-1] if len(idx) else 0
+        if iA < self.N - 1:
+            psi[iA + 1:] = psi[iA] * self.tailg(self.s[iA], self.N - 1 - iA)
         return psi
 
     def recenter(self, psi):
@@ -379,10 +372,11 @@ class _Workspace:
         return out
 
 
-def _sweep_phase(ws: _Workspace, psi, max_sweeps, sweep_tol, hook):
-    """Monotone integrating-factor iteration: each sweep applies
-    (rho - c d/ds)^{-1} to N[psi] = (rho - m) psi + kp conv+ - kl psi^2
-    - kn psi conv-, integrating from +inf where the resolvent decays."""
+def _sweep_phase(ws: _Workspace, psi, hook):
+    """Warm start: a fixed number of monotone integrating-factor sweeps,
+    each applying (rho - c d/ds)^{-1} to N[psi] = (rho - m) psi + kp conv+
+    - kl psi^2 - kn psi conv-, integrating from +inf where the resolvent
+    decays. Iterates stay pointwise ordered; `hook(it, psi)` sees each."""
     from scipy.signal import lfilter  # deferred: 0.25 s to import, only solves use it
     c, rho, h = ws.c, ws.rho, ws.h
     N, K, th = ws.N, ws.K, ws.th
@@ -391,7 +385,7 @@ def _sweep_phase(ws: _Workspace, psi, max_sweeps, sweep_tol, hook):
     I0 = (1 - alpha) / beta
     I1 = (1 - alpha) / (h * beta * beta) - alpha / beta
     b0, b1 = (I0 - I1) / c, I1 / c
-    for it in range(max_sweeps):
+    for it in range(_SWEEPS):
         ext = ws.build_ext(psi)
         vals = np.concatenate([psi, ws.rpad(psi[-1], K)])
         narr = (rho - ws.m) * vals + ws.kp * ws.conv_plus(ext) - ws.kl * vals * vals
@@ -402,15 +396,9 @@ def _sweep_phase(ws: _Workspace, psi, max_sweeps, sweep_tol, hook):
         x[0] = vals[-1]
         x[1:] = b0 * q[1:] + b1 * q[:-1]
         y = lfilter([1.0], [1.0, -alpha], x)
-        new = np.clip(y[::-1][:N], 0.0, th)
-        delta = float(np.abs(new - psi).max())
-        psi = new
+        psi = np.clip(y[::-1][:N], 0.0, th)
         if hook is not None:
             hook(it, psi.copy())
-        elif it >= 150 and it % 25 == 0:
-            psi = ws.recenter(psi)
-        if delta < sweep_tol:
-            break
     return psi
 
 
@@ -519,30 +507,28 @@ def _tail_newton(ws: _Workspace, psi, max_outer=15, tol=2e-7):
     return np.concatenate([bulk, E * vt]), float(np.abs(g).max())
 
 
-def _make_workspace(pair, params, c, spec, report=None, lam_c=None, j=None):
+def _make_workspace(pair, params, c, spec, report=None):
     th = theta(params)
     if report is None:
         report = minimal_speed(pair, params)
-    if lam_c is None:
-        root = speed_to_abscissa(pair, params, c, report)
-        lam_c, j = root.lambda_c, root.multiplicity
+    root = speed_to_abscissa(pair, params, c, report)
     lam_left, B_left = _left_rate(pair, params, c, th)
-    return _Workspace(pair, params, c, th, lam_c, j, lam_left, B_left, spec)
+    return _Workspace(pair, params, c, th, root.lambda_c, root.multiplicity,
+                      lam_left, B_left, spec)
 
 
 def solve_profile(pair: KernelPair, params: Params, c: float,
                   grid: GridSpec | None = None, tol: float = 1e-6,
-                  max_sweeps: int = 300, sweep_tol: float = 1e-10,
-                  newton_rounds: int = 5, anchor: float = 0.0,
-                  sweep_hook=None, report=None) -> WaveProfile:
+                  anchor: float = 0.0, sweep_hook=None,
+                  report=None) -> WaveProfile:
     """Solve the profile equation for speed c >= c_star, c != 0.
 
     The returned profile is half-theta normalized (value theta/2 at s=0 by
     interpolation) and carries the certified sup-norm residual. `anchor`
     shifts the initial supersolution; the converged wave is the same up to
     the final normalization, which is what the uniqueness checks exercise.
-    `sweep_hook(iteration, iterate)` observes the monotone phase (and
-    disables recentering so iterates stay pointwise ordered).
+    `sweep_hook(iteration, iterate)` observes the warm start: 40 monotone
+    sweeps, whose iterates decrease pointwise.
     """
     if c == 0.0:
         raise AssumptionFailure("c-zero-unsupported",
@@ -553,9 +539,7 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
                              "truncated kernels belong to the truncation lab")
     if c < 0.0:
         mirror = solve_profile(pair.reflected(), params, -c, grid=grid, tol=tol,
-                               max_sweeps=max_sweeps, sweep_tol=sweep_tol,
-                               newton_rounds=newton_rounds, anchor=-anchor,
-                               sweep_hook=sweep_hook, report=report)
+                               anchor=-anchor, sweep_hook=sweep_hook, report=report)
         return mirror.reflect()
 
     check_assumptions(pair, params).require(["Q1", "Q2", "Q3", "Q4", "Q5"])
@@ -563,23 +547,22 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
     th = ws.th
 
     psi = np.minimum(th, th * np.exp(-ws.lam_c * (ws.s - anchor)))
-    psi = _sweep_phase(ws, psi, max_sweeps, sweep_tol, sweep_hook)
-    psi = ws.graft_right(ws.graft_left(ws.recenter(psi)))
+    psi = ws.recenter(_sweep_phase(ws, psi, sweep_hook))
 
     rr = math.inf
-    for _ in range(newton_rounds):
+    for _ in range(_NEWTON_ROUNDS):
         psi, _rb = _bulk_newton(ws, psi)
         psi, _gt = _tail_newton(ws, psi)
         rr = float(np.abs(ws.residual_vec(psi, i_deep=ws.i_deep(psi))).max())
         if rr < 2e-7:
             break
-    psi = ws.graft_right(ws.graft_left(np.clip(psi, 0.0, th), blend=True), blend=True)
+    psi = ws.graft(np.clip(psi, 0.0, th))
     res = float(np.abs(ws.residual_vec(psi, i_deep=ws.i_deep(psi))).max())
     if res > tol:
         raise NonConvergence(
             "iteration-stalled",
             f"residual {res:.3e} above tolerance {tol:.1e} after "
-            f"{newton_rounds} correction rounds",
+            f"{_NEWTON_ROUNDS} correction rounds",
             {"residual": res, "pre_graft_residual": rr,
              "grid_points": ws.N, "h": ws.h})
 

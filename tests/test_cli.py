@@ -179,6 +179,15 @@ def test_missing_file_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("u0", ["exp:abc", "exp:"])
+def test_evolve_bad_exp_rate_exit_1(kernel_file, capsys, u0):
+    code, doc = run_cli(capsys, "evolve", "--kernel", kernel_file, "--u0", u0,
+                        "--dt", "0.01", "--horizon", "0.1")
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert repr(u0.split(":", 1)[1]) in doc["error"]["message"]
+
+
 def test_assumption_failure_exit_2(capsys, tmp_path):
     bad = dict(LK1_DOC, params={"kappa_plus": 0.5, "m": 1.0,
                                 "kappa_local": 1.0})

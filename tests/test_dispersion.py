@@ -12,7 +12,7 @@ from nlkpp.dispersion import (abscissa_to_speed, characteristic,
                               speed_lower_diagnostic, speed_to_abscissa,
                               t_function)
 from nlkpp.errors import NonConvergence, NoWave, UsageError
-from nlkpp.kernels import ExpPoly, Gaussian, KernelPair, Laplace, Params, Uniform
+from nlkpp.kernels import ExpPoly, Gaussian, Laplace, Params, Uniform
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 K_REF = Laplace(1.0)

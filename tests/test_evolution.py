@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlkpp.errors import NonConvergence, UsageError
-from nlkpp.evolution import EvolutionRun, evolve, front_speed, step_data
+from nlkpp.evolution import evolve, front_speed, step_data
 from nlkpp.kernels import KernelPair, Laplace, Params, theta
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)

@@ -1,4 +1,4 @@
-"""Every name a package module imports at module level is used in it."""
+"""Every name a package or test module imports at module level is used in it."""
 
 import ast
 from pathlib import Path
@@ -8,7 +8,8 @@ import pytest
 import nlkpp
 
 MODULES = sorted(p for p in Path(nlkpp.__file__).resolve().parent.glob("*.py")
-                 if p.name != "__init__.py")
+                 if p.name != "__init__.py") \
+    + sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source):

@@ -166,6 +166,31 @@ def test_radial_marginal_integrates_to_one():
     assert k.sigma_right == 1.0
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_radial_marginal_closed_form(d):
+    mu = 0.7
+    k = RadialExpMarginal(mu, d)
+    # the marginal of mu^d Gamma(d/2) / (2 pi^{d/2} Gamma(d)) e^{-mu|x|} on
+    # R^d, integrated over the (d-1)-dimensional slice |x_perp| = r
+    norm = mu ** d * math.gamma(d / 2) / (2 * math.pi ** (d / 2) * math.gamma(d))
+    surf = 2 * math.pi ** ((d - 1) / 2) / math.gamma((d - 1) / 2)
+    for s in (0.0, 0.3, -1.0, 2.5, 5.0):
+        radial, _ = integrate.quad(
+            lambda r: r ** (d - 2) * math.exp(-mu * math.hypot(s, r)), 0, math.inf,
+            epsabs=0.0, epsrel=1e-12, limit=200)
+        assert abs(k.pdf(s) - norm * surf * radial) <= 1e-9 * k.pdf(s)
+    for z in (-0.4, -0.1, 0.3):
+        # the integrand is below e^{-60} of its peak beyond |s| = 200
+        tilted = sum(integrate.quad(lambda s: k.pdf(s) * math.exp(z * s), lo, hi,
+                                    epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                     for lo, hi in ((-200.0, 0.0), (0.0, 200.0)))
+        assert abs(k.transform(z) - tilted) <= 1e-9 * tilted
+    for order, f in ((1, k.transform), (2, k.transform_deriv)):
+        fd = (f(0.3 + 1e-5) - f(0.3 - 1e-5)) / 2e-5
+        assert abs(k.transform_deriv(0.3, order) - fd) <= 1e-8 * fd
+    assert k.transform(mu) == math.inf and k.transform_deriv(-mu, 2) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # projection to a direction
 

@@ -1,16 +1,14 @@
 """Wave profile solver: residuals, monotonicity, tails, shifts, reflection."""
 
-import math
-
 import numpy as np
 import pytest
 
 from nlkpp.dispersion import minimal_speed, speed_to_abscissa
 from nlkpp.errors import (AssumptionFailure, NonConvergence, NoWave,
                           UsageError)
-from nlkpp.kernels import (ExpPoly, KernelPair, Laplace, Params, Truncated,
-                           theta)
-from nlkpp.profile import (Convolver, GridSpec, WaveProfile,
+from nlkpp.kernels import (ExpPoly, Gaussian, KernelPair, Laplace, Params,
+                           Truncated, theta)
+from nlkpp.profile import (Convolver, GridSpec, WaveProfile, _make_workspace,
                            compare_up_to_shift, normalize_shift, residual,
                            solve_profile, tail_asymptotics)
 
@@ -128,13 +126,42 @@ def test_sweeps_decrease_pointwise():
         if it % 10 == 0:
             seen.append(psi)
 
-    solve_profile(PAIR, LK1, 4.0, max_sweeps=60, sweep_hook=hook)
+    solve_profile(PAIR, LK1, 4.0, sweep_hook=hook)
     assert len(seen) >= 4
     # pointwise ordered up to FFT convolution noise (absolute, ~1e-12 here)
     for a, b in zip(seen, seen[1:]):
         assert np.all(b <= a + 1e-10)
     # and the decrease in the front region is genuine, far above the noise
     assert np.max(seen[0] - seen[-1]) > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the Newton linearization
+
+def test_linearize_matches_finite_difference_at_left_panel():
+    # criterion 7's grid: the left panel depends on psi[0], so a direction
+    # with u[0] != 0 moves the first K rows through the padding as well
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec(l_left=30.0, l_right=60.0, h=0.01))
+    th, s = ws.th, ws.s
+    psi = np.minimum(th, th * np.exp(-ws.lam_c * s))
+    psi[s < 0] = th - 0.1 * th * np.exp(ws.lam_left * s[s < 0])
+    u = np.exp(-0.05 * np.abs(s))
+    _diag, jmv = ws.linearize(psi)
+    eps = 1e-7
+    fd = (ws.residual_vec(psi + eps * u) - ws.residual_vec(psi - eps * u)) / (2 * eps)
+    rows = slice(0, 2 * ws.K)
+    assert np.abs(jmv(u)[rows] - fd[rows]).max() <= 1e-5 * np.abs(fd[rows]).max()
+
+
+def test_gaussian_nonlocal_pair_fast_front():
+    # a high speed where sweeps run far past the warm start drift along the
+    # shift family and leave Newton stalled at residual 1e-2
+    pair = KernelPair(Gaussian(1.0), Gaussian(0.5))
+    params = Params(2.0, 1.0, 0.5, 0.5)
+    rep = minimal_speed(pair, params)
+    prof = solve_profile(pair, params, 2.157 * rep.c_star, report=rep)
+    assert prof.residual_sup <= 1e-6
+    assert _strictly_decreasing(prof)
 
 
 # ---------------------------------------------------------------------------

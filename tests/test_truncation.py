@@ -8,8 +8,7 @@ import pytest
 from nlkpp.dispersion import g_function, minimal_speed
 from nlkpp.errors import AssumptionFailure, UsageError
 from nlkpp.kernels import KernelPair, Laplace, Params
-from nlkpp.truncation import (TruncationTrace, c_star_sequence, theta_r,
-                              truncate, truncated_g)
+from nlkpp.truncation import c_star_sequence, theta_r, truncate, truncated_g
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 K_REF = Laplace(1.0)

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq, minimize_scalar
@@ -40,7 +39,10 @@ from .kernels import KernelPair, Params, check_assumptions, theta
 _RIGHT_EFOLD = 34.0     # e-foldings of right tail; ~40 hits the float64 floor
 _LEFT_EFOLD = 26.0
 _BULK_FLOOR = 1e-3      # psi/theta above this is "bulk" for the Newton split
-_DEEP_FLOOR = 1e-6      # below this the convolution rows go direct, not FFT
+_DEEP_FLOOR = 1e-6      # below this the convolution rows are tilted before the FFT
+# Largest tilt exponent in one deep-row segment: half the float64 exponent
+# range, so neither the tilt nor its inverse overflows or goes subnormal.
+_TILT_SPAN = 0.5 * math.log(np.finfo(float).max)
 _RIGHT_GRAFT = 3e-13
 _LEFT_GRAFT = 1e-4      # two-term left expansion is cube-accurate here
 _SWEEPS = 40            # warm start; much past 80 the iterate drifts at high speed
@@ -136,6 +138,15 @@ class Convolver:
     left (and at least K on the right) and returns the 'valid' part of the
     convolution, cut to n rows; the padding is left to the caller because
     each caller's boundary panel is different physics.
+
+    An FFT convolution carries an absolute error near eps*max|ext|, which
+    swamps rows far down a decaying tail. Where the caller knows the decay
+    rate lam of the tail, those rows are convolved in tilted coordinates:
+    ext is multiplied by e^{lam s} and the weights by e^{lam y}, so every
+    term of row i's sum carries the same factor e^{lam s_i}, taken out
+    again afterwards. The error floor then sits at the scale of the tilted
+    tail instead of at max|ext|. The tilted weights' FFT is kept like the
+    plain one.
     """
 
     def __init__(self, kernel, h: float, K: int | None = None):
@@ -145,24 +156,35 @@ class Convolver:
         tot = w.sum()
         if tot > 0:
             w *= kernel.mass / tot
-        self.w, self.K = w, K
+        self.w, self.K, self.h = w, K, h
         self._nfft, self._spec = 0, None
+        self._tilt_key, self._tilt_spec = None, None
 
-    def __call__(self, ext, n: int | None = None, i_deep: int | None = None):
-        """Rows from i_deep on are recomputed by direct windowed dot
-        products: the FFT's absolute error floor swamps values near 1e-18."""
+    def __call__(self, ext, n: int | None = None, i_deep: int | None = None,
+                 rate: float | None = None):
+        """Rows from i_deep on, where ext decays like e^{-rate s}, come from
+        a tilted FFT over segments of at most _TILT_SPAN e-foldings each;
+        the rows before them from the plain FFT of the whole vector."""
         L = len(self.w)
         nfft = next_fast_len(len(ext) + L - 1, True)
         if nfft != self._nfft:
             self._nfft, self._spec = nfft, rfft(self.w, nfft)
         out = irfft(rfft(ext, nfft) * self._spec, nfft)[L - 1:len(ext)][:n]
         if i_deep is not None and i_deep < len(out):
-            wrev = self.w[::-1]
-            win = sliding_window_view(ext, L)
-            chunk = max(256, int(4e7 / L))
-            for a in range(i_deep, len(out), chunk):
-                b = min(a + chunk, len(out))
-                out[a:b] = win[a:b] @ wrev
+            lh = rate * self.h
+            rows = min(len(out) - i_deep, max(1, int(_TILT_SPAN / lh) - self.K))
+            # circular length len(seg): the wraparound reaches only the
+            # first L - 1 entries of the full convolution, none of them valid
+            nfft = next_fast_len(rows + L - 1, True)
+            if self._tilt_key != (nfft, lh):
+                tilt = np.exp(lh * (np.arange(L) - self.K))
+                self._tilt_key, self._tilt_spec = (nfft, lh), rfft(self.w * tilt, nfft)
+            for a in range(i_deep, len(out), rows):
+                b = min(a + rows, len(out))
+                seg = ext[a:b + L - 1]
+                v = seg * np.exp(lh * (np.arange(len(seg)) - self.K))
+                full = irfft(rfft(v, nfft) * self._tilt_spec, nfft)
+                out[a:b] = np.exp(-lh * np.arange(b - a)) * full[L - 1:L - 1 + b - a]
         return out
 
 
@@ -295,7 +317,7 @@ class _Workspace:
     def residual_vec(self, psi, i_deep=None):
         N, K = self.N, self.K
         ext = self.build_ext(psi)
-        convp = self.conv_plus(ext, N, i_deep)
+        convp = self.conv_plus(ext, N, i_deep, self.lam_c)
         dpsi = (ext[K + 1:K + N + 1] - ext[K - 1:K + N - 1]) / (2 * self.h)
         r = self.c * dpsi + self.kp * convp - self.m * psi - self.kl * psi * psi
         if self.kn:
@@ -480,27 +502,28 @@ def _tail_newton(ws: _Workspace, psi, max_outer=15, tol=2e-7):
         def jt(u):
             return jmv(np.concatenate([frozen, E * u]))[i_cut:] / E
 
-        z = np.ones(nt)
-        u_amp = jt(z)
+        u_amp = jt(np.ones(nt))
 
+        # sums, not dots with ones: BLAS runs ddot threaded at grid length,
+        # which costs more than the whole dot on a contended host
         def jaug(vv):
             v, al = vv[:nt], vv[nt]
-            return np.concatenate([jt(v) + al * u_amp, [z @ v]])
+            return np.concatenate([jt(v) + al * u_amp, [v.sum()]])
 
         jop = LinearOperator((nt + 1, nt + 1), matvec=jaug)
         ab = ws.band(diag[i_cut:], eru[:-1], erd[1:])
         x2 = solve_banded((1, 1), ab, u_amp)
-        zx2 = z @ x2
+        sx2 = x2.sum()
 
         def maug(rr):
             x1 = solve_banded((1, 1), ab, rr[:nt])
-            t = (z @ x1 - rr[nt]) / zx2
+            t = (x1.sum() - rr[nt]) / sx2
             return np.concatenate([x1 - t * x2, [t]])
 
         mop = LinearOperator((nt + 1, nt + 1), matvec=maug)
         sol, _ = lgmres(jop, np.concatenate([-g, [0.0]]), M=mop,
                         rtol=1e-3, atol=0.0, inner_m=30, maxiter=6)
-        nxt = _line_search(gres, vt, sol[:nt] + sol[nt] * z, gn, None)
+        nxt = _line_search(gres, vt, sol[:nt] + sol[nt], gn, None)
         if nxt is None:
             break
         vt, g = nxt

@@ -1,5 +1,7 @@
 """Wave profile solver: residuals, monotonicity, tails, shifts, reflection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from nlkpp.dispersion import minimal_speed, speed_to_abscissa
 from nlkpp.errors import (AssumptionFailure, NonConvergence, NoWave,
                           UsageError)
 from nlkpp.kernels import (ExpPoly, Gaussian, KernelPair, Laplace, Params,
-                           Truncated, theta)
+                           Truncated, Uniform, theta)
 from nlkpp.profile import (Convolver, GridSpec, WaveProfile, _make_workspace,
                            compare_up_to_shift, normalize_shift, residual,
                            solve_profile, tail_asymptotics)
@@ -54,9 +56,54 @@ def test_convolver_matches_fftconvolve_and_direct_rows():
         assert np.array_equal(conv(ext, n), fftconvolve(ext, w, mode="valid")[:n])
         i_deep = n // 2
         direct = np.convolve(ext, w, "valid")[:n]
-        out = conv(ext, n, i_deep=i_deep)
+        out = conv(ext, n, i_deep=i_deep, rate=0.02 / 0.05)
         assert np.allclose(out[i_deep:], direct[i_deep:], rtol=1e-12, atol=0.0)
         assert np.array_equal(out[:i_deep], conv(ext, n)[:i_deep])
+
+
+# a few ulps: the tilted FFT's error floor sits at the scale of the tail
+DEEP_RTOL = 8e-15
+
+
+def _long_double_rows(ext, w, start, stop):
+    """Rows start..stop-1 of the valid convolution, summed in long double."""
+    e, wr = ext.astype(np.longdouble), w[::-1].astype(np.longdouble)
+    return np.array([np.dot(e[i:i + len(w)], wr) for i in range(start, stop)])
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0])
+def test_deep_rows_match_long_double_sum(rep, factor):
+    # the rows below 1e-6 theta of a converged profile, where the tail
+    # claims are checked, as the residual convolves them
+    c = factor * rep.c_star
+    prof = solve_profile(PAIR, LK1, c, report=rep)
+    ws = _make_workspace(PAIR, LK1, c, GridSpec(), report=rep)
+    ext = ws.build_ext(prof.values)
+    i_dp = ws.i_deep(prof.values)
+    out = ws.conv_plus(ext, ws.N, i_dp, ws.lam_c)[i_dp:]
+    exact = _long_double_rows(ext, ws.conv_plus.w, i_dp, ws.N)
+    assert np.abs((out - exact) / exact).max() <= DEEP_RTOL
+
+
+@pytest.mark.parametrize("lo,hi", [(-0.5, 2.0), (-2.0, 0.5)])
+def test_deep_rows_on_skewed_kernels(lo, hi):
+    # pins the direction of the tilt: weights tilted the wrong way miss
+    # by 45% and 82% on these kernels
+    conv = Convolver(Uniform(lo, hi), 0.05)
+    n = 4000
+    ext = np.exp(-0.02 * np.arange(n + 2 * conv.K))
+    out = conv(ext, n, i_deep=n // 2, rate=0.02 / 0.05)[n // 2:]
+    exact = _long_double_rows(ext, conv.w, n // 2, n)
+    assert np.abs((out - exact) / exact).max() <= DEEP_RTOL
+
+
+def test_long_grid_tilt_stays_in_range():
+    # lambda_c * l_right ~ 897: one tilt over the whole tail would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = solve_profile(PAIR, LK1, 4.0,
+                             grid=GridSpec(l_left=30.0, l_right=3000.0, h=0.1))
+    assert prof.residual_sup <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .errors import NonConvergence, NoWave, UsageError
-from .kernels import Kernel, KernelPair, Params, check_assumptions
+from .kernels import ENDPOINT_RTOL, Kernel, KernelPair, Params, check_assumptions
 
 _TIE_BAND = 1e-9            # |m - T(sigma)| below this counts as the equality case
 _CSTAR_BAND = 1e-9          # |c - c_star| below this (relative) counts as minimal speed
@@ -106,7 +106,7 @@ def t_function(kernel: Kernel, params: Params, lam: float) -> float:
     sig = kernel.sigma_right
     if not 0 < lam <= sig:
         raise UsageError(f"lambda must lie in (0, {sig}]")
-    if sig < math.inf and lam >= sig * (1.0 - 1e-14):
+    if sig < math.inf and lam >= sig * (1.0 - ENDPOINT_RTOL):
         return _t_endpoint(kernel, params, sig)
     return params.kappa_plus * (kernel.transform(lam)
                                 - lam * kernel.transform_deriv(lam, 1))
@@ -205,13 +205,9 @@ def minimal_speed(kernel, params: Params) -> DispersionReport:
                     "w-endpoint-cert",
                     f"H not negative at {lam:.6g}; endpoint is not the minimizer")
     else:
-        def H(lam):
-            if math.isfinite(sig) and lam >= sig * (1.0 - 1e-15):
-                return m - t_end if math.isfinite(t_end) else math.inf
-            return h_function(k, params, lam)
-
         lo, hi = _bracket_h_root(k, params, sig)
-        lam_star = brentq(H, lo, hi, xtol=1e-15, rtol=1e-12)
+        lam_star = brentq(lambda lam: h_function(k, params, lam), lo, hi,
+                          xtol=1e-15, rtol=1e-12)
         c_star = g_function(k, params, lam_star)
         alt = kp * k.transform_deriv(lam_star, 1)
         if abs(c_star - alt) > 1e-8 * max(1.0, abs(c_star)):
@@ -268,16 +264,10 @@ def speed_to_abscissa(kernel, params: Params, c: float,
         j = root_multiplicity(pair, params, c_star, report)
         return CharacteristicRoot(lam_star, c, j)
 
-    def h(lam):
-        if math.isfinite(k.sigma_right) and lam >= k.sigma_right * (1.0 - 1e-15):
-            a_end = k.transform(k.sigma_right)
-            return params.kappa_plus * a_end - params.m - c * lam \
-                if math.isfinite(a_end) else math.inf
-        return characteristic(k, params, c, lam)
-
     # h(0+) = kappa_plus - m > 0 and h(lambda_star) = lambda_star (c_star - c) < 0
     lo = min(1e-12, 1e-6 * lam_star)
-    lam_c = brentq(h, lo, lam_star, xtol=1e-15, rtol=1e-12)
+    lam_c = brentq(lambda lam: characteristic(k, params, c, lam), lo, lam_star,
+                   xtol=1e-15, rtol=1e-12)
     return CharacteristicRoot(lam_c, c, 1)
 
 
@@ -290,10 +280,7 @@ def abscissa_to_speed(kernel, params: Params, sigma: float,
     if not 0.0 < sigma <= report.lambda_star * (1.0 + 1e-12):
         raise UsageError(
             f"decay rate {sigma!r} outside (0, {report.lambda_star!r}]")
-    if math.isfinite(report.sigma_plus) and sigma >= report.sigma_plus * (1.0 - 1e-15):
-        return (params.kappa_plus * pair.a_plus.transform(report.sigma_plus)
-                - params.m) / report.sigma_plus
-    return g_function(pair.a_plus, params, sigma)
+    return g_function(pair.a_plus, params, min(sigma, report.sigma_plus))
 
 
 def mu_star(q: float, params: Params) -> float:

@@ -22,6 +22,7 @@ from .profile import Convolver, WaveProfile
 _BURN_IN = 0.30
 _WIDEN_TRIGGER = 0.20   # front inside the last 20% of the grid grows it
 _WIDEN_FACTOR = 0.50
+_FLUSH_FLOOR = 3e-15    # cells below this fraction of theta snap to zero
 
 
 @dataclass(eq=False)
@@ -95,8 +96,7 @@ def _initial_state(u0, x, th):
 
 def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
            domain=(-30.0, 30.0), h: float = 0.02, snapshot_dt: float | None = None,
-           level: float | None = None, widen: bool = True,
-           flush_floor: float = 3e-15) -> EvolutionRun:
+           level: float | None = None, widen: bool = True) -> EvolutionRun:
     """March the equation from u0 and record snapshots and front positions.
 
     u0 may be a WaveProfile, a callable of position, or an array on the
@@ -105,12 +105,11 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
     The fitted speed over the post-burn-in window is attached when at
     least 10 snapshots survive the burn-in and track a crossing.
 
-    Cells below flush_floor (relative to theta) snap to zero after each
+    Cells below _FLUSH_FLOOR (relative to theta) snap to zero after each
     step: the FFT convolution carries an absolute noise floor near 1e-16,
     and since the zero state is unstable that noise would otherwise seed
     spurious growth far ahead of the front. The flush acts as a small
-    pulled-front cutoff whose speed bias is well under a percent at the
-    default; set it to 0 to disable.
+    pulled-front cutoff whose speed bias is well under a percent.
     """
     th = theta(params)
     kp, m = params.kappa_plus, params.m
@@ -149,8 +148,7 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
         # the zero state is exponentially unstable (rate kappa_plus - m),
         # so FFT roundoff ahead of the front must not survive in either sign
         u = np.maximum(u + dt * du, 0.0)
-        if flush_floor > 0.0:
-            u[u < flush_floor * th] = 0.0
+        u[u < _FLUSH_FLOOR * th] = 0.0
         if k % snap_every == 0 or k == n_steps:
             record(k * dt)
             if widen and math.isfinite(fronts[-1]):

@@ -31,7 +31,11 @@ from .errors import AssumptionFailure, UsageError
 from .laplace import QUAD_ABS, QUAD_REL
 
 _POS_FLOOR = 1e-6     # the "rho" used for Q4/Q7 grid scans
+_SCAN_POINTS = 8001   # grid size of the Q4 and J_theta scans
 _UNDECIDED_BAND = 1e-10
+# arguments within this relative distance of a finite abscissa count as the
+# abscissa itself; ExpPoly's transforms and dispersion.t_function read it
+ENDPOINT_RTOL = 1e-14
 
 
 def _quad_split(f, lo, hi, breaks=()):
@@ -153,10 +157,7 @@ class Kernel:
 
     def transform(self, z: float) -> float:
         """Bilateral Laplace transform at real z, +inf when divergent."""
-        if z >= self.sigma_right or -z >= self.sigma_left:
-            return math.inf
-        lo, hi = self._support
-        return _quad_split(self._tilted(z), lo, hi, self._breaks)
+        return self.transform_deriv(z, 0)
 
     def transform_deriv(self, z: float, order: int = 1) -> float:
         """d^k/dz^k of the transform, i.e. int s^k a(s) e^{z s} ds."""
@@ -362,9 +363,8 @@ class ExpPoly(Kernel):
             raise UsageError("exp_poly needs mu > 0, p >= 0, q >= 0")
         if self.p == 0 and self.q <= 1:
             raise UsageError("exp_poly with p=0 needs q > 1 to be integrable")
-        norm, _ = integrate.quad(
-            lambda s: math.exp(-self.mu * s ** self.p) / (1.0 + s ** self.q),
-            0, math.inf, limit=400, epsabs=QUAD_ABS, epsrel=QUAD_REL)
+        norm = _quad_split(lambda s: math.exp(-self.mu * s ** self.p) / (1.0 + s ** self.q),
+                           0, math.inf)
         object.__setattr__(self, "alpha", 1.0 / (2.0 * norm))
 
     def pdf(self, s):
@@ -389,33 +389,18 @@ class ExpPoly(Kernel):
         return math.log(1.0 / eps) / self.mu if self.p >= 1 else \
             (math.log(1.0 / eps) / self.mu) ** (1.0 / self.p)
 
-    def transform(self, z):
-        # p=1 endpoint z = +-mu is finite for q > 1: the exponential cancels
-        # on one side and the algebraic factor has to carry the integral.
-        if self.p == 1 and abs(abs(z) - self.mu) < 1e-14 * self.mu:
-            if self.q <= 1:
-                return math.inf
-            flat, _ = integrate.quad(lambda s: 1.0 / (1.0 + s ** self.q),
-                                     0, math.inf, limit=400,
-                                     epsabs=QUAD_ABS, epsrel=QUAD_REL)
-            damp, _ = integrate.quad(
-                lambda s: math.exp(-2.0 * self.mu * s) / (1.0 + s ** self.q),
-                0, math.inf, limit=400, epsabs=QUAD_ABS, epsrel=QUAD_REL)
-            return self.alpha * (flat + damp)
-        return super().transform(z)
-
     def transform_deriv(self, z, order=1):
-        if self.p == 1 and abs(abs(z) - self.mu) < 1e-14 * self.mu:
+        # p=1 endpoint z = +-mu is finite for q > order + 1: the exponential
+        # cancels on one side and the algebraic factor carries the integral
+        if self.p == 1 and abs(abs(z) - self.mu) < ENDPOINT_RTOL * self.mu:
             sgn = 1.0 if z > 0 else -1.0
             if self.q <= order + 1:
                 # divergence comes from the side where the exponential cancels
                 return math.inf if z > 0 or order % 2 == 0 else -math.inf
-            flat, _ = integrate.quad(
-                lambda s: s ** order / (1.0 + s ** self.q),
-                0, math.inf, limit=400, epsabs=QUAD_ABS, epsrel=QUAD_REL)
-            damp, _ = integrate.quad(
+            flat = _quad_split(lambda s: s ** order / (1.0 + s ** self.q), 0, math.inf)
+            damp = _quad_split(
                 lambda s: s ** order * math.exp(-2.0 * self.mu * s) / (1.0 + s ** self.q),
-                0, math.inf, limit=400, epsabs=QUAD_ABS, epsrel=QUAD_REL)
+                0, math.inf)
             return self.alpha * (sgn ** order) * (flat + (-1.0) ** order * damp)
         return super().transform_deriv(z, order)
 
@@ -473,10 +458,6 @@ class Tabulated(Kernel):
     def support_radius(self, eps=1e-17):
         g = self._grid()
         return max(abs(g[0]), abs(g[-1])) + self.grid_step
-
-    def transform(self, z):
-        g = self._grid()
-        return float(self.grid_step * np.sum(np.asarray(self.values) * np.exp(z * g)))
 
     def transform_deriv(self, z, order=1):
         g = self._grid()
@@ -543,24 +524,15 @@ class Truncated(Kernel):
     def support_radius(self, eps=1e-17):
         return self.base.support_radius(eps)
 
-    def transform(self, z):
-        if -z >= self.sigma_left:
-            return math.inf
-        lo, hi = self._support
-        return _quad_split(self.base._tilted(z), lo, hi, self.base._breaks)
+    @property
+    def _breaks(self):
+        return self.base._breaks
 
-    def transform_deriv(self, z, order=1):
-        if -z >= self.sigma_left:
-            return math.inf
-        lo, hi = self._support
-        return _quad_split(self.base._tilted(z, order), lo, hi, self.base._breaks)
+    def _tilted(self, z, order=0):
+        return self.base._tilted(z, order)
 
     def cdf(self, x):
         return self.base.cdf(min(x, self.cutoff))
-
-    def moment_first(self):
-        lo, hi = self._support
-        return _quad_split(lambda s: s * self.base.pdf(s), lo, hi, self.base._breaks)
 
     def to_dict(self):
         return {"family": "truncated", "cutoff": self.cutoff, "base": self.base.to_dict()}
@@ -708,19 +680,18 @@ class JTheta:
         return kp * self.pair.a_plus.pdf(s) - self.theta * kn * self.pair.a_minus.pdf(s)
 
 
-def j_theta(pair: KernelPair, params: Params, n_grid: int = 8001) -> JTheta:
+def j_theta(pair: KernelPair, params: Params) -> JTheta:
     th = theta(params)
     radius = max(pair.a_plus.support_radius(1e-15), pair.a_minus.support_radius(1e-15))
-    s = np.linspace(-radius, radius, n_grid)
+    s = np.linspace(-radius, radius, _SCAN_POINTS)
     kp, kn = params.kappa_plus, params.kappa_nonlocal
     vals = kp * pair.a_plus.pdf(s) - th * kn * pair.a_minus.pdf(s)
 
-    # widest symmetric interval around the origin staying above the floor
-    i0 = n_grid // 2
-    k = 0
-    while i0 - k - 1 >= 0 and i0 + k + 1 < n_grid \
-            and vals[i0 - k - 1] >= _POS_FLOOR and vals[i0 + k + 1] >= _POS_FLOOR:
-        k += 1
+    # widest symmetric interval around the origin staying above the floor:
+    # k is the first offset where either side drops below it
+    i0 = _SCAN_POINTS // 2
+    paired = (vals[i0 - 1::-1] >= _POS_FLOOR) & (vals[i0 + 1:] >= _POS_FLOOR)
+    k = int(np.argmin(np.append(paired, False)))
     if vals[i0] >= _POS_FLOOR and k > 0:
         delta = k * (s[1] - s[0])
         rho = float(np.min(vals[i0 - k:i0 + k + 1]))
@@ -789,13 +760,11 @@ def check_assumptions(pair: KernelPair, params: Params) -> AssumptionReport:
 
     # Q4: an interval of length >= one grid cell where the density clears the floor
     radius = pair.a_plus.support_radius(1e-15)
-    s = np.linspace(-radius, radius, 8001)
-    dens = np.asarray(pair.a_plus.pdf(s))
-    above = dens >= _POS_FLOOR
-    best = run = 0
-    for a in above:
-        run = run + 1 if a else 0
-        best = max(best, run)
+    s = np.linspace(-radius, radius, _SCAN_POINTS)
+    above = np.asarray(pair.a_plus.pdf(s)) >= _POS_FLOOR
+    # longest run of grid points above the floor, from the run edges
+    edges = np.diff(np.concatenate(([0], above.astype(np.int8), [0])))
+    best = int(np.max(np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1), initial=0))
     cell = s[1] - s[0]
     entries["Q4"] = ("holds" if best >= 2 else "fails", best * cell)
 

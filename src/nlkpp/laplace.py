@@ -113,7 +113,8 @@ def _scan(f, lam, support, guard=None):
 def bilateral_laplace(f, lam: float, support=(-math.inf, math.inf)) -> LaplaceEval:
     """int f(s) e^{lam s} ds for lam > 0, with a convergence verdict.
 
-    Kernel objects answer from their own metadata; plain callables go
+    Kernel objects answer from their own transform, converged exactly when
+    it is finite (the kernel decides where its strip ends); plain callables go
     through the windowed scan, guarded against runaway partial sums by the
     value at lam/2 (finite there whenever lam is inside the strip, and the
     blowup scale when it is not).
@@ -121,13 +122,8 @@ def bilateral_laplace(f, lam: float, support=(-math.inf, math.inf)) -> LaplaceEv
     if lam <= 0:
         raise UsageError("transform argument must be positive")
     if hasattr(f, "sigma_right"):
-        sig = f.sigma_right
-        if lam < sig * (1.0 - 1e-12):
-            return LaplaceEval(f.transform(lam), lam, "converged")
-        if sig < math.inf and lam <= sig * (1.0 + 1e-12):
-            v = f.transform(sig)
-            return LaplaceEval(v, lam, "converged" if math.isfinite(v) else "diverged")
-        return LaplaceEval(f.transform(lam), lam, "converged" if lam < sig else "diverged")
+        v = f.transform(lam)
+        return LaplaceEval(v, lam, "converged" if math.isfinite(v) else "diverged")
     ref = _scan(f, lam / 2.0, support, guard=None)
     guard = _GUARD_FACTOR * max(abs(ref.value), 1e-30)
     return _scan(f, lam, support, guard=guard)

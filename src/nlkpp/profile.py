@@ -569,7 +569,7 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
     ws = _make_workspace(pair, params, c, grid or GridSpec(), report=report)
     th = ws.th
 
-    psi = np.minimum(th, th * np.exp(-ws.lam_c * (ws.s - anchor)))
+    psi = th * np.exp(-ws.lam_c * np.maximum(ws.s - anchor, 0.0))
     psi = ws.recenter(_sweep_phase(ws, psi, sweep_hook))
 
     rr = math.inf

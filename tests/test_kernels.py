@@ -117,6 +117,11 @@ def test_exp_poly_sigma_by_p():
 def test_exp_poly_endpoint_transform_finite_iff_q_gt_1():
     assert math.isfinite(ExpPoly(1.0, 3.0, 0.5).transform(0.5))
     assert ExpPoly(1.0, 0.5, 0.5).transform(0.5) == math.inf
+    # the transform is the order-0 derivative, endpoint included
+    for q in (3.0, 0.5):
+        k = ExpPoly(1.0, q, 0.5)
+        for z in (0.5, -0.5):
+            assert k.transform(z) == k.transform_deriv(z, 0)
 
 
 def test_uniform_moments():
@@ -147,6 +152,20 @@ def test_truncated_mass_and_transform():
     assert np.all(k.pdf(np.array([2.1, 5.0])) == 0.0)
     assert k.pdf(-2.1) > 0.0
     assert abs(k.pdf(1.0) - 0.5 * math.exp(-1.0)) < 1e-15
+    # the truncated transform is the base density's integral up to the cut,
+    # finite past the base abscissa (z = 1.5 > 0.8 for the exp_poly base)
+    cut = 1.5
+    for base, lo in ((Gaussian(1.0), -math.inf), (ExpPoly(1.0, 3.0, 0.8), -math.inf),
+                     (Uniform(-1.0, 2.0), -1.0)):
+        tk = Truncated(base, cut)
+        for z in (-0.3, 0.4, 1.5):
+            def f(s):
+                d = float(base.pdf(s))
+                return d * math.exp(z * s) if d > 0.0 else 0.0
+            pieces = [(lo, 0.0), (0.0, cut)] if lo < 0.0 else [(lo, cut)]
+            direct = sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12)[0]
+                         for a, b in pieces)
+            assert abs(tk.transform(z) - direct) <= 1e-9 * direct
 
 
 def test_reflection_involution():

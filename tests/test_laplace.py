@@ -23,6 +23,16 @@ def test_two_sided_exponential_diverges_past_abscissa():
     assert ev.status == "diverged"
 
 
+def test_kernel_verdict_is_finiteness_of_its_transform():
+    # no band around the abscissa: just past it the exp_poly transform is
+    # infinite, just below it the Laplace one is finite
+    ev = bilateral_laplace(ExpPoly(1.0, 3.0, 0.7), 0.7 * (1 + 1e-13))
+    assert ev.status == "diverged"
+    ev = bilateral_laplace(Laplace(0.7), 0.7 * (1 - 1e-13))
+    assert ev.status == "converged"
+    assert math.isfinite(ev.value)
+
+
 def test_callable_matches_closed_form():
     ev = bilateral_laplace(lambda s: 0.5 * math.exp(-abs(s)), 0.5)
     assert ev.status == "converged"

@@ -106,6 +106,15 @@ def test_long_grid_tilt_stays_in_range():
     assert prof.residual_sup <= 1e-6
 
 
+def test_long_left_grid_supersolution_stays_in_range():
+    # lambda_c * l_left ~ 897: the initial supersolution must not form e^{897}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = solve_profile(PAIR, LK1, 4.0,
+                             grid=GridSpec(l_left=3000.0, l_right=60.0, h=0.1))
+    assert prof.residual_sup <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # residual and shape
 

@@ -131,13 +131,14 @@ class Convolver:
     """Convolution with one kernel on a uniform grid of step h.
 
     The weights are h*a(kh) on [-K, K], rescaled to the exact kernel mass
-    so constants are reproduced without discretization error. Their real
-    FFT is kept for the transform length last used (a solver's length is
-    fixed, evolve's only grows), so a call costs one forward and one
-    inverse FFT. A call takes a vector already padded by K cells on the
-    left (and at least K on the right) and returns the 'valid' part of the
-    convolution, cut to n rows; the padding is left to the caller because
-    each caller's boundary panel is different physics.
+    so constants are reproduced without discretization error. A call takes
+    a vector already padded by K cells on the left (and at least K on the
+    right) and returns the 'valid' part of the convolution, cut to n rows;
+    the padding is left to the caller because each caller's boundary panel
+    is different physics. The FFT is circular, of length
+    next_fast_len(len(ext)): the entries of the linear convolution past
+    that length wrap onto its first 2K, which precede every valid row. The
+    weights' spectrum is kept for the length last used.
 
     An FFT convolution carries an absolute error near eps*max|ext|, which
     swamps rows far down a decaying tail. Where the caller knows the decay
@@ -166,15 +167,13 @@ class Convolver:
         a tilted FFT over segments of at most _TILT_SPAN e-foldings each;
         the rows before them from the plain FFT of the whole vector."""
         L = len(self.w)
-        nfft = next_fast_len(len(ext) + L - 1, True)
+        nfft = next_fast_len(len(ext), True)
         if nfft != self._nfft:
             self._nfft, self._spec = nfft, rfft(self.w, nfft)
         out = irfft(rfft(ext, nfft) * self._spec, nfft)[L - 1:len(ext)][:n]
         if i_deep is not None and i_deep < len(out):
             lh = rate * self.h
             rows = min(len(out) - i_deep, max(1, int(_TILT_SPAN / lh) - self.K))
-            # circular length len(seg): the wraparound reaches only the
-            # first L - 1 entries of the full convolution, none of them valid
             nfft = next_fast_len(rows + L - 1, True)
             if self._tilt_key != (nfft, lh):
                 tilt = np.exp(lh * (np.arange(L) - self.K))
@@ -314,34 +313,38 @@ class _Workspace:
 
     # -- residual ----------------------------------------------------------
 
-    def residual_vec(self, psi, i_deep=None):
-        N, K = self.N, self.K
-        ext = self.build_ext(psi)
-        convp = self.conv_plus(ext, N, i_deep, self.lam_c)
-        dpsi = (ext[K + 1:K + N + 1] - ext[K - 1:K + N - 1]) / (2 * self.h)
-        r = self.c * dpsi + self.kp * convp - self.m * psi - self.kl * psi * psi
+    def residual_vec(self, psi, i_deep=None, lo=0, hi=None):
+        """Rows lo..hi-1 (hi None: N) of the residual at the grid vector psi,
+        from the window build_ext(psi)[lo:hi + 2K] they read. i_deep >= lo."""
+        K, hi = self.K, self.N if hi is None else hi
+        n, p, ext = hi - lo, psi[lo:hi], self.build_ext(psi)[lo:hi + 2 * K]
+        convp = self.conv_plus(ext, n, None if i_deep is None else i_deep - lo, self.lam_c)
+        dpsi = (ext[K + 1:K + n + 1] - ext[K - 1:K + n - 1]) / (2 * self.h)
+        r = self.c * dpsi + self.kp * convp - self.m * p - self.kl * p * p
         if self.kn:
-            r -= self.kn * psi * self.conv_minus(ext, N)
+            r -= self.kn * p * self.conv_minus(ext, n)
         return r
 
-    def linearize(self, psi):
-        """Jacobian of residual_vec at psi on all N rows: its diagonal and
-        u -> J u. A direction u is padded like build_ext, by the derivatives
-        of the boundary panels: u[0] times d lpad / d psi[0] on the left and
-        u[-1] times the decay ansatz on the right."""
+    def linearize(self, psi, lo=0, hi=None):
+        """Jacobian of residual_vec's rows lo..hi-1 at psi along directions
+        u that vanish off those rows: its diagonal and u -> J u. u is padded
+        like build_ext, by u[0] times d lpad / d psi[0] if lo = 0 and u[-1]
+        times the decay ansatz if hi = N, and by zeros otherwise."""
         N, K = self.N, self.K
-        diag = -self.m - 2 * self.kl * psi
+        hi = N if hi is None else hi
+        n, p = hi - lo, psi[lo:hi]
+        diag = -self.m - 2 * self.kl * p
         if self.kn:
-            diag = diag - self.kn * self.conv_minus(self.build_ext(psi), N)
-        lcol = self.dlpad(psi[0])
-        rcol = self.tailg(self.s[-1], 2 * K)
+            diag = diag - self.kn * self.conv_minus(self.build_ext(psi)[lo:hi + 2 * K], n)
+        lcol = self.dlpad(psi[0]) if lo == 0 else np.zeros(K)
+        rcol = self.tailg(self.s[-1], K) if hi == N else np.zeros(K)
 
         def jmv(u):
             uext = np.concatenate([u[0] * lcol, u, u[-1] * rcol])
-            du = (uext[K + 1:K + N + 1] - uext[K - 1:K + N - 1]) / (2 * self.h)
-            out = self.c * du + self.kp * self.conv_plus(uext, N) + diag * u
+            du = (uext[K + 1:K + n + 1] - uext[K - 1:K + n - 1]) / (2 * self.h)
+            out = self.c * du + self.kp * self.conv_plus(uext, n) + diag * u
             if self.kn:
-                out -= self.kn * psi * self.conv_minus(uext, N)
+                out -= self.kn * p * self.conv_minus(uext, n)
             return out
 
         return diag, jmv
@@ -447,20 +450,18 @@ def _bulk_newton(ws: _Workspace, psi, max_outer=25, tol=1e-9):
     nb = int(np.searchsorted(-psi, -_BULK_FLOOR * ws.th))
     tailv = psi[nb:].copy()
     vb = psi[:nb].copy()
-    frozen = np.zeros(ws.N - nb)
 
     def rb(vv):
-        return ws.residual_vec(np.concatenate([vv, tailv]))[:nb]
+        return ws.residual_vec(np.concatenate([vv, tailv]), hi=nb)
 
     r = rb(vb)
     for _ in range(max_outer):
         fn = float(np.abs(r).max())
         if fn <= tol:
             break
-        diag, jmv = ws.linearize(np.concatenate([vb, tailv]))
-        jop = LinearOperator((nb, nb),
-                             matvec=lambda u: jmv(np.concatenate([u, frozen]))[:nb])
-        ab = ws.band(diag[:nb])
+        diag, jmv = ws.linearize(np.concatenate([vb, tailv]), hi=nb)
+        jop = LinearOperator((nb, nb), matvec=jmv)
+        ab = ws.band(diag)
         mop = LinearOperator((nb, nb), matvec=lambda u: solve_banded((1, 1), ab, u))
         dlt, _ = lgmres(jop, -r, M=mop, rtol=1e-3, atol=0.0, inner_m=30, maxiter=4)
         nxt = _line_search(rb, vb, dlt, fn, ws.th)
@@ -479,7 +480,6 @@ def _tail_newton(ws: _Workspace, psi, max_outer=15, tol=2e-7):
     i_dp = ws.i_deep(psi)
     nt = ws.N - i_cut
     bulk = psi[:i_cut].copy()
-    frozen = np.zeros(i_cut)
     env = psi[i_cut - 1] * ws.tailg(ws.s[i_cut - 1], nt)
     E = np.maximum(env, 1e-13 * ws.th)
     eru = np.ones(nt)
@@ -490,17 +490,17 @@ def _tail_newton(ws: _Workspace, psi, max_outer=15, tol=2e-7):
 
     def gres(vv):
         pt = np.concatenate([bulk, E * vv])
-        return ws.residual_vec(pt, i_deep=i_dp)[i_cut:] / E
+        return ws.residual_vec(pt, i_deep=i_dp, lo=i_cut) / E
 
     g = gres(vt)
     for _ in range(max_outer):
         gn = float(np.abs(g).max())
         if gn < tol:
             break
-        diag, jmv = ws.linearize(np.concatenate([bulk, E * vt]))
+        diag, jmv = ws.linearize(np.concatenate([bulk, E * vt]), lo=i_cut)
 
         def jt(u):
-            return jmv(np.concatenate([frozen, E * u]))[i_cut:] / E
+            return jmv(E * u) / E
 
         u_amp = jt(np.ones(nt))
 
@@ -511,7 +511,7 @@ def _tail_newton(ws: _Workspace, psi, max_outer=15, tol=2e-7):
             return np.concatenate([jt(v) + al * u_amp, [v.sum()]])
 
         jop = LinearOperator((nt + 1, nt + 1), matvec=jaug)
-        ab = ws.band(diag[i_cut:], eru[:-1], erd[1:])
+        ab = ws.band(diag, eru[:-1], erd[1:])
         x2 = solve_banded((1, 1), ab, u_amp)
         sx2 = x2.sum()
 

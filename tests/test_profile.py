@@ -53,12 +53,36 @@ def test_convolver_matches_fftconvolve_and_direct_rows():
     assert abs(w.sum() - 1.0) < 1e-14
     for n in (3000, 5000, 3000):   # the spectrum is recomputed per FFT length
         ext = np.exp(-0.02 * np.arange(n + 2 * conv.K))
-        assert np.array_equal(conv(ext, n), fftconvolve(ext, w, mode="valid")[:n])
+        # the circular FFT stays within fftconvolve's own roundoff bound
+        exact = _long_double_rows(ext, w, 0, n)
+        bound = 4 * np.finfo(float).eps * np.abs(ext).max()
+        assert np.abs(conv(ext, n) - exact).max() <= bound
+        assert np.abs(fftconvolve(ext, w, mode="valid")[:n] - exact).max() <= bound
         i_deep = n // 2
         direct = np.convolve(ext, w, "valid")[:n]
         out = conv(ext, n, i_deep=i_deep, rate=0.02 / 0.05)
         assert np.allclose(out[i_deep:], direct[i_deep:], rtol=1e-12, atol=0.0)
         assert np.array_equal(out[:i_deep], conv(ext, n)[:i_deep])
+
+
+def test_fft_lengths_fit_the_rows_read(monkeypatch):
+    # every transform is sized by the rows its caller reads: none reaches
+    # the linear length of the widest input, the sweeps' N + 3K cells, and
+    # the Newton phases' windows use shorter ones
+    import nlkpp.profile
+    from scipy.fft import next_fast_len
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec())
+    lengths, rfft = [], nlkpp.profile.rfft
+
+    def recording_rfft(x, n=None, *args, **kwargs):
+        lengths.append(n)
+        return rfft(x, n, *args, **kwargs)
+
+    monkeypatch.setattr(nlkpp.profile, "rfft", recording_rfft)
+    solve_profile(PAIR, LK1, 4.0)
+    limit = next_fast_len(ws.N + 3 * ws.K, True)
+    assert max(lengths) <= limit
+    assert min(lengths) < limit
 
 
 # a few ulps: the tilted FFT's error floor sits at the scale of the tail
@@ -207,6 +231,59 @@ def test_linearize_matches_finite_difference_at_left_panel():
     fd = (ws.residual_vec(psi + eps * u) - ws.residual_vec(psi - eps * u)) / (2 * eps)
     rows = slice(0, 2 * ws.K)
     assert np.abs(jmv(u)[rows] - fd[rows]).max() <= 1e-5 * np.abs(fd[rows]).max()
+
+
+def test_linearize_matches_finite_difference_at_right_panel():
+    # the tail window reaches the right end, so a direction with u[-1] != 0
+    # moves the last K rows through the decay ansatz of the right panel
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec(l_left=30.0, l_right=60.0, h=0.01))
+    th, s = ws.th, ws.s
+    psi = np.minimum(th, th * np.exp(-ws.lam_c * s))
+    i_cut = int(np.searchsorted(-psi, -1e-3 * th))
+    u = np.zeros(ws.N)
+    u[i_cut:] = np.exp(-0.05 * np.abs(s[i_cut:]))
+    _diag, jmv = ws.linearize(psi, lo=i_cut)
+    eps = 1e-7
+    fd = (ws.residual_vec(psi + eps * u, lo=i_cut)
+          - ws.residual_vec(psi - eps * u, lo=i_cut)) / (2 * eps)
+    rows = slice(-2 * ws.K, None)
+    assert np.abs(jmv(u[i_cut:])[rows] - fd[rows]).max() <= 1e-5 * np.abs(fd[rows]).max()
+
+
+@pytest.mark.parametrize("pair,params,c", [
+    (PAIR, LK1, 4.0),
+    # nonlocal competition: the window feeds the second convolution too
+    (KernelPair(Gaussian(1.0), Gaussian(0.5)), Params(2.0, 1.0, 0.5, 0.5), 2.6)],
+    ids=["reference", "gaussian-nonlocal"])
+def test_row_windows_match_the_whole_grid(pair, params, c):
+    # the Newton phases' windows: bulk rows before i_cut, tail rows after
+    psi = solve_profile(pair, params, c).values
+    ws = _make_workspace(pair, params, c, GridSpec())
+    th, N = ws.th, ws.N
+    i_cut = int(np.searchsorted(-psi, -1e-3 * th))
+    i_dp = ws.i_deep(psi)
+    # plain rows: each convolution is within 4 eps max|ext| of the exact
+    # sum on either side (see the Convolver test), and enters the rows
+    # times kappa_plus and kappa_nonlocal psi
+    plain = 8 * np.finfo(float).eps * (params.kappa_plus + params.kappa_nonlocal * th)
+    for i_deep in (None, i_dp):
+        full = ws.residual_vec(psi, i_deep=i_deep)
+        bulk = ws.residual_vec(psi, i_deep=i_deep, hi=i_cut)
+        assert np.abs(bulk - full[:i_cut]).max() <= plain * th
+        tail = ws.residual_vec(psi, i_deep=i_deep, lo=i_cut)
+        d = np.abs(tail - full[i_cut:])
+        k = N - i_cut if i_deep is None else i_deep - i_cut
+        assert d[:k].max() <= plain * th
+        # deep rows: the tilted sums are the same on both; what is left is
+        # the second convolution's roundoff, times kappa_nonlocal psi
+        assert np.all(d[k:] <= 2 * DEEP_RTOL * psi[i_cut + k:])
+    u = th * np.exp(-0.05 * np.abs(ws.s))
+    _diag, jmv = ws.linearize(psi)
+    for lo, hi in ((0, i_cut), (i_cut, N)):
+        uz = np.zeros(N)
+        uz[lo:hi] = u[lo:hi]
+        _diag, jw = ws.linearize(psi, lo=lo, hi=hi)
+        assert np.abs(jw(u[lo:hi]) - jmv(uz)[lo:hi]).max() <= plain * th
 
 
 def test_gaussian_nonlocal_pair_fast_front():

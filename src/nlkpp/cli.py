@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .dispersion import (characteristic, classify, g_function, minimal_speed,
                          mu_star, mu_star_bracket, speed_to_abscissa, t_function)
-from .errors import AssumptionFailure, NonConvergence, UsageError
+from .errors import AssumptionFailure, NonConvergence, ToolkitError, UsageError
 from .evolution import evolve, step_data
 from .kernels import Params, check_assumptions, load_problem, params_from_dict, theta
 from .profile import GridSpec, compare_up_to_shift, solve_profile, tail_asymptotics
@@ -155,8 +155,12 @@ def _grid_spec(args) -> GridSpec:
     return GridSpec(l_left=args.grid_l, l_right=args.grid_l, h=args.grid_h)
 
 
-def _lambda_table(pair, params, c_for_h, rep):
-    """(lambda, G, T, h) rows on a fixed geometric grid below the abscissa."""
+def _dispersion_csvs(args, pair, params, rep):
+    """With --csv, (lambda, G, T, h) rows on a fixed geometric grid below the
+    abscissa, h at --c or else at c*."""
+    if not args.csv:
+        return {}
+    c_for_h = args.c if args.c is not None else rep.c_star
     lam_star = rep.lambda_star
     sig = rep.sigma_plus
     hi = min(3.0 * lam_star, 0.995 * sig) if math.isfinite(sig) else 3.0 * lam_star
@@ -166,7 +170,7 @@ def _lambda_table(pair, params, c_for_h, rep):
         rows.append((lam, g_function(pair.a_plus, params, lam),
                      t_function(pair.a_plus, params, lam),
                      characteristic(pair.a_plus, params, c_for_h, lam)))
-    return rows
+    return {"dispersion.csv": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +197,12 @@ def _cmd_check(args):
 
 def _cmd_classify(args):
     pair, params, inputs = _resolve_problem(args)
-    cls = classify(pair, params)
-    result = {"kernel_class": cls, "sigma_plus": pair.a_plus.sigma_right}
-    csvs = {}
     try:
         rep = minimal_speed(pair, params)
-        result.update(rep.to_dict())
-        if args.csv:
-            csvs["dispersion.csv"] = _lambda_table(
-                pair, params, args.c if args.c is not None else rep.c_star, rep)
-    except NonConvergence:
-        pass
-    return result, csvs, inputs, params
+    except NonConvergence:  # the class needs the endpoint only, not c*
+        return {"kernel_class": classify(pair, params),
+                "sigma_plus": pair.a_plus.sigma_right}, {}, inputs, params
+    return rep.to_dict(), _dispersion_csvs(args, pair, params, rep), inputs, params
 
 
 def _cmd_speed(args):
@@ -214,11 +212,7 @@ def _cmd_speed(args):
     if args.c is not None:
         root = speed_to_abscissa(pair, params, args.c, rep)
         result["at_speed"] = root.to_dict()
-    csvs = {}
-    if args.csv:
-        csvs["dispersion.csv"] = _lambda_table(
-            pair, params, args.c if args.c is not None else rep.c_star, rep)
-    return result, csvs, inputs, params
+    return result, _dispersion_csvs(args, pair, params, rep), inputs, params
 
 
 def _cmd_profile(args):
@@ -247,8 +241,13 @@ def _cmd_uniqueness(args):
     if args.c is None:
         raise UsageError("uniqueness needs --c")
     delta = args.anchor_delta
-    p1 = solve_profile(pair, params, args.c, grid=_grid_spec(args))
-    p2 = solve_profile(pair, params, args.c, grid=_grid_spec(args), anchor=delta)
+    try:  # one report for both solves; solve_profile ignores it for c < 0
+        rep = minimal_speed(pair, params) if args.c > 0 else None
+    except ToolkitError:  # the solve raises its own error, in its own order
+        rep = None
+    p1 = solve_profile(pair, params, args.c, grid=_grid_spec(args), report=rep)
+    p2 = solve_profile(pair, params, args.c, grid=_grid_spec(args), anchor=delta,
+                       report=rep)
     dist = compare_up_to_shift(p1, p2)
     return {"speed": args.c, "anchors": [0.0, delta],
             "residuals": [p1.residual_sup, p2.residual_sup],

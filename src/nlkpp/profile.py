@@ -47,6 +47,8 @@ _RIGHT_GRAFT = 3e-13
 _LEFT_GRAFT = 1e-4      # two-term left expansion is cube-accurate here
 _SWEEPS = 40            # warm start; much past 80 the iterate drifts at high speed
 _NEWTON_ROUNDS = 5
+_FIT_FLOOR = 1e-12      # tail fit: psi above this, clear of the float64 roundoff
+_FIT_CEIL = 1e-3        # ... and below this times theta, where the tail is linear
 # crossing() evaluates g[i-1] + t (g[i] - g[i-1]) with six roundings (three
 # in t). For a crossing at the origin both grid points lie within h of it,
 # so each rounding moves the result by less than one ulp of h, and the grid
@@ -243,22 +245,13 @@ def _left_rate(pair: KernelPair, params: Params, c: float, th: float):
 class _Workspace:
     """Grid, weights, and the residual operator for one (pair, params, c)."""
 
-    def __init__(self, pair, params, c, th, lam_c, j, lam_left, B_left, spec):
-        self.pair, self.params, self.c = pair, params, c
-        self.th, self.lam_c, self.j = th, lam_c, j
+    def __init__(self, pair, params, c, th, lam_c, j, lam_left, B_left, s, h):
+        self.c, self.th, self.lam_c, self.j = c, th, lam_c, j
         self.lam_left, self.B_left = lam_left, B_left
-        kp = params.kappa_plus
-        self.kp, self.m = kp, params.m
+        self.kp, self.m = params.kappa_plus, params.m
         self.kl, self.kn = params.kappa_local, params.kappa_nonlocal
         self.rho = params.m + 2 * self.kl * th + self.kn * th
-
-        h = spec.h if spec.h else min(0.01, 1.0 / (20.0 * lam_c))
-        Ll = spec.l_left if spec.l_left else _LEFT_EFOLD / lam_left
-        Lr = spec.l_right if spec.l_right else _RIGHT_EFOLD / lam_c
-        self.h = h
-        self.N = int(round((Ll + Lr) / h)) + 1
-        self.s = -Ll + h * np.arange(self.N)
-        self.i0 = int(round(Ll / h))
+        self.s, self.h, self.N = s, h, len(s)
 
         K = _half_width(pair.a_plus, h)
         if self.kn:
@@ -383,7 +376,7 @@ class _Workspace:
 
     def recenter(self, psi):
         icr = int(np.searchsorted(-psi, -0.5 * self.th))
-        shift = icr - self.i0
+        shift = icr - int(round(-self.s[0] / self.h))
         if abs(shift) < 2:
             return psi
         out = np.empty_like(psi)
@@ -532,12 +525,14 @@ def _tail_newton(ws: _Workspace, psi, max_outer=15, tol=2e-7):
 
 def _make_workspace(pair, params, c, spec, report=None):
     th = theta(params)
-    if report is None:
-        report = minimal_speed(pair, params)
     root = speed_to_abscissa(pair, params, c, report)
+    lam_c, j = root.lambda_c, root.multiplicity
     lam_left, B_left = _left_rate(pair, params, c, th)
-    return _Workspace(pair, params, c, th, root.lambda_c, root.multiplicity,
-                      lam_left, B_left, spec)
+    h = spec.h if spec.h else min(0.01, 1.0 / (20.0 * lam_c))
+    Ll = spec.l_left if spec.l_left else _LEFT_EFOLD / lam_left
+    Lr = spec.l_right if spec.l_right else _RIGHT_EFOLD / lam_c
+    s = -Ll + h * np.arange(int(round((Ll + Lr) / h)) + 1)
+    return _Workspace(pair, params, c, th, lam_c, j, lam_left, B_left, s, h)
 
 
 def solve_profile(pair: KernelPair, params: Params, c: float,
@@ -552,6 +547,11 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
     the final normalization, which is what the uniqueness checks exercise.
     `sweep_hook(iteration, iterate)` observes the warm start: 40 monotone
     sweeps, whose iterates decrease pointwise.
+
+    `report` is minimal_speed(pair, params) for the pair as passed (None:
+    computed here). It describes rightward fronts, so c < 0 ignores it. A
+    pair with the same a_plus shares it, but Q2 reads a_minus and
+    kappa_nonlocal, so a given report does not spare this pair's Q1..Q5.
     """
     if c == 0.0:
         raise AssumptionFailure("c-zero-unsupported",
@@ -562,11 +562,14 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
                              "truncated kernels belong to the truncation lab")
     if c < 0.0:
         mirror = solve_profile(pair.reflected(), params, -c, grid=grid, tol=tol,
-                               anchor=-anchor, sweep_hook=sweep_hook, report=report)
+                               anchor=-anchor, sweep_hook=sweep_hook)
         return mirror.reflect()
 
-    check_assumptions(pair, params).require(["Q1", "Q2", "Q3", "Q4", "Q5"])
-    ws = _make_workspace(pair, params, c, grid or GridSpec(), report=report)
+    if report is None:
+        report = minimal_speed(pair, params)
+    else:
+        check_assumptions(pair, params).require(["Q1", "Q2", "Q3", "Q4", "Q5"])
+    ws = _make_workspace(pair, params, c, grid or GridSpec(), report)
     th = ws.th
 
     psi = th * np.exp(-ws.lam_c * np.maximum(ws.s - anchor, 0.0))
@@ -605,33 +608,27 @@ def residual(profile: WaveProfile, pair: KernelPair, params: Params) -> float:
     v0 = th - profile.values[0]
     if 0.0 < v0 <= 0.5 * th:
         lam_left, B_left = _left_rate(pair, params, profile.speed, th)
-    spec = GridSpec(l_left=-float(profile.grid[0]), l_right=float(profile.grid[-1]),
-                    h=profile.h)
     ws = _Workspace(pair, params, profile.speed, th, profile.lambda_c,
-                    profile.multiplicity, lam_left, B_left, spec)
-    ws.s = profile.grid
-    ws.N = len(profile.grid)
-    ws.i0 = int(np.searchsorted(profile.grid, 0.0))
+                    profile.multiplicity, lam_left, B_left, profile.grid, profile.h)
     psi = np.asarray(profile.values, dtype=float)
     return float(np.abs(ws.residual_vec(psi, i_deep=ws.i_deep(psi))).max())
 
 
-def tail_asymptotics(profile: WaveProfile, window=(1e-12, None)) -> TailFit:
+def tail_asymptotics(profile: WaveProfile) -> TailFit:
     """Fit D s^{j-1} e^{-lambda_c s} to the right tail.
 
     j and D come from regressing log psi + lambda_c s on log s (the rate is
     pinned to the dispersion value); the reported rate is re-estimated by a
     joint [1, log s, s] fit as an independent consistency check. The window
-    keeps psi between the floor and 1e-3 theta and drops the last 10% of
-    the grid, where the closure ansatz contaminates the values.
+    keeps psi between the floor _FIT_FLOOR and _FIT_CEIL theta, below which
+    the linear tail dominates, and drops the last 10% of the grid, where the
+    closure ansatz contaminates the values.
     """
     if profile.orientation == "increasing":
-        return tail_asymptotics(profile.reflect(), window)
+        return tail_asymptotics(profile.reflect())
     g, v = profile.grid, np.asarray(profile.values, float)
-    lo = window[0]
-    hi = window[1] if window[1] is not None else 1e-3 * profile.theta
     s_max = g[0] + 0.9 * (g[-1] - g[0])
-    mask = (v > lo) & (v < hi) & (g > 0.0) & (g <= s_max)
+    mask = (v > _FIT_FLOOR) & (v < _FIT_CEIL * profile.theta) & (g > 0.0) & (g <= s_max)
     if int(mask.sum()) < 50:
         raise NonConvergence("tail-underresolved",
                              f"only {int(mask.sum())} usable tail points; "

@@ -164,6 +164,36 @@ def test_determinism_of_result_block(kernel_file, capsys):
     assert docs[0]["manifest"]["version"] == docs[1]["manifest"]["version"]
 
 
+@pytest.mark.parametrize("argv,counts", [
+    (["classify"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
+    (["profile", "--c", "4"], {"check_assumptions": 1, "minimal_speed": 1}),
+    # one check inside minimal_speed, then one per solve of this pair
+    (["uniqueness", "--c", "4"], {"check_assumptions": 3, "minimal_speed": 1}),
+], ids=["classify", "profile", "uniqueness"])
+def test_setup_runs_once_per_command(argv, counts, kernel_file, capsys, monkeypatch):
+    """The Q1..Q7 check and the dispersion analysis are set-up work: a
+    command does each once per problem, not once per function it calls."""
+    from nlkpp import cli, dispersion, profile
+
+    calls = dict.fromkeys(counts, 0)
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    # all three names are globals of nlkpp.dispersion; the others import them
+    wrapped = {name: counted(name, getattr(dispersion, name)) for name in counts}
+    for mod in (cli, profile, dispersion):
+        for name, fn in wrapped.items():
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, fn)
+    code, _doc = run_cli(capsys, argv[0], "--kernel", kernel_file, *argv[1:])
+    assert code == 0
+    assert calls == counts
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error documents
 
@@ -198,6 +228,19 @@ def test_assumption_failure_exit_2(capsys, tmp_path):
     assert doc["error"]["label"] == "Q1"
     # the full report rides along for post-mortems
     assert doc["error"]["diagnostics"]["Q1"]["status"] == "fails"
+
+
+def test_uniqueness_refuses_truncated_kernel_first(capsys, tmp_path):
+    """A truncated kernel is refused before any dispersion analysis, also
+    where that analysis fails: this one keeps 18% of its mass, too little
+    for kappa_plus = 2 to invade (minimal_speed raises NonConvergence)."""
+    doc = dict(LK1_DOC, family="truncated", cutoff=-1.0,
+               base={"family": "laplace", "mu": 1.0})
+    p = tmp_path / "cut.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "uniqueness", "--kernel", str(p), "--c", "4")
+    assert code == 1
+    assert "probability kernels" in out["error"]["message"]
 
 
 def test_no_wave_exit_2(capsys, kernel_file):

@@ -167,9 +167,17 @@ def test_half_theta_normalization(prof_critical, prof_4):
         assert prof.shift_mode == "half-theta-at-origin"
 
 
-def test_residual_reevaluation_matches(prof_4):
-    assert abs(residual(prof_4, PAIR, LK1) - prof_4.residual_sup) \
-        <= 1e-9 + 1e-6 * prof_4.residual_sup
+@pytest.mark.parametrize("case", ["reference", "explicit-grid", "increasing"])
+def test_residual_reevaluation_matches(case, prof_4, rep):
+    """residual() rebuilds the operator on the profile's own grid, whether
+    the solve chose it, was given it, or the profile was reflected."""
+    if case == "explicit-grid":
+        prof = solve_profile(PAIR, LK1, 4.0, report=rep,
+                             grid=GridSpec(l_left=40.0, l_right=60.0, h=0.02))
+    else:
+        prof = prof_4 if case == "reference" else prof_4.reflect()
+    assert abs(residual(prof, PAIR, LK1) - prof.residual_sup) \
+        <= 1e-9 + 1e-6 * prof.residual_sup
 
 
 def test_decay_rate_matches_dispersion(prof_critical, prof_4, rep):
@@ -362,6 +370,24 @@ def test_negative_speed_is_mirror(prof_4):
     assert mirrored.speed == -4.0
     assert np.allclose(mirrored.values, prof_4.values[::-1], atol=1e-12)
     assert np.allclose(mirrored.grid, -prof_4.grid[::-1], atol=1e-12)
+
+
+def test_report_of_the_pair_is_ignored_by_the_mirrored_solve():
+    """A report describes rightward fronts of the pair as passed. For c < 0
+    the mirrored solve needs the reflected pair's own, which differs when
+    the kernel is skewed: Uniform(-2, 0.5) has c* = 0.0395 to the right and
+    4.0386 to the left. Passing the pair's report must change nothing."""
+    k = Uniform(-2.0, 0.5)
+    pair = KernelPair(k, k)
+    rep = minimal_speed(pair, LK1)
+    c_left = minimal_speed(pair.reflected(), LK1).c_star
+    assert rep.c_star < 0.05 and c_left > 4.0
+    for factor in (1.2, 3.0):
+        plain = solve_profile(pair, LK1, -factor * c_left)
+        given = solve_profile(pair, LK1, -factor * c_left, report=rep)
+        assert np.array_equal(given.grid, plain.grid)
+        assert np.array_equal(given.values, plain.values)
+        assert given.lambda_c == plain.lambda_c
 
 
 def test_reflect_round_trip(prof_4):

@@ -112,8 +112,10 @@ def _parse_params_text(text: str) -> dict:
     return out
 
 
-def _resolve_problem(args):
-    """(pair, params, input paths) from --kernel and --params."""
+def _resolve_problem(args, manifest):
+    """(pair, params) from --kernel and --params. The input paths and the
+    parameters go into the manifest as soon as they are read, so an error
+    document names the problem it failed on."""
     inputs = []
     pair, params = None, None
     if getattr(args, "kernel", None):
@@ -139,7 +141,9 @@ def _resolve_problem(args):
     if params is None:
         raise UsageError("no parameters: give --params or a params block "
                          "in the kernel file")
-    return pair, params, inputs
+    manifest["inputs"] = inputs
+    manifest["params"] = dataclasses.asdict(params)
+    return pair, params
 
 
 def _tolerances(args) -> dict:
@@ -174,11 +178,11 @@ def _dispersion_csvs(args, pair, params, rep):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: return (result dict, {csv name: rows}, input paths,
-# the Params used or None)
+# subcommand handlers: record their inputs and parameters in the manifest,
+# and return (result dict, {csv name: rows})
 
-def _cmd_check(args):
-    pair, params, inputs = _resolve_problem(args)
+def _cmd_check(args, manifest):
+    pair, params = _resolve_problem(args, manifest)
     report = check_assumptions(pair, params)
     result = {"assumptions": report.to_dict()}
     try:
@@ -192,31 +196,31 @@ def _cmd_check(args):
                                 f"(diagnostic {report.diagnostic(hard[0]):.6g})")
         exc.diagnostics = report.to_dict()
         raise exc
-    return result, {}, inputs, params
+    return result, {}
 
 
-def _cmd_classify(args):
-    pair, params, inputs = _resolve_problem(args)
+def _cmd_classify(args, manifest):
+    pair, params = _resolve_problem(args, manifest)
     try:
         rep = minimal_speed(pair, params)
     except NonConvergence:  # the class needs the endpoint only, not c*
         return {"kernel_class": classify(pair, params),
-                "sigma_plus": pair.a_plus.sigma_right}, {}, inputs, params
-    return rep.to_dict(), _dispersion_csvs(args, pair, params, rep), inputs, params
+                "sigma_plus": pair.a_plus.sigma_right}, {}
+    return rep.to_dict(), _dispersion_csvs(args, pair, params, rep)
 
 
-def _cmd_speed(args):
-    pair, params, inputs = _resolve_problem(args)
+def _cmd_speed(args, manifest):
+    pair, params = _resolve_problem(args, manifest)
     rep = minimal_speed(pair, params)
     result = rep.to_dict()
     if args.c is not None:
         root = speed_to_abscissa(pair, params, args.c, rep)
         result["at_speed"] = root.to_dict()
-    return result, _dispersion_csvs(args, pair, params, rep), inputs, params
+    return result, _dispersion_csvs(args, pair, params, rep)
 
 
-def _cmd_profile(args):
-    pair, params, inputs = _resolve_problem(args)
+def _cmd_profile(args, manifest):
+    pair, params = _resolve_problem(args, manifest)
     if args.c is None:
         raise UsageError("profile needs --c")
     prof = solve_profile(pair, params, args.c, grid=_grid_spec(args),
@@ -233,11 +237,11 @@ def _cmd_profile(args):
         rows = [("s", "psi")] + [(float(s), float(v))
                                  for s, v in zip(prof.grid, prof.values)]
         csvs["profile.csv"] = rows
-    return result, csvs, inputs, params
+    return result, csvs
 
 
-def _cmd_uniqueness(args):
-    pair, params, inputs = _resolve_problem(args)
+def _cmd_uniqueness(args, manifest):
+    pair, params = _resolve_problem(args, manifest)
     if args.c is None:
         raise UsageError("uniqueness needs --c")
     delta = args.anchor_delta
@@ -251,7 +255,7 @@ def _cmd_uniqueness(args):
     dist = compare_up_to_shift(p1, p2)
     return {"speed": args.c, "anchors": [0.0, delta],
             "residuals": [p1.residual_sup, p2.residual_sup],
-            "aligned_distance": dist}, {}, inputs, params
+            "aligned_distance": dist}, {}
 
 
 def _initial_condition(args, pair, params):
@@ -299,8 +303,8 @@ def _initial_condition(args, pair, params):
                      "profile-csv:PATH, or exp:RATE")
 
 
-def _cmd_evolve(args):
-    pair, params, inputs = _resolve_problem(args)
+def _cmd_evolve(args, manifest):
+    pair, params = _resolve_problem(args, manifest)
     if args.dt is None or args.horizon is None:
         raise UsageError("evolve needs --dt and --horizon")
     u0 = _initial_condition(args, pair, params)
@@ -327,11 +331,11 @@ def _cmd_evolve(args):
                     row.append(float(snap[i]) if i < len(snap) else 0.0)
                 body.append(tuple(row))
             csvs["snapshots.csv"] = [tuple(head)] + body
-    return result, csvs, inputs, params
+    return result, csvs
 
 
-def _cmd_truncate_sweep(args):
-    pair, params, inputs = _resolve_problem(args)
+def _cmd_truncate_sweep(args, manifest):
+    pair, params = _resolve_problem(args, manifest)
     try:
         radii = [float(r) for r in args.radii.split(",")]
     except ValueError as exc:
@@ -341,17 +345,18 @@ def _cmd_truncate_sweep(args):
     if args.csv:
         csvs["truncation.csv"] = [("R", "A_plus", "theta_R", "lambda_star_n",
                                    "c_star_n", "gap")] + trace.rows()
-    return trace.to_dict(), csvs, inputs, params
+    return trace.to_dict(), csvs
 
 
-def _cmd_mu_star(args):
+def _cmd_mu_star(args, manifest):
     if args.q is None:
         raise UsageError("mu-star needs --q")
     params = Params(args.kappa_plus, args.m, args.kappa_local, args.kappa_nonlocal)
+    manifest["params"] = dataclasses.asdict(params)
     mu = mu_star(args.q, params)
     lo, hi = mu_star_bracket(args.q, params, mu)
     return {"q": args.q, "mu_star": mu, "bracket": [lo, hi],
-            "inside_bracket": bool(lo < mu < hi)}, {}, [], params
+            "inside_bracket": bool(lo < mu < hi)}, {}
 
 
 def _sweep_point(task_payload):
@@ -369,7 +374,7 @@ def _sweep_point(task_payload):
         return {"error": _error_block(exc)}
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(args, manifest):
     if not args.points:
         raise UsageError("sweep needs --points FILE (a JSON array of problems)")
     try:
@@ -377,6 +382,7 @@ def _cmd_sweep(args):
             points = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read points file {args.points}: {exc}") from exc
+    manifest["inputs"] = [args.points]
     if not isinstance(points, list):
         raise UsageError("--points must contain a JSON array")
     if args.task not in ("check", "classify", "speed"):
@@ -393,7 +399,7 @@ def _cmd_sweep(args):
         outs = [_sweep_point(j) for j in jobs]
     results = [{"index": i, **out} for i, out in enumerate(outs)]
     return {"task": args.task, "n_points": len(points),
-            "points": results}, {}, [args.points], None
+            "points": results}, {}
 
 
 _HANDLERS = {
@@ -532,10 +538,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "csv", False) and not getattr(args, "out", None):
             raise UsageError("--csv requires --out DIR")
-        result, csvs, inputs, params = _HANDLERS[args.command](args)
-        manifest["inputs"] = inputs
-        if params is not None:
-            manifest["params"] = dataclasses.asdict(params)
+        result, csvs = _HANDLERS[args.command](args, manifest)
         manifest["duration_s"] = time.perf_counter() - t0
         doc = {"manifest": manifest, "result": result}
         validate_document(doc)

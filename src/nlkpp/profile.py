@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq, minimize_scalar
 from scipy.sparse.linalg import LinearOperator, lgmres
 
@@ -43,6 +44,7 @@ _DEEP_FLOOR = 1e-6      # below this the convolution rows are tilted before the 
 # Largest tilt exponent in one deep-row segment: half the float64 exponent
 # range, so neither the tilt nor its inverse overflows or goes subnormal.
 _TILT_SPAN = 0.5 * math.log(np.finfo(float).max)
+_SPECTRA = 2            # weight spectra a Convolver keeps, one per FFT length
 _RIGHT_GRAFT = 3e-13
 _LEFT_GRAFT = 1e-4      # two-term left expansion is cube-accurate here
 _SWEEPS = 40            # warm start; much past 80 the iterate drifts at high speed
@@ -139,8 +141,19 @@ class Convolver:
     the padding is left to the caller because each caller's boundary panel
     is different physics. The FFT is circular, of length
     next_fast_len(len(ext)): the entries of the linear convolution past
-    that length wrap onto its first 2K, which precede every valid row. The
-    weights' spectrum is kept for the length last used.
+    that length wrap onto its first 2K, which precede every valid row.
+
+    Where the pads are fixed shapes scaled by the end values of u, as in
+    the time stepper and the Newton linearization, they are not convolved
+    again on every call. The rows of [u[0] lshape, u, u[-1] rshape] are the
+    rows of u padded with zeros plus u[0] r_L plus u[-1] r_R, where
+    pad_responses(lshape, rshape) computes the responses r_L (nonzero on
+    the first K rows only) and r_R (the last K) once, and with_pads adds
+    them on those rows. Zero pads need a circular FFT of length
+    next_fast_len(n + K) only: the wrapped entries land on the first K,
+    which precede every row read. The weights' spectra are kept for the
+    last _SPECTRA lengths used, which covers the two lengths a Newton
+    phase alternates between.
 
     An FFT convolution carries an absolute error near eps*max|ext|, which
     swamps rows far down a decaying tail. Where the caller knows the decay
@@ -160,8 +173,16 @@ class Convolver:
         if tot > 0:
             w *= kernel.mass / tot
         self.w, self.K, self.h = w, K, h
-        self._nfft, self._spec = 0, None
+        self._specs = {}        # FFT length -> spectrum of w, oldest first
         self._tilt_key, self._tilt_spec = None, None
+
+    def _spectrum(self, nfft):
+        spec = self._specs.get(nfft)
+        if spec is None:
+            if len(self._specs) == _SPECTRA:
+                del self._specs[next(iter(self._specs))]
+            spec = self._specs[nfft] = rfft(self.w, nfft)
+        return spec
 
     def __call__(self, ext, n: int | None = None, i_deep: int | None = None,
                  rate: float | None = None):
@@ -170,9 +191,7 @@ class Convolver:
         the rows before them from the plain FFT of the whole vector."""
         L = len(self.w)
         nfft = next_fast_len(len(ext), True)
-        if nfft != self._nfft:
-            self._nfft, self._spec = nfft, rfft(self.w, nfft)
-        out = irfft(rfft(ext, nfft) * self._spec, nfft)[L - 1:len(ext)][:n]
+        out = irfft(rfft(ext, nfft) * self._spectrum(nfft), nfft)[L - 1:len(ext)][:n]
         if i_deep is not None and i_deep < len(out):
             lh = rate * self.h
             rows = min(len(out) - i_deep, max(1, int(_TILT_SPAN / lh) - self.K))
@@ -186,6 +205,30 @@ class Convolver:
                 v = seg * np.exp(lh * (np.arange(len(seg)) - self.K))
                 full = irfft(rfft(v, nfft) * self._tilt_spec, nfft)
                 out[a:b] = np.exp(-lh * np.arange(b - a)) * full[L - 1:L - 1 + b - a]
+        return out
+
+    def pad_responses(self, lshape, rshape):
+        """(r_L, r_R): what the pads lshape and rshape, K cells each, of
+        [lshape, u, rshape] add to the first K and the last K rows. Row i
+        reads lshape through the weights w[K+i+1:], and row n-K+i reads
+        rshape through w[:i+1], so each is a product of a pad with one half
+        of the weights, from a circular FFT of length 2K - 1 or more."""
+        K = self.K
+        nfft = next_fast_len(2 * K - 1, True)
+        return (irfft(rfft(lshape, nfft) * rfft(self.w[K + 1:], nfft), nfft)[K - 1:2 * K - 1],
+                irfft(rfft(rshape, nfft) * rfft(self.w[:K], nfft), nfft)[:K])
+
+    def with_pads(self, u, responses):
+        """Rows of the convolution of [u[0] lshape, u, u[-1] rshape], given
+        responses = pad_responses(lshape, rshape): u padded with zeros,
+        plus the responses scaled by the end values on the edge rows."""
+        n, K = len(u), self.K
+        nfft = next_fast_len(n + K, True)
+        out = irfft(rfft(u, nfft) * self._spectrum(nfft), nfft)[K:K + n]
+        rl, rr = responses
+        m = min(K, n)
+        out[:m] += u[0] * rl[:m]
+        out[n - m:] += u[-1] * rr[K - m:]
         return out
 
 
@@ -322,7 +365,8 @@ class _Workspace:
         """Jacobian of residual_vec's rows lo..hi-1 at psi along directions
         u that vanish off those rows: its diagonal and u -> J u. u is padded
         like build_ext, by u[0] times d lpad / d psi[0] if lo = 0 and u[-1]
-        times the decay ansatz if hi = N, and by zeros otherwise."""
+        times the decay ansatz if hi = N, and by zeros otherwise; the pads
+        enter through their responses, computed once here."""
         N, K = self.N, self.K
         hi = N if hi is None else hi
         n, p = hi - lo, psi[lo:hi]
@@ -331,21 +375,26 @@ class _Workspace:
             diag = diag - self.kn * self.conv_minus(self.build_ext(psi)[lo:hi + 2 * K], n)
         lcol = self.dlpad(psi[0]) if lo == 0 else np.zeros(K)
         rcol = self.tailg(self.s[-1], K) if hi == N else np.zeros(K)
+        resp_plus = self.conv_plus.pad_responses(lcol, rcol)
+        resp_minus = self.conv_minus.pad_responses(lcol, rcol) if self.kn else None
 
         def jmv(u):
-            uext = np.concatenate([u[0] * lcol, u, u[-1] * rcol])
-            du = (uext[K + 1:K + n + 1] - uext[K - 1:K + n - 1]) / (2 * self.h)
-            out = self.c * du + self.kp * self.conv_plus(uext, n) + diag * u
+            # the centered difference reads one pad cell on each side
+            g = np.concatenate(([u[0] * lcol[-1]], u, [u[-1] * rcol[0]]))
+            du = (g[2:] - g[:-2]) / (2 * self.h)
+            out = self.c * du + self.kp * self.conv_plus.with_pads(u, resp_plus) + diag * u
             if self.kn:
-                out -= self.kn * p * self.conv_minus(uext, n)
+                out -= self.kn * p * self.conv_minus.with_pads(u, resp_minus)
             return out
 
         return diag, jmv
 
     def band(self, diag, up=1.0, down=1.0):
-        """Tridiagonal part of the Jacobian for the rows of diag in
-        solve_banded layout: the centered difference plus the three central
-        kernel weights. up/down scale the off-diagonals (tilted rows)."""
+        """Tridiagonal part of the Jacobian for the rows of diag, as rows
+        (upper, main, lower diagonal) of a (3, n) array, the upper one
+        starting and the lower one ending with an unused cell: the centered
+        difference plus the three central kernel weights. up/down scale the
+        off-diagonals (tilted rows)."""
         w, K, kp, lo = self.conv_plus.w, self.K, self.kp, self.c / (2 * self.h)
         ab = np.zeros((3, len(diag)))
         ab[0, 1:] = (lo + kp * w[K - 1]) * up
@@ -420,6 +469,19 @@ def _sweep_phase(ws: _Workspace, psi, hook):
     return psi
 
 
+def _band_solver(ab):
+    """x -> the solution of the tridiagonal system ab (band() layout) with
+    right-hand side x. ab is LU-factored once, with partial pivoting, so
+    each solve is one forward and one back substitution."""
+    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info > 0:
+        raise LinAlgError("singular matrix")
+
+    def solve(x):
+        return dgttrs(dl, d, du, du2, ipiv, x)[0]
+    return solve
+
+
 def _line_search(resid, x, dlt, fn, hi):
     """Backtracking on the sup norm of resid, iterates clipped to [0, hi]:
     the first of 12 halvings that decreases it by 5% of the step, else the
@@ -454,8 +516,7 @@ def _bulk_newton(ws: _Workspace, psi, max_outer=25, tol=1e-9):
             break
         diag, jmv = ws.linearize(np.concatenate([vb, tailv]), hi=nb)
         jop = LinearOperator((nb, nb), matvec=jmv)
-        ab = ws.band(diag)
-        mop = LinearOperator((nb, nb), matvec=lambda u: solve_banded((1, 1), ab, u))
+        mop = LinearOperator((nb, nb), matvec=_band_solver(ws.band(diag)))
         dlt, _ = lgmres(jop, -r, M=mop, rtol=1e-3, atol=0.0, inner_m=30, maxiter=4)
         nxt = _line_search(rb, vb, dlt, fn, ws.th)
         if nxt is None:
@@ -504,12 +565,12 @@ def _tail_newton(ws: _Workspace, psi, max_outer=15, tol=2e-7):
             return np.concatenate([jt(v) + al * u_amp, [v.sum()]])
 
         jop = LinearOperator((nt + 1, nt + 1), matvec=jaug)
-        ab = ws.band(diag, eru[:-1], erd[1:])
-        x2 = solve_banded((1, 1), ab, u_amp)
+        band_solve = _band_solver(ws.band(diag, eru[:-1], erd[1:]))
+        x2 = band_solve(u_amp)
         sx2 = x2.sum()
 
         def maug(rr):
-            x1 = solve_banded((1, 1), ab, rr[:nt])
+            x1 = band_solve(rr[:nt])
             t = (x1.sum() - rr[nt]) / sx2
             return np.concatenate([x1 - t * x2, [t]])
 

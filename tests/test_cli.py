@@ -250,6 +250,16 @@ def test_no_wave_exit_2(capsys, kernel_file):
     assert doc["error"]["label"] == "no-wave"
 
 
+def test_error_document_names_the_problem(capsys, kernel_file):
+    # the problem is loaded before the dispersion analysis finds no wave at
+    # c = 1, so the error document records what was loaded
+    code, doc = run_cli(capsys, "speed", "--kernel", kernel_file, "--c", "1")
+    assert code == 2
+    assert doc["error"]["label"] == "no-wave"
+    assert doc["manifest"]["inputs"] == [kernel_file]
+    assert doc["manifest"]["params"] == LK1_DOC["params"]
+
+
 def test_zero_speed_exit_2(capsys, kernel_file):
     code, doc = run_cli(capsys, "profile", "--kernel", kernel_file,
                         "--c", "0.0")

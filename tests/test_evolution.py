@@ -39,6 +39,20 @@ def test_carrying_capacity_is_fixed(pair, params):
     assert drift < 1e-12 * th
 
 
+@pytest.mark.parametrize("pair,params", [(PAIR, LK1), (KN_PAIR, KN_PARAMS)],
+                         ids=["local", "split"])
+@pytest.mark.parametrize("level", ["zero", "theta"])
+def test_constant_states_fixed_exactly_for_50_steps(pair, params, level):
+    # the constant panels enter through their responses; with them every
+    # row's weights sum to the kernel mass, and dt * du rounds away at theta
+    c = theta(params) if level == "theta" else 0.0
+    run = _run(lambda x: np.full_like(x, c), horizon=1.0, snapshot_dt=0.02,
+               pair=pair, params=params)
+    assert len(run.snapshots) == 51
+    for snap in run.snapshots:
+        assert np.all(snap == c)
+
+
 def test_states_between_equilibria_stay_bounded():
     th = theta(LK1)
     rng = np.random.default_rng(11)
@@ -114,6 +128,31 @@ def test_front_leaving_domain_detected():
     with pytest.raises(NonConvergence) as err:
         front_speed(run)
     assert err.value.label == "front-left-domain"
+
+
+@pytest.mark.parametrize("pair,params", [(PAIR, LK1), (KN_PAIR, KN_PARAMS)],
+                         ids=["local", "split"])
+def test_step_after_widening_matches_padded_convolution(pair, params):
+    # one step from the widened state, redone with the panels convolved as
+    # part of the padded vector: the responses must serve the longer grid
+    from nlkpp.profile import Convolver
+    dt, th = 0.01, theta(params)
+    run = _run(step_data(0.0, th), dt=dt, horizon=6.0, domain=(-8.0, 8.0),
+               snapshot_dt=dt, pair=pair, params=params)
+    lens = np.array([len(s) for s in run.snapshots])
+    k = int(np.argmax(lens[1:] > lens[:-1]))
+    assert lens[k + 1] > lens[k]
+    u = np.concatenate([run.snapshots[k], np.zeros(lens[k + 1] - lens[k])])
+    conv_plus = Convolver(pair.a_plus, run.h)
+    K = conv_plus.K
+    ext = np.concatenate([np.full(K, u[0]), u, np.full(K, u[-1])])
+    kp, m, kl, kn = params.kappa_plus, params.m, params.kappa_local, params.kappa_nonlocal
+    du = kp * conv_plus(ext) - m * u - kl * u * u
+    if kn:
+        du -= kn * u * Convolver(pair.a_minus, run.h, K)(ext)
+    nxt = np.maximum(u + dt * du, 0.0)
+    nxt[nxt < 3e-15 * th] = 0.0
+    assert np.abs(run.snapshots[k + 1] - nxt).max() <= 1e-15 * th
 
 
 def test_domain_widening_follows_front():

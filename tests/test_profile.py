@@ -4,15 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from nlkpp.dispersion import minimal_speed, speed_to_abscissa
 from nlkpp.errors import (AssumptionFailure, NonConvergence, NoWave,
                           UsageError)
 from nlkpp.kernels import (ExpPoly, Gaussian, KernelPair, Laplace, Params,
                            Truncated, Uniform, theta)
-from nlkpp.profile import (Convolver, GridSpec, WaveProfile, _make_workspace,
-                           compare_up_to_shift, normalize_shift, residual,
-                           solve_profile, tail_asymptotics)
+from nlkpp.profile import (Convolver, GridSpec, WaveProfile, _band_solver,
+                           _make_workspace, compare_up_to_shift, normalize_shift,
+                           residual, solve_profile, tail_asymptotics)
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 PAIR = KernelPair(Laplace(1.0), Laplace(1.0))
@@ -79,10 +80,40 @@ def test_fft_lengths_fit_the_rows_read(monkeypatch):
         return rfft(x, n, *args, **kwargs)
 
     monkeypatch.setattr(nlkpp.profile, "rfft", recording_rfft)
-    solve_profile(PAIR, LK1, 4.0)
+    psi = solve_profile(PAIR, LK1, 4.0).values
     limit = next_fast_len(ws.N + 3 * ws.K, True)
     assert max(lengths) <= limit
     assert min(lengths) < limit
+    # the Jacobian products pad their windows with zeros and add the pads'
+    # responses, so the wrap-around needs K cells of room, not 2K
+    i_cut = int(np.searchsorted(-psi, -1e-3 * ws.th))
+    for lo, hi in ((0, i_cut), (i_cut, ws.N), (0, ws.N)):
+        _diag, jmv = ws.linearize(psi, lo=lo, hi=hi)
+        lengths.clear()
+        jmv(psi[lo:hi])
+        assert set(lengths) == {next_fast_len(hi - lo + ws.K, True)}
+
+
+@pytest.mark.parametrize("n_over_k", [0.3, 1.0, 1.02, 6.0],
+                         ids=["n<K", "n=K", "n~K", "n>>K"])
+@pytest.mark.parametrize("shapes", ["constant", "linearization"])
+def test_pad_responses_match_long_double_sum(shapes, n_over_k):
+    # [u[0] lshape, u, u[-1] rshape] convolved through the zero-padded FFT
+    # and the precomputed pad responses, against the padded sum
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec(l_left=30.0, l_right=60.0, h=0.05))
+    K, th = ws.K, ws.th
+    if shapes == "constant":       # the time stepper's panels
+        lshape = rshape = np.ones(K)
+    else:                          # the Jacobian's: d lpad / d psi0, decay ansatz
+        lshape, rshape = ws.dlpad(0.8 * th), ws.tailg(ws.s[-1], K)
+        assert np.ptp(lshape) > 0.5 and np.ptp(rshape) > 0.5
+    n = int(n_over_k * K)
+    u = th * np.random.default_rng(7).uniform(0.2, 1.0, n)
+    ext = np.concatenate([u[0] * lshape, u, u[-1] * rshape])
+    conv = ws.conv_plus
+    out = conv.with_pads(u, conv.pad_responses(lshape, rshape))
+    exact = _long_double_rows(ext, conv.w, 0, n)
+    assert np.abs(out - exact).max() <= 4 * np.finfo(float).eps * np.abs(ext).max()
 
 
 # a few ulps: the tilted FFT's error floor sits at the scale of the tail
@@ -256,6 +287,35 @@ def test_linearize_matches_finite_difference_at_right_panel():
           - ws.residual_vec(psi - eps * u, lo=i_cut)) / (2 * eps)
     rows = slice(-2 * ws.K, None)
     assert np.abs(jmv(u[i_cut:])[rows] - fd[rows]).max() <= 1e-5 * np.abs(fd[rows]).max()
+
+
+def test_factored_band_solves_like_solve_banded(prof_4):
+    # the Newton phases' preconditioners at c = 4: the bulk band, and the
+    # tail band in tilted coordinates, factored once and applied many times
+    from scipy.linalg import solve_banded
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec())
+    psi, th = prof_4.values, ws.th
+    i_cut = int(np.searchsorted(-psi, -1e-3 * th))
+    E = np.maximum(psi[i_cut - 1] * ws.tailg(ws.s[i_cut - 1], ws.N - i_cut), 1e-13 * th)
+    bulk = ws.band(ws.linearize(psi, hi=i_cut)[0])
+    tail = ws.band(ws.linearize(psi, lo=i_cut)[0], E[1:] / E[:-1], E[:-1] / E[1:])
+    rng = np.random.default_rng(3)
+    for ab in (bulk, tail):
+        solve = _band_solver(ab)
+        for _ in range(3):
+            b = rng.normal(size=ab.shape[1])
+            ref = solve_banded((1, 1), ab, b)
+            assert np.abs(solve(b) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_singular_band_raises():
+    # [[1, 1, 0], [1, 1, 0], [0, 1, 1]]: the first two rows are equal
+    from scipy.linalg import solve_banded
+    ab = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(LinAlgError, match="singular matrix"):
+        solve_banded((1, 1), ab, np.ones(3))
+    with pytest.raises(LinAlgError, match="singular matrix"):
+        _band_solver(ab)
 
 
 @pytest.mark.parametrize("pair,params,c", [

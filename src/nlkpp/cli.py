@@ -155,6 +155,11 @@ def _tolerances(args) -> dict:
     return tol
 
 
+def _given(**options) -> dict:
+    """The options set on the command line; the library holds the defaults."""
+    return {k: v for k, v in options.items() if v is not None}
+
+
 def _grid_spec(args) -> GridSpec:
     return GridSpec(l_left=args.grid_l, l_right=args.grid_l, h=args.grid_h)
 
@@ -224,7 +229,7 @@ def _cmd_profile(args, manifest):
     if args.c is None:
         raise UsageError("profile needs --c")
     prof = solve_profile(pair, params, args.c, grid=_grid_spec(args),
-                         tol=args.tol if args.tol else 1e-6)
+                         **_given(tol=args.tol))
     fit = tail_asymptotics(prof)
     result = {"speed": prof.speed, "lambda_c": prof.lambda_c,
               "multiplicity": prof.multiplicity, "theta": prof.theta,
@@ -313,8 +318,7 @@ def _cmd_evolve(args, manifest):
     except ValueError as exc:
         raise UsageError(f"bad --domain {args.domain!r}; want lo,hi") from exc
     run = evolve(pair, params, u0, args.dt, args.horizon, domain=(lo, hi),
-                 h=args.grid_h if args.grid_h else 0.02,
-                 snapshot_dt=args.snapshot_dt, level=args.level)
+                 snapshot_dt=args.snapshot_dt, level=args.level, **_given(h=args.grid_h))
     result = run.summary()
     csvs = {}
     if args.csv:

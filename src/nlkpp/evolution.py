@@ -127,6 +127,10 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
         raise UsageError(f"dt too large: dt*(kp+m+2*kl*th+kn*th) = {guard:.3f} > 0.5")
     if dt <= 0 or horizon <= 0:
         raise UsageError("dt and horizon must be positive")
+    if not (math.isfinite(h) and h > 0.0):
+        raise UsageError(f"grid step h must be finite and positive; got {h!r}")
+    if not domain[1] - domain[0] >= h:
+        raise UsageError(f"domain {tuple(domain)!r} is shorter than the grid step {h!r}")
 
     n_steps = int(round(horizon / dt))
     snap_every = max(1, int(round((snapshot_dt or horizon / 80.0) / dt)))

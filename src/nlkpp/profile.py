@@ -7,13 +7,13 @@ The profile equation
 is solved on a uniform grid: a warm start of 40 monotone integrating-factor
 sweeps from the supersolution min{theta, theta e^{-lambda_c (s-s0)}} (longer
 runs drift along the shift family at high speed), one recentering, then
-rounds of damped Newton on the bulk (psi >= 1e-3 theta) with the tail
-frozen and Newton on the tail in tilted coordinates psi = E v with an
-amplitude-deflated bordered system (the shift family makes the plain
-Jacobian near-singular). Boundary panels always come from the analytic
-expansions: theta minus a two-term exponential on the left, the
-D s^{j-1} e^{-lambda_c s} ansatz on the right; the converged profile is
-grafted onto them once.
+rounds of one Newton-Krylov routine on two row windows, the other rows
+frozen: the bulk (psi >= 1e-3 theta), then the tail in tilted coordinates
+psi = E v with an amplitude-deflated bordered system (the shift family
+makes the plain Jacobian near-singular). Boundary panels always come
+from the analytic expansions: theta minus a two-term exponential on the
+left, the D s^{j-1} e^{-lambda_c s} ansatz on the right; the converged
+profile is grafted onto them once.
 
 Orientation: speeds are positive for fronts invading to the right. A
 negative speed is read as the mirrored problem (solve the reflected pair
@@ -24,7 +24,7 @@ never coexist at opposite speeds, so this is the only executable reading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -49,6 +49,7 @@ _RIGHT_GRAFT = 3e-13
 _LEFT_GRAFT = 1e-4      # two-term left expansion is cube-accurate here
 _SWEEPS = 40            # warm start; much past 80 the iterate drifts at high speed
 _NEWTON_ROUNDS = 5
+_TAIL_TOL = 2e-7        # tail Newton's scaled residual, and a round's stopping residual
 _FIT_FLOOR = 1e-12      # tail fit: psi above this, clear of the float64 roundoff
 _FIT_CEIL = 1e-3        # ... and below this times theta, where the tail is linear
 # crossing() evaluates g[i-1] + t (g[i] - g[i-1]) with six roundings (three
@@ -67,6 +68,11 @@ class GridSpec:
     l_left: float | None = None
     l_right: float | None = None
     h: float | None = None
+
+    def __post_init__(self):
+        for name, v in vars(self).items():
+            if v is not None and not (math.isfinite(v) and v > 0.0):
+                raise UsageError(f"grid {name} must be finite and positive; got {v!r}")
 
 
 @dataclass(eq=False)
@@ -121,9 +127,7 @@ class TailFit:
     fit_residual: float
 
     def to_dict(self) -> dict:
-        return {"rate": self.rate, "j_estimate": self.j_estimate,
-                "D_estimate": self.D_estimate, "fit_window": list(self.fit_window),
-                "fit_residual": self.fit_residual}
+        return {**asdict(self), "fit_window": list(self.fit_window)}
 
 
 def _half_width(kernel, h: float) -> int:
@@ -405,6 +409,9 @@ class _Workspace:
     def i_deep(self, psi):
         return int(np.searchsorted(-psi, -_DEEP_FLOOR * self.th))
 
+    def bulk_end(self, psi):
+        return int(np.searchsorted(-psi, -_BULK_FLOOR * self.th))
+
     # -- graft and recentering ----------------------------------------------
 
     def graft(self, psi):
@@ -484,104 +491,75 @@ def _band_solver(ab):
 
 def _line_search(resid, x, dlt, fn, hi):
     """Backtracking on the sup norm of resid, iterates clipped to [0, hi]:
-    the first of 12 halvings that decreases it by 5% of the step, else the
-    last one if it decreases it at all. None when no step helps."""
+    the first step of 1, 1/2, ..., 2^-12 that decreases it by 5% of the
+    step, else the last if it decreases it at all. None when none helps."""
     step = 1.0
-    for _bt in range(12):
+    for bt in range(13):
         cand = np.clip(x + step * dlt, 0.0, hi)
         rc = resid(cand)
-        if np.abs(rc).max() < fn * (1.0 - 0.05 * step):
+        rn = np.abs(rc).max()
+        if rn < fn * (1.0 - 0.05 * step) or (bt == 12 and rn < fn):
             return cand, rc
         step *= 0.5
-    cand = np.clip(x + step * dlt, 0.0, hi)
-    rc = resid(cand)
-    if np.abs(rc).max() < fn:
-        return cand, rc
     return None
 
 
-def _bulk_newton(ws: _Workspace, psi, max_outer=25, tol=1e-9):
-    """Damped Newton on the rows with psi >= 1e-3 theta, tail frozen."""
-    nb = int(np.searchsorted(-psi, -_BULK_FLOOR * ws.th))
-    tailv = psi[nb:].copy()
-    vb = psi[:nb].copy()
+def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
+    """Damped Jacobian-free Newton-Krylov on rows lo..hi-1, the others
+    frozen, in coordinates psi = E v, preconditioned by the scaled band;
+    returns psi and the sup norm of the scaled residual. E = 1 on the bulk
+    window (lo = 0). On the tail window E is the decay ansatz anchored at
+    psi[lo-1], and the shift family makes the Jacobian nearly singular along
+    the amplitude mode, so a deflation row pinning the mean of v borders it."""
+    n, i_dp, border = hi - lo, ws.i_deep(psi), lo > 0
+    E, v, cap = np.ones(n), psi[lo:hi], ws.th
+    if border:
+        E = np.maximum(psi[lo - 1] * ws.tailg(ws.s[lo - 1], n), 1e-13 * ws.th)
+        v, cap = np.clip(psi[lo:hi] / E, 0.0, 2.0), None
 
-    def rb(vv):
-        return ws.residual_vec(np.concatenate([vv, tailv]), hi=nb)
-
-    r = rb(vb)
-    for _ in range(max_outer):
-        fn = float(np.abs(r).max())
-        if fn <= tol:
-            break
-        diag, jmv = ws.linearize(np.concatenate([vb, tailv]), hi=nb)
-        jop = LinearOperator((nb, nb), matvec=jmv)
-        mop = LinearOperator((nb, nb), matvec=_band_solver(ws.band(diag)))
-        dlt, _ = lgmres(jop, -r, M=mop, rtol=1e-3, atol=0.0, inner_m=30, maxiter=4)
-        nxt = _line_search(rb, vb, dlt, fn, ws.th)
-        if nxt is None:
-            break
-        vb, r = nxt
-    return np.concatenate([vb, tailv]), float(np.abs(r).max())
-
-
-def _tail_newton(ws: _Workspace, psi, max_outer=15, tol=2e-7):
-    """Newton on the tail in tilted coordinates psi = E v with E the decay
-    ansatz anchored at the bulk edge. The shift family makes the Jacobian
-    nearly singular along the amplitude mode, so the system is bordered by
-    a deflation row pinning the mean of v."""
-    i_cut = int(np.searchsorted(-psi, -_BULK_FLOOR * ws.th))
-    i_dp = ws.i_deep(psi)
-    nt = ws.N - i_cut
-    bulk = psi[:i_cut].copy()
-    env = psi[i_cut - 1] * ws.tailg(ws.s[i_cut - 1], nt)
-    E = np.maximum(env, 1e-13 * ws.th)
-    eru = np.ones(nt)
-    eru[:-1] = E[1:] / E[:-1]
-    erd = np.ones(nt)
-    erd[1:] = E[:-1] / E[1:]
-    vt = np.clip(psi[i_cut:] / E, 0.0, 2.0)
+    def full(vv):
+        return np.concatenate([psi[:lo], E * vv, psi[hi:]])
 
     def gres(vv):
-        pt = np.concatenate([bulk, E * vv])
-        return ws.residual_vec(pt, i_deep=i_dp, lo=i_cut) / E
+        return ws.residual_vec(full(vv), i_deep=i_dp, lo=lo, hi=hi) / E
 
-    g = gres(vt)
+    g = gres(v)
     for _ in range(max_outer):
         gn = float(np.abs(g).max())
         if gn < tol:
             break
-        diag, jmv = ws.linearize(np.concatenate([bulk, E * vt]), lo=i_cut)
+        diag, jmv = ws.linearize(full(v), lo=lo, hi=hi)
 
         def jt(u):
             return jmv(E * u) / E
 
-        u_amp = jt(np.ones(nt))
+        band_solve = _band_solver(ws.band(diag, E[1:] / E[:-1], E[:-1] / E[1:]))
+        if border:
+            u_amp = jt(np.ones(n))
+            x2 = band_solve(u_amp)
+            sx2 = x2.sum()
 
-        # sums, not dots with ones: BLAS runs ddot threaded at grid length,
-        # which costs more than the whole dot on a contended host
-        def jaug(vv):
-            v, al = vv[:nt], vv[nt]
-            return np.concatenate([jt(v) + al * u_amp, [v.sum()]])
+            # sums, not dots with ones: BLAS runs ddot threaded at grid
+            # length, which costs more than the whole dot on a contended host
+            def jaug(vv):
+                return np.concatenate([jt(vv[:n]) + vv[n] * u_amp, [vv[:n].sum()]])
 
-        jop = LinearOperator((nt + 1, nt + 1), matvec=jaug)
-        band_solve = _band_solver(ws.band(diag, eru[:-1], erd[1:]))
-        x2 = band_solve(u_amp)
-        sx2 = x2.sum()
-
-        def maug(rr):
-            x1 = band_solve(rr[:nt])
-            t = (x1.sum() - rr[nt]) / sx2
-            return np.concatenate([x1 - t * x2, [t]])
-
-        mop = LinearOperator((nt + 1, nt + 1), matvec=maug)
-        sol, _ = lgmres(jop, np.concatenate([-g, [0.0]]), M=mop,
-                        rtol=1e-3, atol=0.0, inner_m=30, maxiter=6)
-        nxt = _line_search(gres, vt, sol[:nt] + sol[nt], gn, None)
+            def maug(rr):
+                x1 = band_solve(rr[:n])
+                t = (x1.sum() - rr[n]) / sx2
+                return np.concatenate([x1 - t * x2, [t]])
+            jop, mop, rhs = jaug, maug, np.concatenate([-g, [0.0]])
+        else:
+            jop, mop, rhs = jt, band_solve, -g
+        m = len(rhs)
+        sol, _ = lgmres(LinearOperator((m, m), matvec=jop), rhs,
+                        M=LinearOperator((m, m), matvec=mop),
+                        rtol=1e-3, atol=0.0, inner_m=30, maxiter=maxiter)
+        nxt = _line_search(gres, v, sol[:n] + sol[n] if border else sol, gn, cap)
         if nxt is None:
             break
-        vt, g = nxt
-    return np.concatenate([bulk, E * vt]), float(np.abs(g).max())
+        v, g = nxt
+    return full(v), float(np.abs(g).max())
 
 
 def _make_workspace(pair, params, c, spec, report=None):
@@ -589,9 +567,9 @@ def _make_workspace(pair, params, c, spec, report=None):
     root = speed_to_abscissa(pair, params, c, report)
     lam_c, j = root.lambda_c, root.multiplicity
     lam_left, B_left = _left_rate(pair, params, c, th)
-    h = spec.h if spec.h else min(0.01, 1.0 / (20.0 * lam_c))
-    Ll = spec.l_left if spec.l_left else _LEFT_EFOLD / lam_left
-    Lr = spec.l_right if spec.l_right else _RIGHT_EFOLD / lam_c
+    h = spec.h if spec.h is not None else min(0.01, 1.0 / (20.0 * lam_c))
+    Ll = spec.l_left if spec.l_left is not None else _LEFT_EFOLD / lam_left
+    Lr = spec.l_right if spec.l_right is not None else _RIGHT_EFOLD / lam_c
     s = -Ll + h * np.arange(int(round((Ll + Lr) / h)) + 1)
     return _Workspace(pair, params, c, th, lam_c, j, lam_left, B_left, s, h)
 
@@ -614,6 +592,8 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
     pair with the same a_plus shares it, but Q2 reads a_minus and
     kappa_nonlocal, so a given report does not spare this pair's Q1..Q5.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise UsageError(f"tol must be finite and positive; got {tol!r}")
     if c == 0.0:
         raise AssumptionFailure("c-zero-unsupported",
                                 "stationary fronts (c = 0) are out of scope")
@@ -622,9 +602,8 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
             raise UsageError("profile solves need probability kernels; "
                              "truncated kernels belong to the truncation lab")
     if c < 0.0:
-        mirror = solve_profile(pair.reflected(), params, -c, grid=grid, tol=tol,
-                               anchor=-anchor, sweep_hook=sweep_hook)
-        return mirror.reflect()
+        return solve_profile(pair.reflected(), params, -c, grid=grid, tol=tol,
+                             anchor=-anchor, sweep_hook=sweep_hook).reflect()
 
     if report is None:
         report = minimal_speed(pair, params)
@@ -638,10 +617,11 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
 
     rr = math.inf
     for _ in range(_NEWTON_ROUNDS):
-        psi, _rb = _bulk_newton(ws, psi)
-        psi, _gt = _tail_newton(ws, psi)
+        # each phase cuts at the current psi: the tail's cut follows the bulk step
+        psi, _ = _newton(ws, psi, 0, ws.bulk_end(psi), 1e-9, 25, 4)
+        psi, _ = _newton(ws, psi, ws.bulk_end(psi), ws.N, _TAIL_TOL, 15, 6)
         rr = float(np.abs(ws.residual_vec(psi, i_deep=ws.i_deep(psi))).max())
-        if rr < 2e-7:
+        if rr < _TAIL_TOL:
             break
     psi = ws.graft(np.clip(psi, 0.0, th))
     res = float(np.abs(ws.residual_vec(psi, i_deep=ws.i_deep(psi))).max())

@@ -218,6 +218,22 @@ def test_evolve_bad_exp_rate_exit_1(kernel_file, capsys, u0):
     assert repr(u0.split(":", 1)[1]) in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--c", "4", "--grid-h", "-0.01"],
+    ["profile", "--c", "4", "--grid-l", "0"],
+    ["profile", "--c", "4", "--tol", "0"],
+    ["profile", "--c", "4", "--tol", "-1"],
+    ["evolve", "--dt", "0.005", "--horizon", "0.1", "--grid-h", "-0.02"],
+    ["evolve", "--dt", "0.005", "--horizon", "0.1", "--grid-h", "0"],
+    ["evolve", "--dt", "0.005", "--horizon", "0.1", "--domain", "5,-5"]],
+    ids=["profile-grid-h", "profile-grid-l", "tol-zero", "tol-negative",
+         "evolve-grid-h", "evolve-grid-h-zero", "evolve-domain"])
+def test_bad_grid_or_tolerance_exit_1(kernel_file, capsys, argv):
+    code, doc = run_cli(capsys, *argv, "--kernel", kernel_file)
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+
+
 def test_assumption_failure_exit_2(capsys, tmp_path):
     bad = dict(LK1_DOC, params={"kappa_plus": 0.5, "m": 1.0,
                                 "kappa_local": 1.0})

@@ -122,6 +122,16 @@ def test_front_speed_needs_enough_snapshots():
         front_speed(run)
 
 
+@pytest.mark.parametrize("grid", [
+    {"h": 0.0}, {"h": -0.02}, {"h": float("nan")}, {"h": float("inf")},
+    {"domain": (5.0, -5.0)}, {"domain": (0.0, 0.0)}, {"domain": (0.0, 0.01)}],
+    ids=["h-zero", "h-negative", "h-nan", "h-inf", "reversed", "one-point",
+         "shorter-than-h"])
+def test_bad_grid_refused(grid):
+    with pytest.raises(UsageError):
+        _run(step_data(0.0, theta(LK1)), horizon=0.1, **grid)
+
+
 def test_front_leaving_domain_detected():
     run = _run(step_data(0.0, theta(LK1)), dt=0.01, horizon=12.0,
                domain=(-6.0, 6.0), widen=False)

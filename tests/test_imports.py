@@ -1,4 +1,5 @@
-"""Every name a package or test module imports at module level is used in it."""
+"""Every name a package or test module imports at module level is used in
+it, and every private module-level name of the package is read in it."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import nlkpp
 
-MODULES = sorted(p for p in Path(nlkpp.__file__).resolve().parent.glob("*.py")
-                 if p.name != "__init__.py") \
+PACKAGE = sorted(Path(nlkpp.__file__).resolve().parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"] \
     + sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
@@ -35,3 +36,36 @@ def test_unused_imports_finds_dead_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(sources):
+    """Single-underscore names bound at module level (functions, classes,
+    assignments) in any of the sources that no source reads, by name or
+    as an attribute."""
+    trees = [ast.parse(s) for s in sources]
+    read, bound = set(), set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+    return sorted(n for n in bound - read if n.startswith("_") and not n.startswith("__"))
+
+
+def test_dead_private_names_finds_unread_names():
+    sources = ["__all__ = ['g']\n_A = 1\n_B: int = 2\n_D, _E = 3, 4\n"
+               "def _f():\n    return _A\nclass _C:\n    pass\n",
+               "import m\nfrom m import _f\ndef g():\n    return _f() + m._D\n"]
+    assert dead_private_names(sources) == ["_B", "_C", "_E"]
+
+
+def test_no_dead_private_names():
+    assert dead_private_names([p.read_text() for p in PACKAGE]) == []

@@ -11,9 +11,9 @@ from nlkpp.errors import (AssumptionFailure, NonConvergence, NoWave,
                           UsageError)
 from nlkpp.kernels import (ExpPoly, Gaussian, KernelPair, Laplace, Params,
                            Truncated, Uniform, theta)
-from nlkpp.profile import (Convolver, GridSpec, WaveProfile, _band_solver,
-                           _make_workspace, compare_up_to_shift, normalize_shift,
-                           residual, solve_profile, tail_asymptotics)
+from nlkpp.profile import (_TAIL_TOL, Convolver, GridSpec, WaveProfile, _band_solver,
+                           _make_workspace, _newton, _sweep_phase, compare_up_to_shift,
+                           normalize_shift, residual, solve_profile, tail_asymptotics)
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 PAIR = KernelPair(Laplace(1.0), Laplace(1.0))
@@ -308,6 +308,27 @@ def test_factored_band_solves_like_solve_banded(prof_4):
             assert np.abs(solve(b) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("phase", ["bulk", "tail"])
+def test_newton_freezes_rows_outside_its_window(phase):
+    # one Newton call from the warm start at c = 4, on the bulk rows [0, nb)
+    # or the tail rows [nb, N): the rows outside its window stay bitwise as
+    # they were, and the window's own (scaled) residual converges
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec())
+    psi = ws.th * np.exp(-ws.lam_c * np.maximum(ws.s, 0.0))
+    psi = ws.recenter(_sweep_phase(ws, psi, None))
+    start, nb = psi.copy(), ws.bulk_end(psi)
+    if phase == "bulk":
+        out, res = _newton(ws, psi, 0, nb, 1e-9, 25, 4)
+        frozen, tol = slice(nb, None), 1e-9
+    else:
+        out, res = _newton(ws, psi, nb, ws.N, _TAIL_TOL, 15, 6)
+        frozen, tol = slice(0, nb), _TAIL_TOL
+    assert np.array_equal(psi, start)
+    assert np.array_equal(out[frozen], start[frozen])
+    assert not np.array_equal(out, start)
+    assert res < tol
+
+
 def test_singular_band_raises():
     # [[1, 1, 0], [1, 1, 0], [0, 1, 1]]: the first two rows are equal
     from scipy.linalg import solve_banded
@@ -516,6 +537,23 @@ def test_grid_overrides():
     assert abs(prof.h - 0.02) < 1e-9
     span = prof.grid[-1] - prof.grid[0]
     assert abs(span - 100.0) < 1.0
+
+
+@pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["l_left", "l_right", "h"])
+def test_grid_spec_refuses_bad_fields(field, value):
+    with pytest.raises(UsageError, match=field):
+        GridSpec(**{field: value})
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tolerance_refused_before_setup(tol, monkeypatch):
+    def setup(*args, **kwargs):
+        raise AssertionError("set-up ran")
+    monkeypatch.setattr("nlkpp.profile.minimal_speed", setup)
+    monkeypatch.setattr("nlkpp.profile._make_workspace", setup)
+    with pytest.raises(UsageError, match="tol"):
+        solve_profile(PAIR, LK1, 4.0, tol=tol)
 
 
 def test_zero_speed_rejected():

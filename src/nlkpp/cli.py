@@ -146,13 +146,17 @@ def _resolve_problem(args, manifest):
     return pair, params
 
 
+# parsed arguments that are not run options: the command, the problem
+# (recorded as inputs and params) and where the output goes
+_NOT_OPTIONS = {"command", "kernel", "params", "points", "out", "csv", "snapshots",
+                *(f.name for f in dataclasses.fields(Params))}
+
+
 def _tolerances(args) -> dict:
-    tol = {}
-    for name in ("tol", "grid_l", "grid_h", "c", "dt", "horizon", "level",
-                 "anchor_delta", "q", "snapshot_dt"):
-        if getattr(args, name, None) is not None:
-            tol[name.replace("_", "-")] = getattr(args, name)
-    return tol
+    """Every option set for the run, defaults included, read off the parsed
+    arguments so that a new flag is recorded without being listed here."""
+    return {k.replace("_", "-"): v for k, v in vars(args).items()
+            if v is not None and k not in _NOT_OPTIONS}
 
 
 def _given(**options) -> dict:

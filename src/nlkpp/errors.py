@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: UsageError -> 1, AssumptionFailure -> 2,
 NonConvergence -> 3. Library callers catch ToolkitError for everything.
 """
 
+import math
+
 
 class ToolkitError(Exception):
     pass
@@ -11,6 +13,17 @@ class ToolkitError(Exception):
 
 class UsageError(ToolkitError):
     """Caller handed us something malformed: bad flag, bad file, bad range."""
+
+
+def require_finite(name: str, value: float, sign: str = "") -> None:
+    """Refuse a value that is not finite or, with sign "positive" or
+    "nonnegative", not of that sign. Model parameters, kernel fields, grids
+    and time steps are all checked here, so each is refused the same way."""
+    ok = math.isfinite(value) and (sign == "" or value > 0.0
+                                   or (sign == "nonnegative" and value == 0.0))
+    if not ok:
+        rule = f"finite and {sign}" if sign else "finite"
+        raise UsageError(f"{name} must be {rule}; got {value!r}")
 
 
 class AssumptionFailure(ToolkitError):

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, UsageError
+from .errors import NonConvergence, UsageError, require_finite
 from .kernels import KernelPair, Params, theta
-from .profile import Convolver, WaveProfile
+from .profile import WaveProfile, _convolvers
 
 _BURN_IN = 0.30
 _WIDEN_TRIGGER = 0.20   # front inside the last 20% of the grid grows it
@@ -122,27 +122,28 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
     th = theta(params)
     kp, m = params.kappa_plus, params.m
     kl, kn = params.kappa_local, params.kappa_nonlocal
+    require_finite("dt", dt, "positive")
+    require_finite("horizon", horizon, "positive")
+    if snapshot_dt is not None:
+        require_finite("snapshot_dt", snapshot_dt, "positive")
     guard = dt * (kp + m + 2 * kl * th + kn * th)
     if guard > 0.5:
         raise UsageError(f"dt too large: dt*(kp+m+2*kl*th+kn*th) = {guard:.3f} > 0.5")
-    if dt <= 0 or horizon <= 0:
-        raise UsageError("dt and horizon must be positive")
-    if not (math.isfinite(h) and h > 0.0):
-        raise UsageError(f"grid step h must be finite and positive; got {h!r}")
+    require_finite("grid step h", h, "positive")
     if not domain[1] - domain[0] >= h:
         raise UsageError(f"domain {tuple(domain)!r} is shorter than the grid step {h!r}")
 
     n_steps = int(round(horizon / dt))
-    snap_every = max(1, int(round((snapshot_dt or horizon / 80.0) / dt)))
+    snap_dt = horizon / 80.0 if snapshot_dt is None else snapshot_dt
+    snap_every = max(1, int(round(snap_dt / dt)))
     lvl = 0.5 * th if level is None else level
     if not 0.0 < lvl < th:
         raise UsageError(f"level must lie in (0, theta); got {lvl!r}")
 
     x = domain[0] + h * np.arange(int(round((domain[1] - domain[0]) / h)) + 1)
     u = _initial_state(u0, x, th)
-    conv_plus = Convolver(pair.a_plus, h)
+    conv_plus, conv_minus = _convolvers(pair, params, h)
     K = conv_plus.K
-    conv_minus = Convolver(pair.a_minus, h, K) if kn else None
     # the responses do not depend on the grid length, so widening keeps them
     panel = np.ones(K)
     resp_plus = conv_plus.pad_responses(panel, panel)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy import integrate, special
 
-from .errors import AssumptionFailure, UsageError
+from .errors import AssumptionFailure, UsageError, require_finite
 from .laplace import QUAD_ABS, QUAD_REL
 
 _POS_FLOOR = 1e-6     # the "rho" used for Q4/Q7 grid scans
@@ -60,10 +60,10 @@ class Params:
     kappa_nonlocal: float = 0.0
 
     def __post_init__(self):
-        if not (self.kappa_plus > 0 and self.m > 0):
-            raise UsageError("kappa_plus and m must be positive")
-        if self.kappa_local < 0 or self.kappa_nonlocal < 0:
-            raise UsageError("competition coefficients must be nonnegative")
+        require_finite("kappa_plus", self.kappa_plus, "positive")
+        require_finite("m", self.m, "positive")
+        require_finite("kappa_local", self.kappa_local, "nonnegative")
+        require_finite("kappa_nonlocal", self.kappa_nonlocal, "nonnegative")
         if self.kappa_local + self.kappa_nonlocal <= 0:
             raise UsageError("kappa_local + kappa_nonlocal must be positive")
 
@@ -106,6 +106,10 @@ class Kernel:
     z > 0, `sigma_left` the same for the reflected kernel (it bounds how far
     the transform extends to negative arguments). `mass` is 1 except for
     truncated kernels, which keep their defect on purpose.
+
+    `transform_deriv(z, order)` is the one place a family states its closed
+    forms; orders it does not know fall through to quadrature here, and
+    `transform` is its order 0.
     """
 
     family = "generic"
@@ -121,10 +125,6 @@ class Kernel:
     @property
     def sigma_left(self) -> float:
         raise NotImplementedError
-
-    @property
-    def symmetric(self) -> bool:
-        return False
 
     # integration endpoints for quadrature: (lo, hi) may be +-inf
     _support = (-math.inf, math.inf)
@@ -173,8 +173,6 @@ class Kernel:
         return _quad_split(self.pdf, lo, x, self._breaks)
 
     def moment_first(self) -> float:
-        if self.symmetric:
-            return 0.0
         return self._quad_weighted(lambda s: s)
 
     def moment_first_abs(self) -> float:
@@ -191,16 +189,30 @@ class Kernel:
         raise NotImplementedError
 
 
+class EvenKernel(Kernel):
+    """Base for densities with a(-s) = a(s): the left abscissa is the right
+    one, reflection is the identity and the first moment vanishes."""
+
+    @property
+    def sigma_left(self) -> float:
+        return self.sigma_right
+
+    def reflected(self) -> "Kernel":
+        return self
+
+    def moment_first(self) -> float:
+        return 0.0
+
+
 @dataclass(frozen=True)
-class Laplace(Kernel):
+class Laplace(EvenKernel):
     """Two-sided exponential (mu/2) e^{-mu|s|}."""
 
     mu: float = 1.0
     family = "laplace"
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise UsageError("laplace kernel needs mu > 0")
+        require_finite("laplace mu", self.mu, "positive")
 
     def pdf(self, s):
         return 0.5 * self.mu * np.exp(-self.mu * np.abs(s))
@@ -209,24 +221,15 @@ class Laplace(Kernel):
     def sigma_right(self):
         return self.mu
 
-    sigma_left = sigma_right
-
-    @property
-    def symmetric(self):
-        return True
-
     def support_radius(self, eps=1e-17):
         return math.log(1.0 / eps) / self.mu
-
-    def transform(self, z):
-        if abs(z) >= self.mu:
-            return math.inf
-        return self.mu ** 2 / (self.mu ** 2 - z * z)
 
     def transform_deriv(self, z, order=1):
         if abs(z) >= self.mu:
             return math.inf
         mu2, d = self.mu ** 2, self.mu ** 2 - z * z
+        if order == 0:
+            return mu2 / d
         if order == 1:
             return 2.0 * mu2 * z / d ** 2
         if order == 2:
@@ -241,52 +244,40 @@ class Laplace(Kernel):
     def moment_first_abs(self):
         return 1.0 / self.mu
 
-    def reflected(self):
-        return self
-
     def to_dict(self):
         return {"family": "laplace", "mu": self.mu}
 
 
 @dataclass(frozen=True)
-class Gaussian(Kernel):
+class Gaussian(EvenKernel):
     variance: float = 1.0
     family = "gaussian"
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise UsageError("gaussian kernel needs variance > 0")
+        require_finite("gaussian variance", self.variance, "positive")
 
     def pdf(self, s):
         v = self.variance
         return np.exp(-np.asarray(s) ** 2 / (2 * v)) / math.sqrt(2 * math.pi * v)
 
     sigma_right = property(lambda self: math.inf)
-    sigma_left = property(lambda self: math.inf)
-
-    @property
-    def symmetric(self):
-        return True
 
     def support_radius(self, eps=1e-17):
         return math.sqrt(2.0 * self.variance * math.log(1.0 / eps))
 
-    def transform(self, z):
-        return math.exp(0.5 * self.variance * z * z)
-
     def transform_deriv(self, z, order=1):
         v = self.variance
+        a = math.exp(0.5 * v * z * z)
+        if order == 0:
+            return a
         if order == 1:
-            return v * z * self.transform(z)
+            return v * z * a
         if order == 2:
-            return (v + (v * z) ** 2) * self.transform(z)
+            return (v + (v * z) ** 2) * a
         return super().transform_deriv(z, order)
 
     def moment_first_abs(self):
         return math.sqrt(2.0 * self.variance / math.pi)
-
-    def reflected(self):
-        return self
 
     def to_dict(self):
         return {"family": "gaussian", "variance": self.variance}
@@ -299,6 +290,8 @@ class Uniform(Kernel):
     family = "uniform"
 
     def __post_init__(self):
+        require_finite("uniform lo", self.lo)
+        require_finite("uniform hi", self.hi)
         if not self.hi > self.lo:
             raise UsageError("uniform kernel needs hi > lo")
 
@@ -310,10 +303,6 @@ class Uniform(Kernel):
     sigma_left = property(lambda self: math.inf)
 
     @property
-    def symmetric(self):
-        return abs(self.lo + self.hi) < 1e-15
-
-    @property
     def _support(self):
         return (self.lo, self.hi)
 
@@ -322,7 +311,9 @@ class Uniform(Kernel):
     def support_radius(self, eps=1e-17):
         return max(abs(self.lo), abs(self.hi))
 
-    def transform(self, z):
+    def transform_deriv(self, z, order=1):
+        if order:
+            return super().transform_deriv(z, order)
         w = self.hi - self.lo
         if abs(z) * w < 1e-8:
             # series around z=0, avoids the 0/0
@@ -344,7 +335,7 @@ class Uniform(Kernel):
 
 
 @dataclass(frozen=True)
-class ExpPoly(Kernel):
+class ExpPoly(EvenKernel):
     """alpha * e^{-mu |s|^p} / (1 + |s|^q), normalized numerically.
 
     The abscissa depends on p alone: 0 for p < 1, mu for p = 1, infinite
@@ -359,8 +350,9 @@ class ExpPoly(Kernel):
     family = "exp_poly"
 
     def __post_init__(self):
-        if self.mu <= 0 or self.p < 0 or self.q < 0:
-            raise UsageError("exp_poly needs mu > 0, p >= 0, q >= 0")
+        require_finite("exp_poly mu", self.mu, "positive")
+        require_finite("exp_poly p", self.p, "nonnegative")
+        require_finite("exp_poly q", self.q, "nonnegative")
         if self.p == 0 and self.q <= 1:
             raise UsageError("exp_poly with p=0 needs q > 1 to be integrable")
         norm = _quad_split(lambda s: math.exp(-self.mu * s ** self.p) / (1.0 + s ** self.q),
@@ -378,12 +370,6 @@ class ExpPoly(Kernel):
         if self.p == 1:
             return self.mu
         return math.inf
-
-    sigma_left = sigma_right
-
-    @property
-    def symmetric(self):
-        return True
 
     def support_radius(self, eps=1e-17):
         return math.log(1.0 / eps) / self.mu if self.p >= 1 else \
@@ -404,9 +390,6 @@ class ExpPoly(Kernel):
             return self.alpha * (sgn ** order) * (flat + (-1.0) ** order * damp)
         return super().transform_deriv(z, order)
 
-    def reflected(self):
-        return self
-
     def to_dict(self):
         return {"family": "exp_poly", "p": self.p, "q": self.q, "mu": self.mu}
 
@@ -424,11 +407,13 @@ class Tabulated(Kernel):
     family = "tabulated"
 
     def __post_init__(self):
+        require_finite("tabulated grid_start", self.grid_start)
+        require_finite("tabulated grid_step", self.grid_step, "positive")
         v = np.asarray(self.values, dtype=float)
-        if self.grid_step <= 0 or v.ndim != 1 or len(v) < 2:
-            raise UsageError("tabulated kernel needs grid_step > 0 and >= 2 values")
-        if np.any(v < 0):
-            raise UsageError("tabulated kernel has negative entries")
+        if v.ndim != 1 or len(v) < 2:
+            raise UsageError("tabulated kernel needs >= 2 values")
+        if not np.all(np.isfinite(v) & (v >= 0)):
+            raise UsageError("tabulated kernel entries must be finite and nonnegative")
         total = float(v.sum() * self.grid_step)
         if abs(total - 1.0) > 1e-6:
             raise UsageError(f"tabulated kernel mass {total:.8f} is not 1")
@@ -448,12 +433,6 @@ class Tabulated(Kernel):
 
     sigma_right = property(lambda self: math.inf)
     sigma_left = property(lambda self: math.inf)
-
-    @property
-    def symmetric(self):
-        v = np.asarray(self.values)
-        g = self._grid()
-        return abs(g[0] + g[-1]) < 1e-12 and bool(np.allclose(v, v[::-1], atol=1e-12))
 
     def support_radius(self, eps=1e-17):
         g = self._grid()
@@ -502,6 +481,9 @@ class Truncated(Kernel):
 
     family = "truncated"
 
+    def __post_init__(self):
+        require_finite("truncation cutoff", self.cutoff)
+
     def pdf(self, s):
         s = np.asarray(s, dtype=float)
         return np.where(s < self.cutoff, self.base.pdf(s), 0.0)
@@ -539,7 +521,7 @@ class Truncated(Kernel):
 
 
 @dataclass(frozen=True)
-class RadialExpMarginal(Kernel):
+class RadialExpMarginal(EvenKernel):
     """1D marginal of the d-dimensional radial exponential e^{-mu |x|}.
 
     Closed forms in every dimension, with x = mu|s| and w = 1 - z^2/mu^2:
@@ -553,8 +535,9 @@ class RadialExpMarginal(Kernel):
     family = "radial_exp_marginal"
 
     def __post_init__(self):
-        if self.mu <= 0 or self.dim < 2:
-            raise UsageError("radial exponential marginal needs mu > 0, dim >= 2")
+        require_finite("radial_exp_marginal mu", self.mu, "positive")
+        if self.dim < 2:
+            raise UsageError("radial exponential marginal needs dim >= 2")
 
     def pdf(self, s):
         nu = self.dim / 2.0
@@ -565,17 +548,13 @@ class RadialExpMarginal(Kernel):
                       2.0 ** (nu - 1.0) * math.gamma(nu))
         return self.mu * xk / (math.sqrt(math.pi) * math.gamma(nu + 0.5) * 2.0 ** nu)
 
-    def transform(self, z):
-        w = 1.0 - (z / self.mu) ** 2
-        if w <= 0.0:
-            return math.inf
-        return w ** (-(self.dim + 1) / 2.0)
-
     def transform_deriv(self, z, order=1):
         d, mu2 = self.dim, self.mu ** 2
         w = 1.0 - z * z / mu2
         if w <= 0.0:
             return math.inf
+        if order == 0:
+            return w ** (-(d + 1) / 2.0)
         if order == 1:
             return (d + 1) * z / mu2 * w ** (-(d + 3) / 2.0)
         if order == 2:
@@ -586,17 +565,8 @@ class RadialExpMarginal(Kernel):
     def sigma_right(self):
         return self.mu
 
-    sigma_left = sigma_right
-
-    @property
-    def symmetric(self):
-        return True
-
     def support_radius(self, eps=1e-17):
         return math.log(1.0 / eps) / self.mu + 10.0 / self.mu
-
-    def reflected(self):
-        return self
 
     def to_dict(self):
         return {"family": "radial_exp_marginal", "mu": self.mu, "dim": self.dim}
@@ -687,7 +657,7 @@ def j_theta(pair: KernelPair, params: Params) -> JTheta:
     kp, kn = params.kappa_plus, params.kappa_nonlocal
     vals = kp * pair.a_plus.pdf(s) - th * kn * pair.a_minus.pdf(s)
 
-    # widest symmetric interval around the origin staying above the floor:
+    # widest interval centred on the origin staying above the floor:
     # k is the first offset where either side drops below it
     i0 = _SCAN_POINTS // 2
     paired = (vals[i0 - 1::-1] >= _POS_FLOOR) & (vals[i0 + 1:] >= _POS_FLOOR)
@@ -841,4 +811,6 @@ def load_problem(source) -> tuple:
         a_minus = kernel_from_dict(doc["a_minus"]) if "a_minus" in doc else a_plus
     except KeyError as e:
         raise UsageError(f"kernel document is missing {e}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad kernel document: {exc}") from exc
     return KernelPair(a_plus, a_minus), params

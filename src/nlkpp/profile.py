@@ -34,7 +34,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .dispersion import characteristic_deriv, minimal_speed, speed_to_abscissa
-from .errors import AssumptionFailure, NonConvergence, UsageError
+from .errors import AssumptionFailure, NonConvergence, UsageError, require_finite
 from .kernels import KernelPair, Params, check_assumptions, theta
 
 _RIGHT_EFOLD = 34.0     # e-foldings of right tail; ~40 hits the float64 floor
@@ -71,8 +71,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name, v in vars(self).items():
-            if v is not None and not (math.isfinite(v) and v > 0.0):
-                raise UsageError(f"grid {name} must be finite and positive; got {v!r}")
+            if v is not None:
+                require_finite(f"grid {name}", v, "positive")
 
 
 @dataclass(eq=False)
@@ -289,6 +289,27 @@ def _left_rate(pair: KernelPair, params: Params, c: float, th: float):
     return lam, B
 
 
+def _require_probability(pair):
+    """Refuse kernels with a mass defect: the waves connect 0 to theta, which
+    a truncated kernel's carrying capacity theta_R is not."""
+    for k in (pair.a_plus, pair.a_minus):
+        if k.mass < 1.0 - 1e-12:
+            raise UsageError("profile solves and time stepping need probability "
+                             "kernels; truncated kernels belong to the truncation lab")
+
+
+def _convolvers(pair, params, h):
+    """(a_plus, a_minus) convolutions on step h for the solver and the time
+    stepper alike, at one half-width K, the wider kernel's, so no weights
+    are cut; a_minus is built only with nonlocal competition."""
+    _require_probability(pair)
+    K = _half_width(pair.a_plus, h)
+    if params.kappa_nonlocal:
+        K = max(K, _half_width(pair.a_minus, h))
+        return Convolver(pair.a_plus, h, K), Convolver(pair.a_minus, h, K)
+    return Convolver(pair.a_plus, h, K), None
+
+
 class _Workspace:
     """Grid, weights, and the residual operator for one (pair, params, c)."""
 
@@ -299,13 +320,8 @@ class _Workspace:
         self.kl, self.kn = params.kappa_local, params.kappa_nonlocal
         self.rho = params.m + 2 * self.kl * th + self.kn * th
         self.s, self.h, self.N = s, h, len(s)
-
-        K = _half_width(pair.a_plus, h)
-        if self.kn:
-            K = max(K, _half_width(pair.a_minus, h))
-        self.K = K
-        self.conv_plus = Convolver(pair.a_plus, h, K)
-        self.conv_minus = Convolver(pair.a_minus, h, K) if self.kn else None
+        self.conv_plus, self.conv_minus = _convolvers(pair, params, h)
+        self.K = self.conv_plus.K
 
     # -- analytic boundary panels ------------------------------------------
 
@@ -592,15 +608,11 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
     pair with the same a_plus shares it, but Q2 reads a_minus and
     kappa_nonlocal, so a given report does not spare this pair's Q1..Q5.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise UsageError(f"tol must be finite and positive; got {tol!r}")
+    require_finite("tol", tol, "positive")
     if c == 0.0:
         raise AssumptionFailure("c-zero-unsupported",
                                 "stationary fronts (c = 0) are out of scope")
-    for k in (pair.a_plus, pair.a_minus):
-        if k.mass < 1.0 - 1e-12:
-            raise UsageError("profile solves need probability kernels; "
-                             "truncated kernels belong to the truncation lab")
+    _require_probability(pair)
     if c < 0.0:
         return solve_profile(pair.reflected(), params, -c, grid=grid, tol=tol,
                              anchor=-anchor, sweep_hook=sweep_hook).reflect()

@@ -8,7 +8,6 @@ curves increase pointwise to the full one and their minima climb to c_star.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .dispersion import _as_pair, g_function, minimal_speed
@@ -18,8 +17,6 @@ from .kernels import KernelPair, Params, Truncated
 
 def truncate(kernel, R: float) -> Truncated:
     """Kernel multiplied by the indicator of (-inf, R); mass not rescaled."""
-    if not math.isfinite(R):
-        raise UsageError("truncation radius must be finite")
     return Truncated(kernel, R)
 
 

@@ -234,6 +234,73 @@ def test_bad_grid_or_tolerance_exit_1(kernel_file, capsys, argv):
     assert doc["error"]["type"] == "UsageError"
 
 
+@pytest.mark.parametrize("times", [
+    ["--dt", "nan", "--horizon", "1"], ["--dt", "0.05", "--horizon", "nan"],
+    ["--dt", "0.05", "--horizon", "inf"],
+    ["--dt", "0.05", "--horizon", "0.5", "--snapshot-dt", "0"],
+    ["--dt", "0.05", "--horizon", "0.5", "--snapshot-dt", "-0.1"]],
+    ids=["dt-nan", "horizon-nan", "horizon-inf", "snapshot-zero", "snapshot-negative"])
+def test_evolve_bad_time_exit_1(kernel_file, capsys, times):
+    code, doc = run_cli(capsys, "evolve", "--kernel", kernel_file, *times)
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("params", ["kappa_plus=2,m=1,kappa_local=nan",
+                                    "kappa_plus=inf,m=1"], ids=["local-nan", "plus-inf"])
+def test_non_finite_params_exit_1(kernel_file, capsys, params):
+    code, doc = run_cli(capsys, "speed", "--kernel", kernel_file, "--params", params)
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("kernel", [
+    {"family": "laplace", "mu": float("nan")},
+    {"family": "laplace", "mu": float("inf")},
+    {"family": "gaussian", "variance": float("inf")},
+    {"family": "exp_poly", "p": 1.0, "q": float("nan"), "mu": 1.0},
+    {"family": "truncated", "cutoff": float("inf"), "base": {"family": "laplace"}},
+    {"family": "truncated", "cutoff": float("nan"), "base": {"family": "laplace"}},
+    {"family": "radial_exp_marginal", "mu": 1.0, "dim": float("nan")}],
+    ids=["laplace-nan", "laplace-inf", "gaussian-inf", "exp_poly-q-nan",
+         "truncated-inf", "truncated-nan", "radial-dim-nan"])
+def test_non_finite_kernel_file_exit_1(capsys, tmp_path, kernel):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**kernel, "params": LK1_DOC["params"]}))
+    code, doc = run_cli(capsys, "speed", "--kernel", str(p))
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+
+
+def test_evolve_refuses_truncated_kernel(capsys, tmp_path):
+    # mass 0.816 and theta_R 0.632, where the stepper would use theta = 1
+    doc = dict(LK1_DOC, family="truncated", cutoff=1.0,
+               base={"family": "laplace", "mu": 1.0})
+    p = tmp_path / "cut.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "evolve", "--kernel", str(p),
+                        "--dt", "0.05", "--horizon", "1")
+    assert code == 1
+    assert "probability kernels" in out["error"]["message"]
+
+
+def test_manifest_records_every_run_option(kernel_file, capsys, tmp_path):
+    argv = ["evolve", "--kernel", kernel_file, "--dt", "0.05", "--horizon", "0.5"]
+    _, step = run_cli(capsys, *argv)
+    _, expo = run_cli(capsys, *argv, "--u0", "exp:0.5", "--u0-x0", "1",
+                      "--domain", "-10,10")
+    assert step["manifest"]["tolerances"] == {
+        "dt": 0.05, "horizon": 0.5, "u0": "step", "u0-x0": 0.0, "domain": "-30,30"}
+    assert expo["manifest"]["tolerances"] == {
+        "dt": 0.05, "horizon": 0.5, "u0": "exp:0.5", "u0-x0": 1.0, "domain": "-10,10"}
+    _, trunc = run_cli(capsys, "truncate-sweep", "--kernel", kernel_file, "--radii", "2,5")
+    assert trunc["manifest"]["tolerances"] == {"radii": "2,5"}
+    p = tmp_path / "points.json"
+    p.write_text(json.dumps([LK1_DOC]))
+    _, sweep = run_cli(capsys, "sweep", "--points", str(p), "--task", "classify")
+    assert sweep["manifest"]["tolerances"] == {"task": "classify"}
+
+
 def test_assumption_failure_exit_2(capsys, tmp_path):
     bad = dict(LK1_DOC, params={"kappa_plus": 0.5, "m": 1.0,
                                 "kappa_local": 1.0})
@@ -344,6 +411,60 @@ def test_evolve_front_csv(kernel_file, capsys, tmp_path):
     assert abs(ts[-1] - 2.0) < 1e-9
 
 
+def test_profile_csv_feeds_evolve(kernel_file, capsys, tmp_path):
+    out = str(tmp_path / "pr")
+    code, prof = run_cli(capsys, "profile", "--kernel", kernel_file, "--c", "4",
+                         "--csv", "--out", out)
+    assert code == 0
+    csv = os.path.join(out, "profile.csv")
+    with open(csv) as fh:
+        lines = fh.read().splitlines()
+    assert lines[:2] == ["# manifest: profile.json", "s,psi"]
+    assert len(lines) == prof["result"]["grid_points"] + 2
+    code, doc = run_cli(capsys, "evolve", "--kernel", kernel_file,
+                        "--u0", f"profile-csv:{csv}", "--dt", "0.01", "--horizon", "2",
+                        "--domain", "-20,20")
+    assert code == 0
+    # the wave is carried at its own speed from the first step
+    assert abs(doc["result"]["speed"] - 4.0) < 0.04
+
+
+def test_evolve_exp_datum_snapshots_csv(kernel_file, capsys, tmp_path):
+    out = str(tmp_path / "ev")
+    code, doc = run_cli(capsys, "evolve", "--kernel", kernel_file, "--u0", "exp:0.5",
+                        "--u0-x0", "1", "--dt", "0.05", "--horizon", "0.5",
+                        "--domain", "-20,20", "--csv", "--snapshots", "--out", out)
+    assert code == 0
+    with open(os.path.join(out, "snapshots.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[1].split(",")[:2] == ["x", "t=0"]
+    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+    assert table.shape == (2001, 1 + doc["result"]["n_snapshots"])
+    x, u0 = table[:, 0], table[:, 1]
+    assert np.allclose(u0, np.minimum(1.0, np.exp(-0.5 * (x - 1.0))), rtol=1e-15, atol=0.0)
+
+
+def test_tabulated_problem_file(capsys, tmp_path):
+    step = 0.05
+    grid = -8.0 + step * np.arange(321)
+    vals = np.exp(-0.5 * grid ** 2)
+    vals /= vals.sum() * step
+    doc = {"family": "tabulated", "params": LK1_DOC["params"],
+           "table": {"grid_start": -8.0, "grid_step": step, "values": vals.tolist()}}
+    p = tmp_path / "tab.json"
+    p.write_text(json.dumps(doc))
+    code, check = run_cli(capsys, "check", "--kernel", str(p))
+    assert code == 0
+    assert {v["status"] for v in check["result"]["assumptions"].values()} == {"holds"}
+    code, tab = run_cli(capsys, "speed", "--kernel", str(p))
+    assert code == 0
+    g = tmp_path / "gauss.json"
+    g.write_text(json.dumps(dict(LK1_DOC, family="gaussian", variance=1.0)))
+    _, gauss = run_cli(capsys, "speed", "--kernel", str(g))
+    # the table's Riemann sums carry its step error, about 1e-4 here
+    assert abs(tab["result"]["c_star"] - gauss["result"]["c_star"]) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # sweep fan-out
 
@@ -389,6 +510,17 @@ def test_sweep_rejects_bad_worker_count(capsys, tmp_path, monkeypatch, value):
     assert code == 1
     assert doc["error"]["type"] == "UsageError"
     assert "NLKPP_WORKERS" in doc["error"]["message"]
+
+
+def test_sweep_check_task(capsys, tmp_path):
+    points = [LK1_DOC, dict(LK1_DOC, params={"kappa_plus": 0.5, "m": 1.0})]
+    p = tmp_path / "points.json"
+    p.write_text(json.dumps(points))
+    code, doc = run_cli(capsys, "sweep", "--points", str(p), "--task", "check")
+    assert code == 0
+    rows = doc["result"]["points"]
+    assert {v["status"] for v in rows[0]["assumptions"].values()} == {"holds"}
+    assert rows[1]["assumptions"]["Q1"]["status"] == "fails"
 
 
 def test_sweep_keeps_going_past_bad_point(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from nlkpp.errors import NonConvergence, UsageError
 from nlkpp.evolution import evolve, front_speed, step_data
-from nlkpp.kernels import KernelPair, Laplace, Params, theta
+from nlkpp.kernels import Gaussian, KernelPair, Laplace, Params, Truncated, theta
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 PAIR = KernelPair(Laplace(1.0), Laplace(1.0))
@@ -130,6 +130,47 @@ def test_front_speed_needs_enough_snapshots():
 def test_bad_grid_refused(grid):
     with pytest.raises(UsageError):
         _run(step_data(0.0, theta(LK1)), horizon=0.1, **grid)
+
+
+@pytest.mark.parametrize("times", [
+    {"dt": float("nan")}, {"dt": float("inf")}, {"horizon": float("nan")},
+    {"horizon": float("inf")}, {"snapshot_dt": 0.0}, {"snapshot_dt": -0.05},
+    {"snapshot_dt": float("nan")}],
+    ids=["dt-nan", "dt-inf", "horizon-nan", "horizon-inf", "snapshot-zero",
+         "snapshot-negative", "snapshot-nan"])
+def test_bad_time_inputs_refused(times):
+    kw = {"dt": 0.05, "horizon": 0.5, **times}
+    with pytest.raises(UsageError):
+        _run(step_data(0.0, theta(LK1)), **kw)
+
+
+def test_mass_defect_refused():
+    # theta_R = 0.632 here, not theta = 1: the stepper's states would be wrong
+    cut = Truncated(Laplace(1.0), 1.0)
+    with pytest.raises(UsageError, match="probability kernels"):
+        _run(step_data(0.0, theta(LK1)), horizon=0.1, pair=KernelPair(cut, cut))
+
+
+def test_competition_weights_keep_their_own_half_width():
+    # a_minus is wider than a_plus; its weights must not be cut at a_plus's
+    # half-width (6.26 units here against 39.1) and renormalized
+    pair, params = KernelPair(Gaussian(0.5), Laplace(1.0)), Params(2.0, 1.0, 0.5, 0.5)
+    dt, h, th = 0.01, 0.02, theta(params)
+    run = evolve(pair, params, step_data(0.0, th), dt, dt, domain=(-10.0, 10.0),
+                 h=h, widen=False)
+    u = run.snapshots[0]
+    K = int(np.ceil(Laplace(1.0).support_radius(1e-17) / h))
+    ext = np.concatenate([np.full(K, u[0]), u, np.full(K, u[-1])])
+
+    def conv(kernel):
+        w = h * kernel.pdf(np.arange(-K, K + 1) * h)
+        return np.convolve(ext, w / w.sum(), mode="valid")
+
+    kp, m, kl, kn = params.kappa_plus, params.m, params.kappa_local, params.kappa_nonlocal
+    du = kp * conv(pair.a_plus) - m * u - kl * u * u - kn * u * conv(pair.a_minus)
+    nxt = np.maximum(u + dt * du, 0.0)
+    nxt[nxt < 3e-15 * th] = 0.0
+    assert np.abs(run.snapshots[-1] - nxt).max() <= 1e-14 * th
 
 
 def test_front_leaving_domain_detected():

@@ -1,5 +1,6 @@
 """Every name a package or test module imports at module level is used in
-it, and every private module-level name of the package is read in it."""
+it, every private module-level name of the package is read in it, and no
+kernel family restates a transform or its evenness."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,15 @@ def test_dead_private_names_finds_unread_names():
 
 def test_no_dead_private_names():
     assert dead_private_names([p.read_text() for p in PACKAGE]) == []
+
+
+def test_kernel_facts_stated_once():
+    """A family writes its closed forms in transform_deriv alone, so that
+    transform is order 0 everywhere, and evenness lives in one base class
+    instead of a per-family flag."""
+    from nlkpp import kernels
+    families = [c for c in vars(kernels).values()
+                if isinstance(c, type) and issubclass(c, kernels.Kernel)
+                and c is not kernels.Kernel]
+    assert [c.__name__ for c in families if "transform" in vars(c)] == []
+    assert [p.name for p in PACKAGE if "symmetric" in p.read_text()] == []

@@ -7,7 +7,7 @@ from scipy import integrate
 import pytest
 
 from nlkpp.errors import AssumptionFailure, UsageError
-from nlkpp.kernels import (ExpPoly, Gaussian, KernelPair, Laplace, Params,
+from nlkpp.kernels import (ExpPoly, Gaussian, Kernel, KernelPair, Laplace, Params,
                            RadialExpMarginal, Tabulated, Truncated, Uniform,
                            check_assumptions, directional_moment, j_theta,
                            kernel_from_dict, load_problem,
@@ -42,6 +42,37 @@ def test_params_validation():
         Params(2.0, 1.0, 0.0, 0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Params(2.0, 1.0, kappa_local=NAN),
+    lambda: Params(INF, 1.0),
+    lambda: Params(2.0, NAN),
+    lambda: Params(2.0, 1.0, 1.0, INF),
+    lambda: Laplace(NAN),
+    lambda: Laplace(INF),
+    lambda: Gaussian(INF),
+    lambda: Uniform(-INF, 1.0),
+    lambda: Uniform(-1.0, NAN),
+    lambda: ExpPoly(1.0, NAN, 1.0),
+    lambda: ExpPoly(NAN, 0.0, 1.0),
+    lambda: Tabulated(0.0, NAN, (0.5, 0.5)),
+    lambda: Tabulated(NAN, 1.0, (0.5, 0.5)),
+    lambda: Tabulated(0.0, 1.0, (NAN, 1.0)),
+    lambda: Truncated(Laplace(1.0), INF),
+    lambda: Truncated(Laplace(1.0), NAN),
+    lambda: RadialExpMarginal(INF, 2)],
+    ids=["kappa_local-nan", "kappa_plus-inf", "m-nan", "kappa_nonlocal-inf",
+         "laplace-nan", "laplace-inf", "gaussian-inf", "uniform-lo-inf",
+         "uniform-hi-nan", "exp_poly-q-nan", "exp_poly-p-nan", "tabulated-step-nan",
+         "tabulated-start-nan", "tabulated-value-nan", "truncated-inf",
+         "truncated-nan", "radial-inf"])
+def test_non_finite_inputs_refused(make):
+    with pytest.raises(UsageError, match="finite"):
+        make()
+
+
 def test_theta_value_and_rejection():
     assert theta(LK1) == 1.0
     assert theta(Params(3.0, 1.0, 1.0, 1.0)) == 1.0
@@ -74,11 +105,36 @@ def test_transform_at_zero_is_mass(k):
     assert abs(k.transform(1e-14) - k.mass) < 1e-9
 
 
-@pytest.mark.parametrize("k", [f for f in FAMILIES if f.symmetric],
+@pytest.mark.parametrize("k", [f for f in FAMILIES if f.reflected() == f],
                          ids=lambda k: repr(k))
 def test_symmetric_pdf(k):
     s = np.linspace(0.1, 4.0, 37)
     assert np.allclose(k.pdf(s), k.pdf(-s), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("k", FAMILIES + [Tabulated(-1.0, 0.5, (0.2, 0.6, 0.8, 0.4)),
+                                            Truncated(Gaussian(1.0), 0.5)],
+                         ids=lambda k: repr(k))
+def test_transform_is_order_zero(k):
+    # one closed form per family: transform reads it, it is not restated
+    sig = min(k.sigma_right, 2.0)
+    for z in (-0.6 * sig, -0.1 * sig, 0.0, 0.3 * sig, 0.9 * sig, 1.5 * sig):
+        assert k.transform(z) == k.transform_deriv(z, 0)
+
+
+CLOSED_FORMS = [(Laplace(0.7), 0), (Laplace(0.7), 1), (Laplace(0.7), 2),
+                (Gaussian(0.7), 0), (Gaussian(0.7), 1), (Gaussian(0.7), 2),
+                (RadialExpMarginal(1.0, 3), 0), (RadialExpMarginal(1.0, 3), 1),
+                (RadialExpMarginal(1.0, 3), 2), (Uniform(-0.5, 2.0), 0)]
+
+
+@pytest.mark.parametrize("k,order", CLOSED_FORMS,
+                         ids=[f"{k.family}-{o}" for k, o in CLOSED_FORMS])
+def test_closed_forms_match_quadrature(k, order):
+    sig = min(k.sigma_right, 2.0)
+    for z in (-0.5 * sig, 0.2 * sig, 0.7 * sig):
+        exact = k.transform_deriv(z, order)
+        assert abs(exact - Kernel.transform_deriv(k, z, order)) <= 1e-10 * abs(exact)
 
 
 def test_laplace_closed_forms():
@@ -311,12 +367,20 @@ def test_check_assumptions_q2_fails_with_dominant_competition():
 @pytest.mark.parametrize("k", [Laplace(0.7), Gaussian(2.0), Uniform(-1, 2),
                                ExpPoly(1.0, 3.0, 0.8),
                                Truncated(Laplace(1.0), 5.0),
-                               RadialExpMarginal(1.0, 2), RadialExpMarginal(1.0, 3)],
+                               RadialExpMarginal(1.0, 2), RadialExpMarginal(1.0, 3),
+                               Tabulated(-1.0, 0.5, (0.2, 0.6, 0.8, 0.4))],
                          ids=lambda k: repr(k))
 def test_kernel_dict_round_trip(k):
     back = kernel_from_dict(k.to_dict())
     s = np.linspace(-4, 4, 101)
     assert np.allclose(back.pdf(s), k.pdf(s))
+    assert back == k
+    if k.family == "truncated":
+        # a left cut is not a truncated kernel
+        with pytest.raises(UsageError):
+            k.reflected()
+    else:
+        assert k.reflected().reflected() == k
 
 
 def test_kernel_from_dict_rejects_unknown():

@@ -32,8 +32,6 @@ from .kernels import Params, check_assumptions, load_problem, params_from_dict, 
 from .profile import GridSpec, compare_up_to_shift, solve_profile, tail_asymptotics
 from .truncation import c_star_sequence
 
-_WORKERS_ENV = "NLKPP_WORKERS"
-
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -322,7 +320,7 @@ def _cmd_evolve(args, manifest):
     except ValueError as exc:
         raise UsageError(f"bad --domain {args.domain!r}; want lo,hi") from exc
     run = evolve(pair, params, u0, args.dt, args.horizon, domain=(lo, hi),
-                 snapshot_dt=args.snapshot_dt, level=args.level, **_given(h=args.grid_h))
+                 snapshot_dt=args.snapshot_dt, **_given(h=args.grid_h))
     result = run.summary()
     csvs = {}
     if args.csv:
@@ -367,8 +365,7 @@ def _cmd_mu_star(args, manifest):
             "inside_bracket": bool(lo < mu < hi)}, {}
 
 
-def _sweep_point(task_payload):
-    task, payload = task_payload
+def _sweep_point(task, payload):
     try:
         pair, params = load_problem(payload)
         if task == "check":
@@ -395,17 +392,7 @@ def _cmd_sweep(args, manifest):
         raise UsageError("--points must contain a JSON array")
     if args.task not in ("check", "classify", "speed"):
         raise UsageError(f"unknown sweep task {args.task!r}")
-    jobs = [(args.task, p) for p in points]
-    raw = os.environ.get(_WORKERS_ENV, "1")
-    if not raw.isdecimal() or (workers := int(raw)) < 1:
-        raise UsageError(f"{_WORKERS_ENV} must be a positive integer; got {raw!r}")
-    if workers > 1:
-        from multiprocessing import Pool
-        with Pool(workers) as pool:
-            outs = pool.map(_sweep_point, jobs)
-    else:
-        outs = [_sweep_point(j) for j in jobs]
-    results = [{"index": i, **out} for i, out in enumerate(outs)]
+    results = [{"index": i, **_sweep_point(args.task, p)} for i, p in enumerate(points)]
     return {"task": args.task, "n_points": len(points),
             "points": results}, {}
 
@@ -473,7 +460,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-dt", type=float)
     p.add_argument("--domain", default="-30,30")
     p.add_argument("--grid-h", type=float)
-    p.add_argument("--level", type=float)
     p.add_argument("--snapshots", action="store_true",
                    help="with --csv, also write full snapshots")
 

@@ -18,11 +18,11 @@ one-to-one to decay rates via the smallest positive root of h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from scipy.optimize import brentq
 
-from .errors import NonConvergence, NoWave, UsageError
+from .errors import NonConvergence, NoWave, UsageError, require_finite
 from .kernels import ENDPOINT_RTOL, Kernel, KernelPair, Params, check_assumptions
 
 _TIE_BAND = 1e-9            # |m - T(sigma)| below this counts as the equality case
@@ -42,10 +42,7 @@ class DispersionReport:
     critical_equality: bool
 
     def to_dict(self) -> dict:
-        return {"lambda_star": self.lambda_star, "c_star": self.c_star,
-                "kernel_class": self.kernel_class, "sigma_plus": self.sigma_plus,
-                "t_at_sigma": self.t_at_sigma, "interval_kind": self.interval_kind,
-                "m_xi": self.m_xi, "critical_equality": self.critical_equality}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -55,8 +52,7 @@ class CharacteristicRoot:
     multiplicity: int
 
     def to_dict(self) -> dict:
-        return {"lambda_c": self.lambda_c, "speed": self.speed,
-                "multiplicity": self.multiplicity}
+        return asdict(self)
 
 
 def _as_pair(kernel) -> KernelPair:
@@ -115,14 +111,6 @@ def t_function(kernel: Kernel, params: Params, lam: float) -> float:
 def h_function(kernel: Kernel, params: Params, lam: float) -> float:
     """Stationarity numerator H = m - T; G is minimal where it crosses zero."""
     return params.m - t_function(kernel, params, lam)
-
-
-def speed_lower_diagnostic(kernel: Kernel, params: Params, lam: float) -> float:
-    """kappa_plus*(A(lam) - 1)/lam, a crude floor under G used as a diagnostic."""
-    if lam <= 0:
-        raise UsageError("lambda must be positive")
-    a = kernel.transform(lam)
-    return params.kappa_plus * (a - 1.0) / lam if math.isfinite(a) else math.inf
 
 
 def _classify(kernel: Kernel, params: Params):
@@ -229,6 +217,7 @@ def root_multiplicity(kernel, params: Params, c: float,
                       report: DispersionReport | None = None) -> int:
     """Order of the characteristic root: 1 off the minimal speed, 2 at the
     minimal speed except in class W away from the equality case."""
+    require_finite("speed c", c)
     pair = _as_pair(kernel)
     report = report or minimal_speed(pair, params)
     if c < report.c_star * (1.0 - 1e-12) - 1e-12:
@@ -254,6 +243,7 @@ def speed_to_abscissa(kernel, params: Params, c: float,
                       report: DispersionReport | None = None) -> CharacteristicRoot:
     """Smallest positive root of h(.; c), i.e. the decay rate of the wave
     with speed c. Inverse of abscissa_to_speed on (0, lambda_star]."""
+    require_finite("speed c", c)
     pair = _as_pair(kernel)
     report = report or minimal_speed(pair, params)
     k = pair.a_plus

@@ -104,14 +104,14 @@ def _initial_state(u0, x, th):
 
 def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
            domain=(-30.0, 30.0), h: float = 0.02, snapshot_dt: float | None = None,
-           level: float | None = None, widen: bool = True) -> EvolutionRun:
+           widen: bool = True) -> EvolutionRun:
     """March the equation from u0 and record snapshots and front positions.
 
     u0 may be a WaveProfile, a callable of position, or an array on the
-    grid. The grid grows to the right when the tracked level crossing
-    enters its last fifth, so fronts never run into the boundary panel.
-    The fitted speed over the post-burn-in window is attached when at
-    least 10 snapshots survive the burn-in and track a crossing.
+    grid. Fronts are tracked at theta/2; the grid grows to the right when
+    that crossing enters its last fifth, so it never meets the boundary
+    panel. A speed fitted over the post-burn-in window is attached when
+    at least 10 snapshots survive the burn-in and track a crossing.
 
     Cells below _FLUSH_FLOOR (relative to theta) snap to zero after each
     step: the FFT convolution carries an absolute noise floor near 1e-16,
@@ -130,15 +130,15 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
     if guard > 0.5:
         raise UsageError(f"dt too large: dt*(kp+m+2*kl*th+kn*th) = {guard:.3f} > 0.5")
     require_finite("grid step h", h, "positive")
+    require_finite("domain start", domain[0])
+    require_finite("domain end", domain[1])
     if not domain[1] - domain[0] >= h:
         raise UsageError(f"domain {tuple(domain)!r} is shorter than the grid step {h!r}")
 
     n_steps = int(round(horizon / dt))
     snap_dt = horizon / 80.0 if snapshot_dt is None else snapshot_dt
     snap_every = max(1, int(round(snap_dt / dt)))
-    lvl = 0.5 * th if level is None else level
-    if not 0.0 < lvl < th:
-        raise UsageError(f"level must lie in (0, theta); got {lvl!r}")
+    lvl = 0.5 * th
 
     x = domain[0] + h * np.arange(int(round((domain[1] - domain[0]) / h)) + 1)
     u = _initial_state(u0, x, th)
@@ -178,13 +178,13 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
                        snapshots=snaps, front_positions=np.asarray(fronts),
                        level=lvl)
     try:
-        run.speed, run.speed_window = _speed_of(run, lvl)
+        run.speed, run.speed_window = _speed_of(run)
     except (UsageError, NonConvergence):
         pass
     return run
 
 
-def _speed_of(run: EvolutionRun, level: float):
+def _speed_of(run: EvolutionRun):
     t0 = run.burn_in * run.times[-1]
     keep = run.times >= t0
     if int(keep.sum()) < 10:
@@ -193,22 +193,19 @@ def _speed_of(run: EvolutionRun, level: float):
     pos = []
     for k in np.where(keep)[0]:
         xk = run.snapshot_grid(k)
-        p = _crossing(xk, run.snapshots[k], level)
+        p = _crossing(xk, run.snapshots[k], run.level)
         if not math.isfinite(p) or p <= xk[0] + run.h or p >= xk[-1] - run.h:
             raise NonConvergence("front-left-domain",
-                                 f"level {level!r} crossing left the grid "
+                                 f"level {run.level!r} crossing left the grid "
                                  f"at t = {run.times[k]!r}")
         pos.append(p)
     return _fit_speed(run.times[keep], pos)
 
 
-def front_speed(run: EvolutionRun, level: float | None = None) -> float:
-    """Least-squares front speed at the level (default theta/2) over the
-    post-burn-in snapshots, with crossings located by interpolation."""
-    lvl = run.level if level is None else level
-    if not 0.0 < lvl < run.theta:
-        raise UsageError(f"level must lie in (0, theta); got {lvl!r}")
-    return _speed_of(run, lvl)[0]
+def front_speed(run: EvolutionRun) -> float:
+    """Least-squares front speed at theta/2 over the post-burn-in snapshots,
+    with crossings located by interpolation."""
+    return _speed_of(run)[0]
 
 
 def step_data(x0: float, th: float):

@@ -524,9 +524,11 @@ class Truncated(Kernel):
 class RadialExpMarginal(EvenKernel):
     """1D marginal of the d-dimensional radial exponential e^{-mu |x|}.
 
-    Closed forms in every dimension, with x = mu|s| and w = 1 - z^2/mu^2:
-    pdf(s) = mu x^{d/2} K_{d/2}(x) / (sqrt(pi) Gamma((d+1)/2) 2^{d/2}), and
-    the transform is w^{-(d+1)/2} (the Laplace kernel's for d = 1).
+    Closed forms in every integer dimension d >= 2, with x = mu|s| and
+    w = 1 - z^2/mu^2: pdf(s) = mu x^{d/2} K_{d/2}(x) / (sqrt(pi)
+    Gamma((d+1)/2) 2^{d/2}), and the transform is w^{-(d+1)/2} (the Laplace
+    kernel's for d = 1). w is formed as (mu - z)(mu + z)/mu^2, whose
+    subtraction is exact near the abscissa, where 1 - z^2/mu^2 cancels.
     """
 
     mu: float
@@ -536,6 +538,10 @@ class RadialExpMarginal(EvenKernel):
 
     def __post_init__(self):
         require_finite("radial_exp_marginal mu", self.mu, "positive")
+        require_finite("radial_exp_marginal dim", self.dim)
+        if self.dim != int(self.dim):
+            raise UsageError(f"radial_exp_marginal dim must be an integer; got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         if self.dim < 2:
             raise UsageError("radial exponential marginal needs dim >= 2")
 
@@ -550,7 +556,7 @@ class RadialExpMarginal(EvenKernel):
 
     def transform_deriv(self, z, order=1):
         d, mu2 = self.dim, self.mu ** 2
-        w = 1.0 - z * z / mu2
+        w = (self.mu - z) * (self.mu + z) / mu2
         if w <= 0.0:
             return math.inf
         if order == 0:
@@ -619,14 +625,6 @@ def project_to_direction(kernel_nd, xi) -> Kernel:
         mu = kernel_nd["rate"]
         return Laplace(mu) if d == 1 else RadialExpMarginal(mu, d)
     raise UsageError(f"unsupported kernel descriptor {kind!r}")
-
-
-def directional_moment(kernel: Kernel) -> float:
-    """First moment int s a(s) ds; needs Q6 (finite absolute moment)."""
-    m1a = kernel.moment_first_abs()
-    if not math.isfinite(m1a):
-        raise AssumptionFailure("Q6", "first absolute moment diverges")
-    return kernel.moment_first()
 
 
 # ---------------------------------------------------------------------------
@@ -787,12 +785,12 @@ def kernel_from_dict(d: dict) -> Kernel:
     if fam == "truncated":
         return Truncated(kernel_from_dict(d["base"]), float(d["cutoff"]))
     if fam == "radial_exp_marginal":
-        return RadialExpMarginal(float(d["mu"]), int(d["dim"]))
+        return RadialExpMarginal(float(d["mu"]), float(d["dim"]))
     raise UsageError(f"unknown kernel family {fam!r}; expected one of {_FAMILIES}")
 
 
 def load_problem(source) -> tuple:
-    """Read a (KernelPair, Params) from a JSON file path, file object, or dict.
+    """Read a (KernelPair, Params) from a JSON file path or a dict.
 
     Layout: kernel fields at top level describe a_plus; an optional
     "a_minus" object overrides the competition kernel (defaults to a_plus);
@@ -800,8 +798,6 @@ def load_problem(source) -> tuple:
     """
     if isinstance(source, dict):
         doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
     else:
         with open(source) as fh:
             doc = json.load(fh)

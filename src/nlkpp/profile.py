@@ -462,11 +462,11 @@ class _Workspace:
         return out
 
 
-def _sweep_phase(ws: _Workspace, psi, hook):
+def _sweep_phase(ws: _Workspace, psi):
     """Warm start: a fixed number of monotone integrating-factor sweeps,
     each applying (rho - c d/ds)^{-1} to N[psi] = (rho - m) psi + kp conv+
     - kl psi^2 - kn psi conv-, integrating from +inf where the resolvent
-    decays. Iterates stay pointwise ordered; `hook(it, psi)` sees each."""
+    decays. Iterates stay pointwise ordered."""
     from scipy.signal import lfilter  # deferred: 0.25 s to import, only solves use it
     c, rho, h = ws.c, ws.rho, ws.h
     N, K, th = ws.N, ws.K, ws.th
@@ -475,7 +475,7 @@ def _sweep_phase(ws: _Workspace, psi, hook):
     I0 = (1 - alpha) / beta
     I1 = (1 - alpha) / (h * beta * beta) - alpha / beta
     b0, b1 = (I0 - I1) / c, I1 / c
-    for it in range(_SWEEPS):
+    for _ in range(_SWEEPS):
         ext = ws.build_ext(psi)
         vals = np.concatenate([psi, ws.rpad(psi[-1], K)])
         narr = (rho - ws.m) * vals + ws.kp * ws.conv_plus(ext) - ws.kl * vals * vals
@@ -487,8 +487,6 @@ def _sweep_phase(ws: _Workspace, psi, hook):
         x[1:] = b0 * q[1:] + b1 * q[:-1]
         y = lfilter([1.0], [1.0, -alpha], x)
         psi = np.clip(y[::-1][:N], 0.0, th)
-        if hook is not None:
-            hook(it, psi.copy())
     return psi
 
 
@@ -592,22 +590,21 @@ def _make_workspace(pair, params, c, spec, report=None):
 
 def solve_profile(pair: KernelPair, params: Params, c: float,
                   grid: GridSpec | None = None, tol: float = 1e-6,
-                  anchor: float = 0.0, sweep_hook=None,
-                  report=None) -> WaveProfile:
+                  anchor: float = 0.0, report=None) -> WaveProfile:
     """Solve the profile equation for speed c >= c_star, c != 0.
 
     The returned profile is half-theta normalized (value theta/2 at s=0 by
     interpolation) and carries the certified sup-norm residual. `anchor`
     shifts the initial supersolution; the converged wave is the same up to
     the final normalization, which is what the uniqueness checks exercise.
-    `sweep_hook(iteration, iterate)` observes the warm start: 40 monotone
-    sweeps, whose iterates decrease pointwise.
 
     `report` is minimal_speed(pair, params) for the pair as passed (None:
     computed here). It describes rightward fronts, so c < 0 ignores it. A
     pair with the same a_plus shares it, but Q2 reads a_minus and
     kappa_nonlocal, so a given report does not spare this pair's Q1..Q5.
     """
+    require_finite("speed c", c)
+    require_finite("anchor", anchor)
     require_finite("tol", tol, "positive")
     if c == 0.0:
         raise AssumptionFailure("c-zero-unsupported",
@@ -615,7 +612,7 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
     _require_probability(pair)
     if c < 0.0:
         return solve_profile(pair.reflected(), params, -c, grid=grid, tol=tol,
-                             anchor=-anchor, sweep_hook=sweep_hook).reflect()
+                             anchor=-anchor).reflect()
 
     if report is None:
         report = minimal_speed(pair, params)
@@ -625,7 +622,7 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
     th = ws.th
 
     psi = th * np.exp(-ws.lam_c * np.maximum(ws.s - anchor, 0.0))
-    psi = ws.recenter(_sweep_phase(ws, psi, sweep_hook))
+    psi = ws.recenter(_sweep_phase(ws, psi))
 
     rr = math.inf
     for _ in range(_NEWTON_ROUNDS):
@@ -732,8 +729,8 @@ def normalize_shift(profile: WaveProfile, mode: str,
     origin leaves a residue of its own roundoff after one shift, which a
     second shift removes, so at most two shifts are made.
 
-    Unit-D uses the transform identity for D when the kernel pair is given,
-    and the fitted tail prefactor otherwise.
+    Unit-D reads D from the transform identity, so it needs the kernel
+    pair and the parameters.
     """
     if mode == "half-theta-at-origin":
         out = profile.shifted(0.0)
@@ -744,11 +741,9 @@ def normalize_shift(profile: WaveProfile, mode: str,
             out = out.shifted(q)
         return replace(out, shift_mode=mode)
     if mode == "unit-D":
-        if pair is not None and params is not None:
-            D = _tail_prefactor(profile, pair, params)
-        else:
-            D = tail_asymptotics(profile).D_estimate
-        q = math.log(D) / profile.lambda_c
+        if pair is None or params is None:
+            raise UsageError("unit-D normalization needs the kernel pair and parameters")
+        q = math.log(_tail_prefactor(profile, pair, params)) / profile.lambda_c
         return replace(profile.shifted(q), shift_mode=mode)
     raise UsageError(f"unknown shift mode {mode!r}")
 

@@ -8,7 +8,7 @@ curves increase pointwise to the full one and their minima climb to c_star.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .dispersion import _as_pair, g_function, minimal_speed
 from .errors import AssumptionFailure, UsageError
@@ -53,11 +53,7 @@ class TruncationTrace:
                 for i in range(len(self.radii))]
 
     def to_dict(self) -> dict:
-        return {"radii": list(self.radii), "a_plus_mass": list(self.a_plus_mass),
-                "a_minus_mass": list(self.a_minus_mass),
-                "theta_r": list(self.theta_r), "lambda_star": list(self.lambda_star),
-                "c_star": list(self.c_star), "c_star_limit": self.c_star_limit,
-                "lambda_lower": self.lambda_lower, "gaps": list(self.gaps)}
+        return {**asdict(self), "gaps": list(self.gaps)}
 
 
 def c_star_sequence(kernel_or_pair, params: Params, radii) -> TruncationTrace:

@@ -272,6 +272,38 @@ def test_non_finite_kernel_file_exit_1(capsys, tmp_path, kernel):
     assert doc["error"]["type"] == "UsageError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["speed", "--c", "inf"], ["speed", "--c", "nan"],
+    ["profile", "--c", "nan"], ["profile", "--c", "inf"],
+    ["uniqueness", "--c", "4", "--anchor-delta", "nan"],
+    ["evolve", "--dt", "0.05", "--horizon", "1", "--domain=-inf,5"],
+    ["evolve", "--dt", "0.05", "--horizon", "1", "--domain=0,inf"]],
+    ids=["speed-inf", "speed-nan", "profile-nan", "profile-inf", "anchor-nan",
+         "domain-lo-inf", "domain-hi-inf"])
+def test_non_finite_speed_anchor_domain_exit_1(kernel_file, capsys, argv):
+    code, doc = run_cli(capsys, *argv, "--kernel", kernel_file)
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert "finite" in doc["error"]["message"]
+
+
+def test_non_integer_radial_dim_exit_1(capsys, tmp_path):
+    p = tmp_path / "radial.json"
+    p.write_text(json.dumps({"family": "radial_exp_marginal", "mu": 1.0, "dim": 2.7,
+                             "params": LK1_DOC["params"]}))
+    code, doc = run_cli(capsys, "speed", "--kernel", str(p))
+    assert code == 1
+    assert "integer" in doc["error"]["message"]
+
+
+def test_evolve_takes_no_level(kernel_file, capsys):
+    # fronts are tracked at theta/2; there is no option to move the level
+    code = main(["evolve", "--kernel", kernel_file, "--dt", "0.05", "--horizon", "0.5",
+                 "--level", "0.3"])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_evolve_refuses_truncated_kernel(capsys, tmp_path):
     # mass 0.816 and theta_R 0.632, where the stepper would use theta = 1
     doc = dict(LK1_DOC, family="truncated", cutoff=1.0,
@@ -481,35 +513,6 @@ def test_sweep_preserves_order(capsys, tmp_path):
     # c* scales like 1/mu for the scaled two-sided exponential
     assert abs(stars[0] / stars[1] - 2.0) < 1e-9
     assert abs(stars[1] / stars[2] - 2.0) < 1e-9
-
-
-def test_sweep_worker_pool_matches_serial(capsys, tmp_path, monkeypatch):
-    points = [dict(LK1_DOC, mu=mu) for mu in (1.0, 1.5, 2.0, 3.0)]
-    p = tmp_path / "points.json"
-    p.write_text(json.dumps(points))
-    code = main(["sweep", "--points", str(p), "--task", "classify"])
-    serial = json.loads(capsys.readouterr().out)["result"]
-    monkeypatch.setenv("NLKPP_WORKERS", "3")
-    code = main(["sweep", "--points", str(p), "--task", "classify"])
-    pooled = json.loads(capsys.readouterr().out)["result"]
-    assert serial == pooled
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_sweep_rejects_bad_worker_count(capsys, tmp_path, monkeypatch, value):
-    import multiprocessing
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    p = tmp_path / "points.json"
-    p.write_text(json.dumps([LK1_DOC]))
-    monkeypatch.setenv("NLKPP_WORKERS", value)
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    code, doc = run_cli(capsys, "sweep", "--points", str(p), "--task", "speed")
-    assert code == 1
-    assert doc["error"]["type"] == "UsageError"
-    assert "NLKPP_WORKERS" in doc["error"]["message"]
 
 
 def test_sweep_check_task(capsys, tmp_path):

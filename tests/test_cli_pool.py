@@ -28,8 +28,7 @@ SAME_TOOLCHAIN = POOL["recorded_with"] == {
 
 
 @pytest.mark.parametrize("entry", POOL["entries"], ids=lambda e: e["id"])
-def test_recorded_cli_result(entry, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("NLKPP_WORKERS", raising=False)
+def test_recorded_cli_result(entry, tmp_path, capsys):
     code = main(workloads.cli_argv(entry, str(tmp_path)))
     block = workloads.result_block(capsys.readouterr().out)
     assert code == entry["code"]

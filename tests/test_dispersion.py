@@ -9,8 +9,7 @@ from nlkpp.dispersion import (abscissa_to_speed, characteristic,
                               characteristic_deriv, classify, f_function,
                               g_function, h_function, minimal_speed, mu_star,
                               mu_star_bracket, root_multiplicity,
-                              speed_lower_diagnostic, speed_to_abscissa,
-                              t_function)
+                              speed_to_abscissa, t_function)
 from nlkpp.errors import NonConvergence, NoWave, UsageError
 from nlkpp.kernels import ExpPoly, Gaussian, Laplace, Params, Uniform
 
@@ -93,10 +92,14 @@ def test_characteristic_and_deriv():
     assert an < 0
 
 
-def test_speed_lower_diagnostic_below_g():
-    for lam in (0.1, 0.3, 0.48):
-        assert speed_lower_diagnostic(K_REF, LK1, lam) \
-            <= g_function(K_REF, LK1, lam) + 1e-12
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "minus-inf"])
+def test_non_finite_speed_refused(c):
+    rep = minimal_speed(K_REF, LK1)
+    with pytest.raises(UsageError, match="finite"):
+        speed_to_abscissa(K_REF, LK1, c, rep)
+    with pytest.raises(UsageError, match="finite"):
+        root_multiplicity(K_REF, LK1, c, rep)
 
 
 def test_minimal_speed_exceeds_drift_bound():

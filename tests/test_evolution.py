@@ -144,6 +144,23 @@ def test_bad_time_inputs_refused(times):
         _run(step_data(0.0, theta(LK1)), **kw)
 
 
+@pytest.mark.parametrize("domain", [(float("nan"), 5.0), (-float("inf"), 5.0),
+                                    (0.0, float("inf")), (0.0, float("nan"))],
+                         ids=["lo-nan", "lo-inf", "hi-inf", "hi-nan"])
+def test_non_finite_domain_refused(domain):
+    with pytest.raises(UsageError, match="finite"):
+        _run(step_data(0.0, theta(LK1)), horizon=0.1, domain=domain)
+
+
+def test_fronts_tracked_at_half_theta():
+    run = _run(step_data(0.0, theta(LK1)), dt=0.01, horizon=12.0,
+               domain=(-25.0, 25.0))
+    assert run.level == run.summary()["level"] == 0.5 * theta(LK1)
+    x, u = run.snapshot_grid(40), run.snapshots[40]
+    i = int(np.searchsorted(-u, -run.level))
+    assert x[i - 1] <= run.front_positions[40] <= x[i]
+
+
 def test_mass_defect_refused():
     # theta_R = 0.632 here, not theta = 1: the stepper's states would be wrong
     cut = Truncated(Laplace(1.0), 1.0)

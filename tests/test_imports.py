@@ -1,6 +1,7 @@
 """Every name a package or test module imports at module level is used in
-it, every private module-level name of the package is read in it, and no
-kernel family restates a transform or its evenness."""
+it, every private module-level name of the package is read in it, no
+kernel family restates a transform or its evenness, and no package module
+reads the environment."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,27 @@ def test_kernel_facts_stated_once():
                 and c is not kernels.Kernel]
     assert [c.__name__ for c in families if "transform" in vars(c)] == []
     assert [p.name for p in PACKAGE if "symmetric" in p.read_text()] == []
+
+
+def environment_reads(source):
+    """Places where the source reads the process environment: os.environ,
+    os.getenv or their bytes forms, by attribute or by import."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    tree = ast.parse(source)
+    return sorted({n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and n.attr in names}
+                  | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                     and n.module == "os" for a in n.names if a.name in names})
+
+
+def test_environment_reads_finds_both_forms():
+    source = ("import os\nfrom os import getenv\n"
+              "def f():\n    return os.environ.get('X'), os.path.join('a')\n")
+    assert environment_reads(source) == ["environ", "getenv"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_reads_no_environment(path):
+    """Every input arrives as an argument, a flag or a file, so that a
+    manifest records all that a run depended on."""
+    assert environment_reads(path.read_text()) == []

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from nlkpp.errors import AssumptionFailure, UsageError
 from nlkpp.kernels import (ExpPoly, Gaussian, Kernel, KernelPair, Laplace, Params,
                            RadialExpMarginal, Tabulated, Truncated, Uniform,
-                           check_assumptions, directional_moment, j_theta,
+                           check_assumptions, j_theta,
                            kernel_from_dict, load_problem,
                            project_to_direction, theta)
 
@@ -234,6 +235,39 @@ def test_reflection_involution():
     assert np.allclose(krr.pdf(s), k.pdf(s))
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_radial_marginal_transform_near_abscissa(order):
+    # against mpmath at 50 digits, up to 1e-12 of the abscissa, where
+    # forming w = 1 - z^2/mu^2 directly cancels to a few digits
+    worst = 0.0
+    with mpmath.workdps(50):
+        for mu in (0.3, 1.0, 3.7):
+            for d in (2, 5, 8):
+                k = RadialExpMarginal(mu, d)
+                m, e = mpmath.mpf(mu), -mpmath.mpf(d + 1) / 2
+                for frac in (0.5, -0.9, 0.999, 1 - 1e-6, -(1 - 1e-9), 1 - 1e-12):
+                    z = frac * mu
+                    exact = mpmath.diff(lambda t: (1 - t * t / (m * m)) ** e,
+                                        mpmath.mpf(z), order)
+                    worst = max(worst, abs(k.transform_deriv(z, order) / exact - 1))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [2.7, 3.5])
+def test_radial_dim_must_be_an_integer(dim):
+    with pytest.raises(UsageError):
+        RadialExpMarginal(1.0, dim)
+    with pytest.raises(UsageError):
+        load_problem({"family": "radial_exp_marginal", "mu": 1.0, "dim": dim,
+                      "params": {"kappa_plus": 2.0, "m": 1.0}})
+
+
+def test_radial_dim_integral_float_is_that_integer():
+    k = kernel_from_dict({"family": "radial_exp_marginal", "mu": 1.0, "dim": 3.0})
+    assert k == RadialExpMarginal(1.0, 3) and type(k.dim) is int
+    assert k.transform(0.5) == RadialExpMarginal(1.0, 3).transform(0.5)
+
+
 def test_radial_marginal_integrates_to_one():
     k = RadialExpMarginal(1.0, 3)
     s = np.linspace(-60, 60, 400001)
@@ -308,8 +342,9 @@ def test_project_rejects_bad_direction():
 
 
 def test_directional_moment_symmetric_is_zero():
-    assert directional_moment(Laplace(1.0)) == 0.0
-    assert abs(directional_moment(Uniform(-1.0, 3.0)) - 1.0) < 1e-12
+    # the first moment along the projection direction
+    assert Laplace(1.0).moment_first() == 0.0
+    assert abs(Uniform(-1.0, 3.0).moment_first() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

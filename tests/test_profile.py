@@ -238,14 +238,14 @@ def test_lambda_c_recorded(prof_4, rep):
 # ---------------------------------------------------------------------------
 # the monotone phase really is monotone
 
-def test_sweeps_decrease_pointwise():
-    seen = []
-
-    def hook(it, psi):
-        if it % 10 == 0:
-            seen.append(psi)
-
-    solve_profile(PAIR, LK1, 4.0, sweep_hook=hook)
+def test_sweeps_decrease_pointwise(monkeypatch):
+    # the warm start's 40 sweeps, taken ten at a time from the supersolution
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec())
+    monkeypatch.setattr("nlkpp.profile._SWEEPS", 10)
+    psi, seen = ws.th * np.exp(-ws.lam_c * np.maximum(ws.s, 0.0)), []
+    for _ in range(4):
+        psi = _sweep_phase(ws, psi)
+        seen.append(psi)
     assert len(seen) >= 4
     # pointwise ordered up to FFT convolution noise (absolute, ~1e-12 here)
     for a, b in zip(seen, seen[1:]):
@@ -315,7 +315,7 @@ def test_newton_freezes_rows_outside_its_window(phase):
     # they were, and the window's own (scaled) residual converges
     ws = _make_workspace(PAIR, LK1, 4.0, GridSpec())
     psi = ws.th * np.exp(-ws.lam_c * np.maximum(ws.s, 0.0))
-    psi = ws.recenter(_sweep_phase(ws, psi, None))
+    psi = ws.recenter(_sweep_phase(ws, psi))
     start, nb = psi.copy(), ws.bulk_end(psi)
     if phase == "bulk":
         out, res = _newton(ws, psi, 0, nb, 1e-9, 25, 4)
@@ -435,6 +435,24 @@ def test_unit_d_normalization(prof_4):
     # formula route and fit route agree away from the critical speed
     fit = tail_asymptotics(once)
     assert abs(fit.D_estimate - 1.0) < 0.05
+
+
+def test_unit_d_needs_the_pair(prof_4):
+    # D comes from the transform identity, which reads the kernel pair
+    with pytest.raises(UsageError, match="kernel pair"):
+        normalize_shift(prof_4, "unit-D")
+    with pytest.raises(UsageError, match="kernel pair"):
+        normalize_shift(prof_4, "unit-D", pair=PAIR)
+
+
+@pytest.mark.parametrize("kw", [{"c": float("nan")}, {"c": float("inf")},
+                                {"c": -float("inf")}, {"anchor": float("inf")},
+                                {"anchor": float("nan")}],
+                         ids=["c-nan", "c-inf", "c-minus-inf", "anchor-inf", "anchor-nan"])
+def test_non_finite_speed_or_anchor_refused(rep, kw):
+    kw = {"c": 4.0, **kw}
+    with pytest.raises(UsageError, match="finite"):
+        solve_profile(PAIR, LK1, report=rep, **kw)
 
 
 def test_unknown_shift_mode(prof_4):

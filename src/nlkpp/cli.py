@@ -118,10 +118,7 @@ def _resolve_problem(args, manifest):
     pair, params = None, None
     if getattr(args, "kernel", None):
         inputs.append(args.kernel)
-        try:
-            pair, params = load_problem(args.kernel)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read kernel file {args.kernel}: {exc}") from exc
+        pair, params = load_problem(args.kernel)
     if getattr(args, "params", None):
         raw = args.params
         if os.path.exists(raw):
@@ -367,6 +364,9 @@ def _cmd_mu_star(args, manifest):
 
 def _sweep_point(task, payload):
     try:
+        if not isinstance(payload, dict):
+            # a string or a number here would be opened as a path or a descriptor
+            raise UsageError(f"a sweep point is a problem object; got {type(payload).__name__}")
         pair, params = load_problem(payload)
         if task == "check":
             rep = check_assumptions(pair, params)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -794,13 +795,19 @@ def load_problem(source) -> tuple:
 
     Layout: kernel fields at top level describe a_plus; an optional
     "a_minus" object overrides the competition kernel (defaults to a_plus);
-    "params" holds the coefficient block (see params_from_dict).
+    "params" holds the coefficient block (see params_from_dict). Only a str
+    or os.PathLike source is opened; a file that cannot be read or parsed,
+    or a document that is not a JSON object, is a UsageError.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+    doc = source
+    if isinstance(source, (str, os.PathLike)):
+        try:
+            with open(source) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read kernel file {source}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"a problem is a JSON object; got {type(doc).__name__}")
     try:
         params = params_from_dict(doc["params"])
         a_plus = kernel_from_dict(doc)

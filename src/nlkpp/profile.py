@@ -8,9 +8,11 @@ is solved on a uniform grid: a warm start of 40 monotone integrating-factor
 sweeps from the supersolution min{theta, theta e^{-lambda_c (s-s0)}} (longer
 runs drift along the shift family at high speed), one recentering, then
 rounds of one Newton-Krylov routine on two row windows, the other rows
-frozen: the bulk (psi >= 1e-3 theta), then the tail in tilted coordinates
-psi = E v with an amplitude-deflated bordered system (the shift family
-makes the plain Jacobian near-singular). Boundary panels always come
+frozen: the bulk (psi >= 1e-3 theta), preconditioned by the Jacobian's
+tridiagonal band, then the tail in tilted coordinates psi = E v with an
+amplitude-deflated bordered system (the shift family makes the plain
+Jacobian near-singular), preconditioned by the circulant of the tilted
+Jacobian's stencil, applied by FFT. Boundary panels always come
 from the analytic expansions: theta minus a two-term exponential on the
 left, the D s^{j-1} e^{-lambda_c s} ansatz on the right; the converged
 profile is grafted onto them once.
@@ -409,18 +411,33 @@ class _Workspace:
 
         return diag, jmv
 
-    def band(self, diag, up=1.0, down=1.0):
+    def band(self, diag):
         """Tridiagonal part of the Jacobian for the rows of diag, as rows
         (upper, main, lower diagonal) of a (3, n) array, the upper one
         starting and the lower one ending with an unused cell: the centered
-        difference plus the three central kernel weights. up/down scale the
-        off-diagonals (tilted rows)."""
+        difference plus the three central kernel weights."""
         w, K, kp, lo = self.conv_plus.w, self.K, self.kp, self.c / (2 * self.h)
         ab = np.zeros((3, len(diag)))
-        ab[0, 1:] = (lo + kp * w[K - 1]) * up
+        ab[0, 1:] = lo + kp * w[K - 1]
         ab[1, :] = diag + kp * w[K]
-        ab[2, :-1] = (-lo + kp * w[K + 1]) * down
+        ab[2, :-1] = -lo + kp * w[K + 1]
         return ab
+
+    def tilted_symbol(self, nfft):
+        """Eigenvalues, at the rfft frequencies of length nfft, of the
+        circulant whose stencil is the tail Jacobian in coordinates
+        psi = e^{-lambda_c s} v with its diagonal left out: the kernel
+        weights w[K+k] e^{lambda_c k h} on v[i-k] and the centered
+        difference c (e^{-lambda_c h} v[i+1] - e^{lambda_c h} v[i-1]) / 2h.
+        Weights past nfft wrap, as a circulant's do. It is formed from the
+        weights, not probed with a unit impulse: that costs no Jacobian
+        product, and keeps the kernel's whole reach where 2K + 1 > nfft."""
+        K, lh, a = self.K, self.lam_c * self.h, self.c / (2 * self.h)
+        k = np.arange(-K, K + 1)
+        col = np.bincount(k % nfft, self.kp * self.conv_plus.w * np.exp(lh * k), nfft)
+        col[1] -= a * math.exp(lh)
+        col[-1] += a * math.exp(-lh)
+        return rfft(col, nfft)
 
     def i_deep(self, psi):
         return int(np.searchsorted(-psi, -_DEEP_FLOOR * self.th))
@@ -520,22 +537,34 @@ def _line_search(resid, x, dlt, fn, hi):
 
 def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
     """Damped Jacobian-free Newton-Krylov on rows lo..hi-1, the others
-    frozen, in coordinates psi = E v, preconditioned by the scaled band;
-    returns psi and the sup norm of the scaled residual. E = 1 on the bulk
-    window (lo = 0). On the tail window E is the decay ansatz anchored at
-    psi[lo-1], and the shift family makes the Jacobian nearly singular along
-    the amplitude mode, so a deflation row pinning the mean of v borders it."""
+    frozen; returns psi and the sup norm of the window's residual, divided
+    by E on the tail.
+
+    The bulk window (lo = 0) works on psi, preconditioned by the band. The
+    tail works in coordinates psi = E v, E the decay ansatz anchored at
+    psi[lo-1], where the Jacobian is nearly Toeplitz: its preconditioner is
+    the circulant tilted_symbol plus the mean diagonal, one rfft/irfft pair
+    per solve. The symbol's zero frequency is the amplitude mode, a root of
+    the characteristic function (a double one at c*), so it takes minus the
+    modulus of its neighbour instead. The shift family makes the Jacobian
+    nearly singular along that mode, so a row pinning the mean of v borders
+    the system, and the preconditioner solves the border by elimination."""
     n, i_dp, border = hi - lo, ws.i_deep(psi), lo > 0
-    E, v, cap = np.ones(n), psi[lo:hi], ws.th
+    if n == 0:      # a right span too short to reach the tail leaves no tail rows
+        return psi, 0.0
+    v, cap = psi[lo:hi], ws.th
     if border:
         E = np.maximum(psi[lo - 1] * ws.tailg(ws.s[lo - 1], n), 1e-13 * ws.th)
-        v, cap = np.clip(psi[lo:hi] / E, 0.0, 2.0), None
+        v, cap = np.clip(v / E, 0.0, 2.0), None
+        nfft = next_fast_len(max(n, 2), True)   # sym[1] below needs one frequency past 0
+        stencil = ws.tilted_symbol(nfft)
 
     def full(vv):
-        return np.concatenate([psi[:lo], E * vv, psi[hi:]])
+        return np.concatenate([psi[:lo], E * vv if border else vv, psi[hi:]])
 
     def gres(vv):
-        return ws.residual_vec(full(vv), i_deep=i_dp, lo=lo, hi=hi) / E
+        r = ws.residual_vec(full(vv), i_deep=i_dp, lo=lo, hi=hi)
+        return r / E if border else r
 
     g = gres(v)
     for _ in range(max_outer):
@@ -543,14 +572,18 @@ def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
         if gn < tol:
             break
         diag, jmv = ws.linearize(full(v), lo=lo, hi=hi)
-
-        def jt(u):
-            return jmv(E * u) / E
-
-        band_solve = _band_solver(ws.band(diag, E[1:] / E[:-1], E[:-1] / E[1:]))
         if border:
+            def jt(u):
+                return jmv(E * u) / E
+
+            sym = stencil + diag.mean()
+            sym[0] = -abs(sym[1])
+
+            def pc_solve(x):
+                return irfft(rfft(x, nfft) / sym, nfft)[:n]
+
             u_amp = jt(np.ones(n))
-            x2 = band_solve(u_amp)
+            x2 = pc_solve(u_amp)
             sx2 = x2.sum()
 
             # sums, not dots with ones: BLAS runs ddot threaded at grid
@@ -559,12 +592,12 @@ def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
                 return np.concatenate([jt(vv[:n]) + vv[n] * u_amp, [vv[:n].sum()]])
 
             def maug(rr):
-                x1 = band_solve(rr[:n])
+                x1 = pc_solve(rr[:n])
                 t = (x1.sum() - rr[n]) / sx2
                 return np.concatenate([x1 - t * x2, [t]])
             jop, mop, rhs = jaug, maug, np.concatenate([-g, [0.0]])
         else:
-            jop, mop, rhs = jt, band_solve, -g
+            jop, mop, rhs = jmv, _band_solver(ws.band(diag)), -g
         m = len(rhs)
         sol, _ = lgmres(LinearOperator((m, m), matvec=jop), rhs,
                         M=LinearOperator((m, m), matvec=mop),

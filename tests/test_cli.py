@@ -541,6 +541,25 @@ def test_sweep_keeps_going_past_bad_point(capsys, tmp_path):
     assert "c_star" in rows[2]
 
 
+@pytest.mark.parametrize("point", [5, 0, "nope.json", None, [1.0]])
+def test_sweep_refuses_points_that_are_not_objects(point, capsys, tmp_path, monkeypatch):
+    # a number is not a file descriptor (0 would read stdin) and a string
+    # not a path: every non-object point is a UsageError of its own, and
+    # nothing is opened for it
+    import nlkpp.kernels
+
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"a sweep point opened {args!r}")
+    monkeypatch.setattr(nlkpp.kernels, "open", no_open, raising=False)
+    p = tmp_path / "points.json"
+    p.write_text(json.dumps([point, LK1_DOC]))
+    code, doc = run_cli(capsys, "sweep", "--points", str(p), "--task", "check")
+    assert code == 0
+    rows = doc["result"]["points"]
+    assert rows[0]["error"]["type"] == "UsageError"
+    assert "Q1" in rows[1]["assumptions"]
+
+
 # ---------------------------------------------------------------------------
 # entry point and start-up
 

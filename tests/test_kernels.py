@@ -437,6 +437,27 @@ def test_load_problem_defaults_a_minus(tmp_path):
     assert params2.m == 1.0
 
 
+def test_load_problem_refuses_unreadable_sources(tmp_path, monkeypatch):
+    # a path that cannot be read or parsed, or a source that is neither a
+    # dict nor a path, is a UsageError; a number is never opened as a
+    # file descriptor
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for source in (str(tmp_path / "missing.json"), bad, str(listed), str(tmp_path)):
+        with pytest.raises(UsageError):
+            load_problem(source)
+    import nlkpp.kernels
+
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"load_problem opened {args!r}")
+    monkeypatch.setattr(nlkpp.kernels, "open", no_open, raising=False)
+    for source in (0, 5, None, [{"family": "laplace", "mu": 1.0}]):
+        with pytest.raises(UsageError):
+            load_problem(source)
+
+
 def test_load_problem_missing_params():
     with pytest.raises(UsageError):
         load_problem({"family": "laplace", "mu": 1.0})

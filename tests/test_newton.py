@@ -1,0 +1,89 @@
+"""Tail Newton phase: the circulant preconditioner and what it costs."""
+
+import numpy as np
+import pytest
+from scipy.fft import irfft, next_fast_len, rfft
+
+from nlkpp.dispersion import minimal_speed
+from nlkpp.errors import NonConvergence
+from nlkpp.kernels import Gaussian, KernelPair, Laplace, Params
+from nlkpp.profile import (GridSpec, _make_workspace, _Workspace, solve_profile,
+                           tail_asymptotics)
+
+LK1 = Params(2.0, 1.0, 1.0, 0.0)
+PAIR = KernelPair(Laplace(1.0), Laplace(1.0))
+
+
+@pytest.fixture(scope="module")
+def rep():
+    return minimal_speed(PAIR, LK1)
+
+
+def test_tilted_symbol_is_the_tail_stencil():
+    # at c = 4 (a simple root) the decay ansatz is a pure exponential, and
+    # in coordinates psi = E v with that E (unclipped) the tail Jacobian
+    # minus its diagonal is the circulant of tilted_symbol, applied to a
+    # vector held away from the window's ends; the zero-frequency entry
+    # plus the diagonal -m is the discrete characteristic function at
+    # lambda_c, which vanishes up to O(h^2)
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec())
+    psi = ws.th * np.exp(-ws.lam_c * np.maximum(ws.s, 0.0))
+    lo = ws.bulk_end(psi)
+    n = ws.N - lo
+    E = psi[lo - 1] * ws.tailg(ws.s[lo - 1], n)
+    diag, jmv = ws.linearize(psi, lo=lo)
+    mid = ws.K + 50
+    u = np.zeros(n)
+    u[mid - 50:mid + 50] = np.random.default_rng(5).normal(size=100)
+    nfft = next_fast_len(n, True)
+    stencil = ws.tilted_symbol(nfft)
+    circ = irfft(rfft(u, nfft) * stencil, nfft)[:n]
+    direct = jmv(E * u) / E - diag * u
+    rows = slice(0, mid + 50 + ws.K)
+    assert np.abs(circ[rows] - direct[rows]).max() <= 1e-12 * np.abs(direct[rows]).max()
+    assert abs(stencil[0] - ws.m) <= 1e-6 * np.abs(stencil).max()
+
+
+@pytest.mark.parametrize("speed,head", [("c_star", 156), (4.0, 117)])
+def test_tail_phase_jacobian_products(rep, monkeypatch, speed, head):
+    # Jacobian products of the tail phase (calls of the jmv it linearizes
+    # with), summed over a solve of the reference pair; head is the count
+    # with the tilted tridiagonal band as preconditioner. The circulant
+    # must save at least 30% of them.
+    linearize = _Workspace.linearize
+    count = [0]
+
+    def counted(self, psi, lo=0, hi=None):
+        diag, jmv = linearize(self, psi, lo=lo, hi=hi)
+        if lo == 0:
+            return diag, jmv
+
+        def tail_jmv(u):
+            count[0] += 1
+            return jmv(u)
+        return diag, tail_jmv
+
+    monkeypatch.setattr(_Workspace, "linearize", counted)
+    c = rep.c_star if speed == "c_star" else speed
+    prof = solve_profile(PAIR, LK1, c, report=rep)
+    assert prof.residual_sup <= 1e-6
+    assert 0 < count[0] <= 0.7 * head
+
+
+def test_right_span_short_of_the_tail_is_a_toolkit_error():
+    # at c = 4 psi reaches 1e-3 theta near s = 23, so a right span of 20
+    # leaves the tail window empty: the bulk rows are solved alone, and the
+    # residual check, not an empty reduction, decides
+    with pytest.raises(NonConvergence, match="residual"):
+        solve_profile(PAIR, LK1, 4.0, grid=GridSpec(l_right=20.0))
+
+
+def test_weak_growth_gaussian_converges():
+    # kappa_plus = 1.2 m, off the kappa_plus = 2m line, at 1.5 c*: with the
+    # band as the tail's preconditioner the solve stalled near 1e-5
+    pair, params = KernelPair(Gaussian(1.0), Gaussian(1.0)), Params(1.2, 1.0, 1.0, 0.0)
+    rep = minimal_speed(pair, params)
+    prof = solve_profile(pair, params, 1.5 * rep.c_star, report=rep)
+    assert prof.residual_sup <= 1e-6
+    assert np.all(np.diff(prof.values) < 0.0)
+    assert abs(tail_asymptotics(prof).rate / prof.lambda_c - 1.0) <= 1e-2

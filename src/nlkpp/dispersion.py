@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from scipy.optimize import brentq
 
 from .errors import NonConvergence, NoWave, UsageError, require_finite
-from .kernels import ENDPOINT_RTOL, Kernel, KernelPair, Params, check_assumptions
+from .kernels import ENDPOINT_RTOL, ExpPoly, Kernel, KernelPair, Params, check_assumptions
 
 _TIE_BAND = 1e-9            # |m - T(sigma)| below this counts as the equality case
 _CSTAR_BAND = 1e-9          # |c - c_star| below this (relative) counts as minimal speed
@@ -282,7 +282,6 @@ def mu_star(q: float, params: Params) -> float:
     """
     if q <= 2:
         raise UsageError("mu_star needs q > 2; the endpoint T is -inf otherwise")
-    from .kernels import ExpPoly
 
     def gap(mu):
         k = ExpPoly(1.0, q, mu)
@@ -316,7 +315,6 @@ def mu_star(q: float, params: Params) -> float:
 def mu_star_bracket(q: float, params: Params, mu: float) -> tuple:
     """A-priori interval the critical rate must land in, with the family
     normalizer evaluated at the given rate."""
-    from .kernels import ExpPoly
     alpha = ExpPoly(1.0, q, mu).alpha
     shift = params.m * q / (params.kappa_plus * alpha * math.pi) * math.sin(2 * math.pi / q)
     lo = 2.0 * math.cos(math.pi / q) - shift

@@ -190,16 +190,15 @@ def _speed_of(run: EvolutionRun):
     if int(keep.sum()) < 10:
         raise UsageError(f"only {int(keep.sum())} snapshots after burn-in; "
                          "need at least 10 for a speed fit")
-    pos = []
+    # evolve recorded each crossing on the grid prefix its snapshot spans
     for k in np.where(keep)[0]:
-        xk = run.snapshot_grid(k)
-        p = _crossing(xk, run.snapshots[k], run.level)
-        if not math.isfinite(p) or p <= xk[0] + run.h or p >= xk[-1] - run.h:
+        p = run.front_positions[k]
+        end = run.grid[len(run.snapshots[k]) - 1]
+        if not math.isfinite(p) or p <= run.grid[0] + run.h or p >= end - run.h:
             raise NonConvergence("front-left-domain",
                                  f"level {run.level!r} crossing left the grid "
                                  f"at t = {run.times[k]!r}")
-        pos.append(p)
-    return _fit_speed(run.times[keep], pos)
+    return _fit_speed(run.times[keep], run.front_positions[keep])
 
 
 def front_speed(run: EvolutionRun) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import AssumptionFailure, UsageError, require_finite
-from .laplace import QUAD_ABS, QUAD_REL
+from .laplace import QUAD_ABS, QUAD_REL, _weighted
 
 _POS_FLOOR = 1e-6     # the "rho" used for Q4/Q7 grid scans
 _SCAN_POINTS = 8001   # grid size of the Q4 and J_theta scans
@@ -141,20 +141,10 @@ class Kernel:
         return _quad_split(lambda s: self.pdf(s) * weight(s), lo, hi, self._breaks)
 
     def _tilted(self, z: float, order: int = 0):
-        """pdf(s) e^{z s} s^order through logs: inside the strip the product
-        decays even where the exponential factor alone would overflow."""
-
-        def g(s):
-            d = float(self.pdf(s))
-            if d <= 0.0:
-                return 0.0
-            r = math.log(d) + z * s
-            if r < -745.0:
-                return 0.0
-            val = math.exp(min(r, 700.0))
-            return val * s ** order if order else val
-
-        return g
+        """pdf(s) e^{z s} s^order, tilted through logs by laplace._weighted:
+        inside the strip the product decays where e^{z s} alone overflows."""
+        g = _weighted(self.pdf, z)
+        return (lambda s: g(s) * s ** order) if order else g
 
     def transform(self, z: float) -> float:
         """Bilateral Laplace transform at real z, +inf when divergent."""

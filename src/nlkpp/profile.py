@@ -6,16 +6,17 @@ The profile equation
 
 is solved on a uniform grid: a warm start of 40 monotone integrating-factor
 sweeps from the supersolution min{theta, theta e^{-lambda_c (s-s0)}} (longer
-runs drift along the shift family at high speed), one recentering, then
-rounds of one Newton-Krylov routine on two row windows, the other rows
-frozen: the bulk (psi >= 1e-3 theta), preconditioned by the Jacobian's
-tridiagonal band, then the tail in tilted coordinates psi = E v with an
-amplitude-deflated bordered system (the shift family makes the plain
-Jacobian near-singular), preconditioned by the circulant of the tilted
-Jacobian's stencil, applied by FFT. Boundary panels always come
-from the analytic expansions: theta minus a two-term exponential on the
-left, the D s^{j-1} e^{-lambda_c s} ansatz on the right; the converged
-profile is grafted onto them once.
+runs drift along the shift family at high speed), each a bidiagonal solve
+factored once per solve, one recentering, then rounds of one Newton-Krylov
+routine on two row windows, the other rows frozen: the bulk
+(psi >= 1e-3 theta), preconditioned by the Jacobian's tridiagonal band
+through the sweeps' LAPACK band solver, then the tail in tilted
+coordinates psi = E v with an amplitude-deflated bordered system (the
+shift family makes the plain Jacobian near-singular), preconditioned by
+the circulant of the tilted Jacobian's stencil, applied by FFT. Boundary
+panels always come from the analytic expansions: theta minus a two-term
+exponential on the left, the D s^{j-1} e^{-lambda_c s} ansatz on the
+right; the converged profile is grafted onto them once.
 
 Orientation: speeds are positive for fronts invading to the right. A
 negative speed is read as the mirrored problem (solve the reflected pair
@@ -483,8 +484,9 @@ def _sweep_phase(ws: _Workspace, psi):
     """Warm start: a fixed number of monotone integrating-factor sweeps,
     each applying (rho - c d/ds)^{-1} to N[psi] = (rho - m) psi + kp conv+
     - kl psi^2 - kn psi conv-, integrating from +inf where the resolvent
-    decays. Iterates stay pointwise ordered."""
-    from scipy.signal import lfilter  # deferred: 0.25 s to import, only solves use it
+    decays. Iterates stay pointwise ordered. Across cells a sweep is the
+    recursion y[i] = x[i] + alpha y[i+1], the upper-bidiagonal system
+    [1, -alpha]: it is factored once and each sweep is a back substitution."""
     c, rho, h = ws.c, ws.rho, ws.h
     N, K, th = ws.N, ws.K, ws.th
     alpha = math.exp(-rho * h / c)
@@ -492,18 +494,19 @@ def _sweep_phase(ws: _Workspace, psi):
     I0 = (1 - alpha) / beta
     I1 = (1 - alpha) / (h * beta * beta) - alpha / beta
     b0, b1 = (I0 - I1) / c, I1 / c
+    ab = np.zeros((3, N + K))
+    ab[0, 1:], ab[1] = -alpha, 1.0
+    integrate = _band_solver(ab)
     for _ in range(_SWEEPS):
         ext = ws.build_ext(psi)
         vals = np.concatenate([psi, ws.rpad(psi[-1], K)])
         narr = (rho - ws.m) * vals + ws.kp * ws.conv_plus(ext) - ws.kl * vals * vals
         if ws.kn:
             narr -= ws.kn * vals * ws.conv_minus(ext)
-        q = narr[::-1]
         x = np.empty(N + K)
-        x[0] = vals[-1]
-        x[1:] = b0 * q[1:] + b1 * q[:-1]
-        y = lfilter([1.0], [1.0, -alpha], x)
-        psi = np.clip(y[::-1][:N], 0.0, th)
+        x[-1] = vals[-1]
+        x[:-1] = b0 * narr[:-1] + b1 * narr[1:]
+        psi = np.clip(integrate(x)[:N], 0.0, th)
     return psi
 
 
@@ -674,6 +677,10 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
             f"{_NEWTON_ROUNDS} correction rounds",
             {"residual": res, "pre_graft_residual": rr,
              "grid_points": ws.N, "h": ws.h})
+    if not psi[-1] < 0.5 * th < psi[0]:
+        side = "right" if psi[-1] >= 0.5 * th else "left"
+        raise UsageError(f"the profile does not cross theta/2 on the grid "
+                         f"[{ws.s[0]:.6g}, {ws.s[-1]:.6g}]: l_{side} is too short")
 
     prof = WaveProfile(ws.s.copy(), psi, c, ws.lam_c, ws.j, th, res)
     return normalize_shift(prof, "half-theta-at-origin")

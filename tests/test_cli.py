@@ -234,6 +234,14 @@ def test_bad_grid_or_tolerance_exit_1(kernel_file, capsys, argv):
     assert doc["error"]["type"] == "UsageError"
 
 
+def test_profile_grid_short_of_the_crossing_exit_1(kernel_file, capsys):
+    code, doc = run_cli(capsys, "profile", "--kernel", kernel_file, "--c", "4",
+                        "--grid-l", "1")
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert "grid [-1, 1]: l_right is too short" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("times", [
     ["--dt", "nan", "--horizon", "1"], ["--dt", "0.05", "--horizon", "nan"],
     ["--dt", "0.05", "--horizon", "inf"],
@@ -597,8 +605,8 @@ def test_console_script_runs(tmp_path):
 
 def test_dispersion_command_leaves_scipy_signal_unloaded(tmp_path):
     """`import nlkpp` and `classify` load none of scipy.signal, scipy.stats
-    or scipy.ndimage: only profile solves import scipy.signal. A fresh
-    interpreter runs the check, since this one has loaded them already."""
+    or scipy.ndimage. A fresh interpreter runs the check, since this one
+    may have loaded them already."""
     p = tmp_path / "k.json"
     p.write_text(json.dumps(LK1_DOC))
     child = (

@@ -1,9 +1,13 @@
 """Every name a package or test module imports at module level is used in
 it, every private module-level name of the package is read in it, no
-kernel family restates a transform or its evenness, and no package module
-reads the environment."""
+kernel family restates a transform or its evenness, no package module
+reads the environment or imports inside a function, and a profile solve
+leaves scipy.signal unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +111,46 @@ def test_package_reads_no_environment(path):
     """Every input arrives as an argument, a flag or a file, so that a
     manifest records all that a run depended on."""
     assert environment_reads(path.read_text()) == []
+
+
+def nested_imports(source):
+    """Line numbers of the import statements inside function bodies."""
+    tree = ast.parse(source)
+    return sorted({n.lineno for f in ast.walk(tree)
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for n in ast.walk(f) if isinstance(n, (ast.Import, ast.ImportFrom))})
+
+
+def test_nested_imports_finds_function_level_imports():
+    source = ("import os\n"
+              "def f():\n    from math import exp\n    return exp(1)\n"
+              "class C:\n    def g(self):\n        def h():\n            import json\n")
+    assert nested_imports(source) == [3, 8]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_at_module_level(path):
+    """What a module needs shows at its head, and is loaded when it is."""
+    assert nested_imports(path.read_text()) == []
+
+
+def test_profile_solve_leaves_scipy_signal_unloaded():
+    """A fresh interpreter that imports nlkpp and solves one coarse profile
+    (the benchmark's warm-up grid) never loads scipy.signal: the warm-start
+    sweeps integrate with the solver's own band solver."""
+    child = (
+        "import sys\n"
+        "import nlkpp\n"
+        "pair = nlkpp.KernelPair(nlkpp.Laplace(1.0), nlkpp.Laplace(1.0))\n"
+        "params = nlkpp.Params(2.0, 1.0, 1.0, 0.0)\n"
+        "c = 1.2 * nlkpp.minimal_speed(pair, params).c_star\n"
+        "nlkpp.solve_profile(pair, params, c, tol=1e-2,\n"
+        "                    grid=nlkpp.GridSpec(l_left=12.0, l_right=25.0, h=0.05))\n"
+        "print('scipy.signal' in sys.modules)\n")
+    src = str(Path(nlkpp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", child], env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False"]

@@ -5,7 +5,7 @@ import pytest
 from scipy.fft import irfft, next_fast_len, rfft
 
 from nlkpp.dispersion import minimal_speed
-from nlkpp.errors import NonConvergence
+from nlkpp.errors import NonConvergence, UsageError
 from nlkpp.kernels import Gaussian, KernelPair, Laplace, Params
 from nlkpp.profile import (GridSpec, _make_workspace, _Workspace, solve_profile,
                            tail_asymptotics)
@@ -76,6 +76,19 @@ def test_right_span_short_of_the_tail_is_a_toolkit_error():
     # residual check, not an empty reduction, decides
     with pytest.raises(NonConvergence, match="residual"):
         solve_profile(PAIR, LK1, 4.0, grid=GridSpec(l_right=20.0))
+
+
+@pytest.mark.parametrize("grid,tol,message", [
+    (GridSpec(l_right=1.0), 1e-6, r"grid \[.*, 0\.99\d*\]: l_right is too short"),
+    (GridSpec(l_left=0.5), 1e3, r"grid \[-0\.5, .*\]: l_left is too short")],
+    ids=["right", "left"])
+def test_span_short_of_the_crossing_names_the_grid(grid, tol, message):
+    # at c = 4 a grid that ends at s = 1 converges with psi above theta/2
+    # at its right end; one that starts at s = -0.5 passes a loose tol with
+    # psi below theta/2 at its left end: the short span is named, not the
+    # missing crossing
+    with pytest.raises(UsageError, match=message):
+        solve_profile(PAIR, LK1, 4.0, grid=grid, tol=tol)
 
 
 def test_weak_growth_gaussian_converges():

@@ -14,14 +14,16 @@ through the sweeps' LAPACK band solver, then the tail in tilted
 coordinates psi = E v with an amplitude-deflated bordered system (the
 shift family makes the plain Jacobian near-singular), preconditioned by
 the circulant of the tilted Jacobian's stencil, applied by FFT. Boundary
-panels always come from the analytic expansions: theta minus a two-term
-exponential on the left, the D s^{j-1} e^{-lambda_c s} ansatz on the
-right; the converged profile is grafted onto them once.
+panels always come from the analytic expansions: theta minus one
+exponential at the rate lambda_left of the linearization at theta on the
+left, the D s^{j-1} e^{-lambda_c s} ansatz on the right; the converged
+profile is grafted onto them once.
 
 Orientation: speeds are positive for fronts invading to the right. A
 negative speed is read as the mirrored problem (solve the reflected pair
-at |c| and reflect back); decreasing waves for a pair and its reflection
-never coexist at opposite speeds, so this is the only executable reading.
+at |c| on the swapped spans and reflect back); decreasing waves for a
+pair and its reflection never coexist at opposite speeds, so this is the
+only executable reading.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ _DEEP_FLOOR = 1e-6      # below this the convolution rows are tilted before the 
 _TILT_SPAN = 0.5 * math.log(np.finfo(float).max)
 _SPECTRA = 2            # weight spectra a Convolver keeps, one per FFT length
 _RIGHT_GRAFT = 3e-13
-_LEFT_GRAFT = 1e-4      # two-term left expansion is cube-accurate here
+_LEFT_GRAFT = 1e-6      # theta - V e^{lambda_left s} drops O(V^2/theta), ~1e-12 theta here
 _SWEEPS = 40            # warm start; much past 80 the iterate drifts at high speed
 _NEWTON_ROUNDS = 5
 _TAIL_TOL = 2e-7        # tail Newton's scaled residual, and a round's stopping residual
@@ -66,7 +68,9 @@ _CROSSING_ULPS = 8
 @dataclass(frozen=True)
 class GridSpec:
     """Overrides for the solve grid; None fields use the rate-based defaults
-    l_right = 34/lambda_c, l_left = 26/lambda_left, h = min(0.01, 1/(20 lambda_c))."""
+    l_right = 34/lambda_c, l_left = 26/lambda_left, h = min(0.01, 1/(20 lambda_c)).
+    The spans are the caller's: l_left reaches left of the origin and l_right
+    right of it, also for c < 0, where the front's tail is on the left."""
 
     l_left: float | None = None
     l_right: float | None = None
@@ -239,9 +243,9 @@ class Convolver:
         return out
 
 
-def _left_rate(pair: KernelPair, params: Params, c: float, th: float):
-    """Decay rate of theta - psi at -inf: root of the linearization at theta,
-    plus the second-order coefficient of the expansion v = V e + B V^2 e^2."""
+def _left_rate(pair: KernelPair, params: Params, c: float, th: float) -> float:
+    """Rate lambda_left at which theta - psi decays at -inf: the root of the
+    linearization at theta."""
     kp, m = params.kappa_plus, params.m
     kl, kn = params.kappa_local, params.kappa_nonlocal
     rho_bar = m + 2 * kl * th + kn * th
@@ -272,24 +276,14 @@ def _left_rate(pair: KernelPair, params: Params, c: float, th: float):
             y *= 1.6
     lo = None
     for y in grid:
-        val = g(y)
-        if val > 0.0:
+        if g(y) > 0.0:
             if lo is None:
                 raise NonConvergence("left-rate-bracket",
                                      f"left linearization positive already at {y:.3e}")
-            lam = brentq(g, lo, y, xtol=1e-14)
-            break
+            return brentq(g, lo, y, xtol=1e-14)
         lo = y
-    else:
-        raise NonConvergence("left-rate-bracket",
-                             "no root of the left linearization up to the scan cap")
-
-    if 2.0 * lam < cap:
-        am = pair.a_minus.transform(-lam) if kn else 0.0
-        B = -(kl + kn * am) / g(2.0 * lam)
-    else:
-        B = 0.0  # expansion falls back to one term; graft anchor is low enough
-    return lam, B
+    raise NonConvergence("left-rate-bracket",
+                         "no root of the left linearization up to the scan cap")
 
 
 def _require_probability(pair):
@@ -316,9 +310,9 @@ def _convolvers(pair, params, h):
 class _Workspace:
     """Grid, weights, and the residual operator for one (pair, params, c)."""
 
-    def __init__(self, pair, params, c, th, lam_c, j, lam_left, B_left, s, h):
+    def __init__(self, pair, params, c, th, lam_c, j, lam_left, s, h):
         self.c, self.th, self.lam_c, self.j = c, th, lam_c, j
-        self.lam_left, self.B_left = lam_left, B_left
+        self.lam_left = lam_left
         self.kp, self.m = params.kappa_plus, params.m
         self.kl, self.kn = params.kappa_local, params.kappa_nonlocal
         self.rho = params.m + 2 * self.kl * th + self.kn * th
@@ -335,32 +329,22 @@ class _Workspace:
             g = g * (anchor_s + t) / anchor_s
         return g
 
-    def vleft(self, V, ds):
-        e = np.exp(self.lam_left * ds)
-        return V * e + self.B_left * V * V * e * e
-
-    def ampleft(self, v0):
-        disc = max(1.0 + 4.0 * self.B_left * v0, 0.0)
-        return 2.0 * v0 / (1.0 + math.sqrt(disc))
-
     def _left_front(self, psi0):
         """False where the left panel is constant: psi0 >= theta, or no front
         near the left edge (psi0 < theta/2, e.g. the psi = 0 state)."""
         return 0.0 < self.th - psi0 <= 0.5 * self.th
 
     def lpad(self, psi0):
+        """The K cells left of the grid: theta - (theta - psi0) e^{lambda_left ds}."""
         if not self._left_front(psi0):
             return np.full(self.K, psi0)
-        V = self.ampleft(self.th - psi0)
-        return self.th - self.vleft(V, -self.h * np.arange(1, self.K + 1)[::-1])
+        return self.th - (self.th - psi0) * self.dlpad(psi0)
 
     def dlpad(self, psi0):
-        """d lpad / d psi0: V solves V + B V^2 = theta - psi0."""
+        """d lpad / d psi0: e^{lambda_left ds}, ds = -Kh .. -h."""
         if not self._left_front(psi0):
             return np.ones(self.K)
-        V = self.ampleft(self.th - psi0)
-        e = np.exp(-self.lam_left * self.h * np.arange(1, self.K + 1)[::-1])
-        return (e + 2.0 * self.B_left * V * e * e) / (1.0 + 2.0 * self.B_left * V)
+        return np.exp(-self.lam_left * self.h * np.arange(self.K, 0, -1))
 
     def rpad(self, psi_last, n):
         if psi_last > 0.5 * self.th:
@@ -449,15 +433,15 @@ class _Workspace:
     # -- graft and recentering ----------------------------------------------
 
     def graft(self, psi):
-        """Replace both ends by their analytic panels: within 1e-4 theta of
-        theta the left expansion, below 3e-13 theta the decay ansatz, each
-        anchored at the last grid value outside that band."""
+        """Replace both ends by their analytic panels: within 1e-6 theta of
+        theta one exponential at rate lambda_left, below 3e-13 theta the decay
+        ansatz, each anchored at the last grid value outside that band."""
         psi = psi.copy()
         v = self.th - psi
         idx = np.where(v >= _LEFT_GRAFT * self.th)[0]
         iA = idx[0] if len(idx) else self.N - 1
         if iA > 0:
-            psi[:iA] = self.th - self.vleft(self.ampleft(v[iA]), self.s[:iA] - self.s[iA])
+            psi[:iA] = self.th - v[iA] * np.exp(self.lam_left * (self.s[:iA] - self.s[iA]))
         idx = np.where(psi >= _RIGHT_GRAFT * self.th)[0]
         iA = idx[-1] if len(idx) else 0
         if iA < self.N - 1:
@@ -553,8 +537,6 @@ def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
     nearly singular along that mode, so a row pinning the mean of v borders
     the system, and the preconditioner solves the border by elimination."""
     n, i_dp, border = hi - lo, ws.i_deep(psi), lo > 0
-    if n == 0:      # a right span too short to reach the tail leaves no tail rows
-        return psi, 0.0
     v, cap = psi[lo:hi], ws.th
     if border:
         E = np.maximum(psi[lo - 1] * ws.tailg(ws.s[lo - 1], n), 1e-13 * ws.th)
@@ -616,12 +598,12 @@ def _make_workspace(pair, params, c, spec, report=None):
     th = theta(params)
     root = speed_to_abscissa(pair, params, c, report)
     lam_c, j = root.lambda_c, root.multiplicity
-    lam_left, B_left = _left_rate(pair, params, c, th)
+    lam_left = _left_rate(pair, params, c, th)
     h = spec.h if spec.h is not None else min(0.01, 1.0 / (20.0 * lam_c))
     Ll = spec.l_left if spec.l_left is not None else _LEFT_EFOLD / lam_left
     Lr = spec.l_right if spec.l_right is not None else _RIGHT_EFOLD / lam_c
     s = -Ll + h * np.arange(int(round((Ll + Lr) / h)) + 1)
-    return _Workspace(pair, params, c, th, lam_c, j, lam_left, B_left, s, h)
+    return _Workspace(pair, params, c, th, lam_c, j, lam_left, s, h)
 
 
 def solve_profile(pair: KernelPair, params: Params, c: float,
@@ -646,44 +628,55 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
         raise AssumptionFailure("c-zero-unsupported",
                                 "stationary fronts (c = 0) are out of scope")
     _require_probability(pair)
-    if c < 0.0:
-        return solve_profile(pair.reflected(), params, -c, grid=grid, tol=tol,
-                             anchor=-anchor).reflect()
+    spec = grid or GridSpec()
+    mirrored = c < 0.0
+    if mirrored:    # the decreasing wave of the reflected pair, its spans swapped
+        pair, c, anchor, report = pair.reflected(), -c, -anchor, None
+        spec = replace(spec, l_left=spec.l_right, l_right=spec.l_left)
 
     if report is None:
         report = minimal_speed(pair, params)
     else:
         check_assumptions(pair, params).require(["Q1", "Q2", "Q3", "Q4", "Q5"])
-    ws = _make_workspace(pair, params, c, grid or GridSpec(), report)
+    ws = _make_workspace(pair, params, c, spec, report)
     th = ws.th
+
+    def short(side):
+        """The grid and the span named in the caller's frame."""
+        a, b = (-ws.s[-1], -ws.s[0]) if mirrored else (ws.s[0], ws.s[-1])
+        if mirrored:
+            side = "left" if side == "right" else "right"
+        return f"the grid [{a:.6g}, {b:.6g}]: l_{side} is too short"
 
     psi = th * np.exp(-ws.lam_c * np.maximum(ws.s - anchor, 0.0))
     psi = ws.recenter(_sweep_phase(ws, psi))
 
-    rr = math.inf
-    for _ in range(_NEWTON_ROUNDS):
+    for rounds in range(1, _NEWTON_ROUNDS + 1):
         # each phase cuts at the current psi: the tail's cut follows the bulk step
         psi, _ = _newton(ws, psi, 0, ws.bulk_end(psi), 1e-9, 25, 4)
-        psi, _ = _newton(ws, psi, ws.bulk_end(psi), ws.N, _TAIL_TOL, 15, 6)
+        lo = ws.bulk_end(psi)
+        if lo < ws.N:
+            psi, _ = _newton(ws, psi, lo, ws.N, _TAIL_TOL, 15, 6)
         rr = float(np.abs(ws.residual_vec(psi, i_deep=ws.i_deep(psi))).max())
-        if rr < _TAIL_TOL:
+        # no tail rows: a right span that ends in the bulk is refused by name
+        if rr < _TAIL_TOL or lo == ws.N:
             break
     psi = ws.graft(np.clip(psi, 0.0, th))
     res = float(np.abs(ws.residual_vec(psi, i_deep=ws.i_deep(psi))).max())
     if res > tol:
         raise NonConvergence(
             "iteration-stalled",
-            f"residual {res:.3e} above tolerance {tol:.1e} after "
-            f"{_NEWTON_ROUNDS} correction rounds",
+            f"residual {res:.3e} above tolerance {tol:.1e} after correction round "
+            f"{rounds}" + (f"; {short('right')} to reach the tail" if lo == ws.N else ""),
             {"residual": res, "pre_graft_residual": rr,
              "grid_points": ws.N, "h": ws.h})
     if not psi[-1] < 0.5 * th < psi[0]:
         side = "right" if psi[-1] >= 0.5 * th else "left"
-        raise UsageError(f"the profile does not cross theta/2 on the grid "
-                         f"[{ws.s[0]:.6g}, {ws.s[-1]:.6g}]: l_{side} is too short")
+        raise UsageError(f"the profile does not cross theta/2 on {short(side)}")
 
     prof = WaveProfile(ws.s.copy(), psi, c, ws.lam_c, ws.j, th, res)
-    return normalize_shift(prof, "half-theta-at-origin")
+    prof = normalize_shift(prof, "half-theta-at-origin")
+    return prof.reflect() if mirrored else prof
 
 
 def residual(profile: WaveProfile, pair: KernelPair, params: Params) -> float:
@@ -694,12 +687,12 @@ def residual(profile: WaveProfile, pair: KernelPair, params: Params) -> float:
     if profile.orientation == "increasing":
         return residual(profile.reflect(), pair.reflected(), params)
     th = theta(params)
-    lam_left, B_left = math.nan, 0.0
+    lam_left = math.nan
     v0 = th - profile.values[0]
     if 0.0 < v0 <= 0.5 * th:
-        lam_left, B_left = _left_rate(pair, params, profile.speed, th)
+        lam_left = _left_rate(pair, params, profile.speed, th)
     ws = _Workspace(pair, params, profile.speed, th, profile.lambda_c,
-                    profile.multiplicity, lam_left, B_left, profile.grid, profile.h)
+                    profile.multiplicity, lam_left, profile.grid, profile.h)
     psi = np.asarray(profile.values, dtype=float)
     return float(np.abs(ws.residual_vec(psi, i_deep=ws.i_deep(psi))).max())
 
@@ -770,7 +763,8 @@ def normalize_shift(profile: WaveProfile, mode: str,
     second shift removes, so at most two shifts are made.
 
     Unit-D reads D from the transform identity, so it needs the kernel
-    pair and the parameters.
+    pair and the parameters; an increasing profile goes through its
+    reflection.
     """
     if mode == "half-theta-at-origin":
         out = profile.shifted(0.0)
@@ -783,6 +777,8 @@ def normalize_shift(profile: WaveProfile, mode: str,
     if mode == "unit-D":
         if pair is None or params is None:
             raise UsageError("unit-D normalization needs the kernel pair and parameters")
+        if profile.orientation == "increasing":
+            return normalize_shift(profile.reflect(), mode, pair.reflected(), params).reflect()
         q = math.log(_tail_prefactor(profile, pair, params)) / profile.lambda_c
         return replace(profile.shifted(q), shift_mode=mode)
     raise UsageError(f"unknown shift mode {mode!r}")

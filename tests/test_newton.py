@@ -91,6 +91,33 @@ def test_span_short_of_the_crossing_names_the_grid(grid, tol, message):
         solve_profile(PAIR, LK1, 4.0, grid=grid, tol=tol)
 
 
+def test_right_span_in_the_bulk_runs_one_round(monkeypatch):
+    # at c = 4 a right span of 20 still ends in the bulk after the bulk
+    # phase; another round would only repeat that phase, so the solve is
+    # refused after one Newton call, and the message names the short span
+    import nlkpp.profile
+    newton, calls = nlkpp.profile._newton, []
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return newton(*args)
+
+    monkeypatch.setattr(nlkpp.profile, "_newton", counted)
+    with pytest.raises(NonConvergence, match="after correction round 1; .*l_right is too short"):
+        solve_profile(PAIR, LK1, 4.0, grid=GridSpec(l_right=20.0))
+    assert len(calls) == 1
+
+
+def test_negative_speed_spans_are_the_callers():
+    # for c < 0 the reflected pair is solved with the spans swapped, so
+    # l_left still reaches left of the origin, and a short span is
+    # reported on the caller's grid under the caller's name
+    prof = solve_profile(PAIR, LK1, -4.0, grid=GridSpec(l_left=30.0, l_right=60.0))
+    assert abs(prof.grid[0] + 30.0) < 0.1 and abs(prof.grid[-1] - 60.0) < 0.1
+    with pytest.raises(UsageError, match=r"grid \[-0\.99\d*, 116\.\d*\]: l_left is too short"):
+        solve_profile(PAIR, LK1, -4.0, grid=GridSpec(l_left=1.0))
+
+
 def test_weak_growth_gaussian_converges():
     # kappa_plus = 1.2 m, off the kappa_plus = 2m line, at 1.5 c*: with the
     # band as the tail's preconditioner the solve stalled near 1e-5

@@ -434,6 +434,17 @@ def test_unit_d_normalization(prof_4):
     assert abs(fit.D_estimate - 1.0) < 0.05
 
 
+def test_unit_d_on_a_leftward_wave(prof_4):
+    # the transform identity reads a decreasing profile, so a leftward wave
+    # is normalized through its reflection: its theta/2 crossing mirrors
+    # that of the wave at c = 4
+    half = theta(LK1) / 2.0
+    right = normalize_shift(prof_4, "unit-D", pair=PAIR, params=LK1)
+    left = normalize_shift(solve_profile(PAIR, LK1, -4.0), "unit-D", pair=PAIR, params=LK1)
+    assert left.orientation == "increasing"
+    assert abs(left.crossing(half) + right.crossing(half)) <= 1e-9
+
+
 def test_unit_d_needs_the_pair(prof_4):
     # D comes from the transform identity, which reads the kernel pair
     with pytest.raises(UsageError, match="kernel pair"):

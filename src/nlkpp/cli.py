@@ -422,22 +422,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     "reaction-dispersal equation")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, kernel=True):
+    def common(p, kernel=True, csv=False):
         if kernel:
             p.add_argument("--kernel", help="JSON kernel/problem file")
             p.add_argument("--params", help="JSON file, inline JSON, or "
                                             "key=value,... parameter block")
         p.add_argument("--out", help="directory for JSON/CSV artifacts")
-        p.add_argument("--csv", action="store_true",
-                       help="also write CSV tables under --out")
+        if csv:     # only commands whose handlers return tables
+            p.add_argument("--csv", action="store_true",
+                           help="also write CSV tables under --out")
 
-    for name in ("check", "classify", "speed"):
+    common(sub.add_parser("check"))
+    for name in ("classify", "speed"):
         p = sub.add_parser(name)
-        common(p)
+        common(p, csv=True)
         p.add_argument("--c", type=float, help="wave speed of interest")
 
     p = sub.add_parser("profile")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--c", type=float, required=False)
     p.add_argument("--grid-l", type=float, help="half-length override")
     p.add_argument("--grid-h", type=float, help="grid step override")
@@ -451,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor-delta", type=float, default=5.0)
 
     p = sub.add_parser("evolve")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--u0", default="step",
                    help="step | profile-csv:PATH | exp:RATE")
     p.add_argument("--u0-x0", type=float, default=0.0)
@@ -464,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --csv, also write full snapshots")
 
     p = sub.add_parser("truncate-sweep")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--radii", default="2,5,10,20,40")
 
     p = sub.add_parser("mu-star")

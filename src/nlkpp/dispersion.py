@@ -13,6 +13,13 @@ on the convergence interval I = (0, sigma) resp. (0, sigma]. The minimal
 speed is the infimum of G there: an interior stationary point ("class V")
 or the endpoint sigma itself ("class W"). Speeds c >= c_star correspond
 one-to-one to decay rates via the smallest positive root of h.
+At -inf, theta - psi decays like e^{lambda_left s}, lambda_left the
+smallest positive root of the linearization at theta,
+
+    c y + kappa_plus A+(-y) - rho_bar - kappa_nonlocal theta A-(-y),
+    rho_bar = m + 2 kappa_local theta + kappa_nonlocal theta.
+
+lambda_star, lambda_left and mu_star are bracketed by one sign-change scan.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import asdict, dataclass
 from scipy.optimize import brentq
 
 from .errors import NonConvergence, NoWave, UsageError, require_finite
-from .kernels import ENDPOINT_RTOL, ExpPoly, Kernel, KernelPair, Params, check_assumptions
+from .kernels import ENDPOINT_RTOL, ExpPoly, Kernel, KernelPair, Params, check_assumptions, theta
 
 _TIE_BAND = 1e-9            # |m - T(sigma)| below this counts as the equality case
 _CSTAR_BAND = 1e-9          # |c - c_star| below this (relative) counts as minimal speed
@@ -135,35 +142,38 @@ def classify(kernel, params: Params) -> str:
     return cls
 
 
-def _bracket_h_root(kernel: Kernel, params: Params, sig: float):
-    """Sign-change bracket for H on the strip; H(0+) = m - kappa_plus < 0."""
-    def H(lam):
-        return h_function(kernel, params, lam)
-
+def _strip_grid(sig: float) -> list:
+    """Samples of the strip (0, sig] where characteristic roots are
+    bracketed: fractions of a finite sig that crowd towards it, then sig
+    itself; a geometric ladder from 1e-6 to 1e4 for an infinite one."""
     if math.isfinite(sig):
         fracs = [1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5] + \
             [1.0 - 2.0 ** (-k) for k in range(1, 46)]
-        grid = [f * sig for f in fracs] + [sig]
-    else:
-        grid, lam = [], 1e-6
-        while lam <= 1e4:
-            grid.append(lam)
-            lam *= 1.5
+        return [f * sig for f in fracs] + [sig]
+    grid, lam = [], 1e-6
+    while lam <= 1e4:
+        grid.append(lam)
+        lam *= 1.5
+    return grid
+
+
+def _first_sign_change(f, grid, label: str, what: str):
+    """The first pair of consecutive samples (lo, hi) of grid with f(lo) <= 0
+    < f(hi). A positive first sample, a nan, or no sign change up to the
+    last sample raises NonConvergence(label), which names what f is."""
     prev_lam, prev_val = None, None
     for lam in grid:
-        val = H(lam)
+        val = f(lam)
         if math.isnan(val):
             break
         if val > 0.0:
             if prev_lam is None:
                 raise NonConvergence(
-                    "lambda-star-bracket",
-                    f"H already positive at smallest sample {lam:.3e}")
+                    label, f"{what} already positive at smallest sample {lam:.3e}")
             return prev_lam, lam
         prev_lam, prev_val = lam, val
     raise NonConvergence(
-        "lambda-star-bracket",
-        "no sign change of the stationarity numerator up to the scan cap",
+        label, f"no sign change of {what} up to the scan cap",
         {"last_lambda": prev_lam, "last_value": prev_val})
 
 
@@ -193,9 +203,13 @@ def minimal_speed(kernel, params: Params) -> DispersionReport:
                     "w-endpoint-cert",
                     f"H not negative at {lam:.6g}; endpoint is not the minimizer")
     else:
-        lo, hi = _bracket_h_root(k, params, sig)
-        lam_star = brentq(lambda lam: h_function(k, params, lam), lo, hi,
-                          xtol=1e-15, rtol=1e-12)
+        def H(lam):
+            return h_function(k, params, lam)
+
+        # H(0+) = m - kappa_plus < 0
+        lo, hi = _first_sign_change(H, _strip_grid(sig), "lambda-star-bracket",
+                                    "the stationarity numerator")
+        lam_star = brentq(H, lo, hi, xtol=1e-15, rtol=1e-12)
         c_star = g_function(k, params, lam_star)
         alt = kp * k.transform_deriv(lam_star, 1)
         if abs(c_star - alt) > 1e-8 * max(1.0, abs(c_star)):
@@ -273,6 +287,26 @@ def abscissa_to_speed(kernel, params: Params, sigma: float,
     return g_function(pair.a_plus, params, min(sigma, report.sigma_plus))
 
 
+def left_rate(pair: KernelPair, params: Params, c: float) -> float:
+    """Rate lambda_left at which theta - psi decays at -inf: the smallest
+    positive root of the linearization at theta (module docstring)."""
+    th = theta(params)
+    kp, kn = params.kappa_plus, params.kappa_nonlocal
+    rho_bar = params.m + 2 * params.kappa_local * th + kn * th
+
+    def g(y):   # +inf where a transform diverges
+        val = c * y + kp * pair.a_plus.transform(-y) - rho_bar
+        if kn:
+            val -= kn * th * pair.a_minus.transform(-y)
+        return val if math.isfinite(val) else math.inf
+
+    cap = min(pair.a_plus.sigma_left, pair.a_minus.sigma_left if kn else math.inf)
+    # g(0) = -(kappa_plus - m) < 0 always
+    lo, hi = _first_sign_change(g, _strip_grid(cap), "left-rate-bracket",
+                                "the left linearization")
+    return brentq(g, lo, hi, xtol=1e-14)
+
+
 def mu_star(q: float, params: Params) -> float:
     """Critical rate of the exp_poly family at p=1: endpoint T equals m.
 
@@ -287,20 +321,9 @@ def mu_star(q: float, params: Params) -> float:
         k = ExpPoly(1.0, q, mu)
         return t_function(k, params, mu) - params.m
 
-    lo = None
-    mu, cap = 1e-3, 128.0
-    while mu <= cap:
-        g = gap(mu)
-        if g <= 0.0:
-            if lo is None:
-                raise NonConvergence("mu-star-bracket",
-                                     f"endpoint T already below m at mu={mu}")
-            hi = mu
-            break
-        lo, mu = mu, mu * 2.0
-    else:
-        raise NonConvergence("mu-star-bracket",
-                             "endpoint T never crossed m up to the scan cap")
+    # the endpoint T must start above m: double the rate from 1e-3 up to 128
+    lo, hi = _first_sign_change(lambda mu: -gap(mu), [1e-3 * 2.0 ** k for k in range(17)],
+                                "mu-star-bracket", "m minus the endpoint T")
     root = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12)
 
     # the crossing is only meaningful if T(mu; mu) is decreasing through it

@@ -15,9 +15,9 @@ coordinates psi = E v with an amplitude-deflated bordered system (the
 shift family makes the plain Jacobian near-singular), preconditioned by
 the circulant of the tilted Jacobian's stencil, applied by FFT. Boundary
 panels always come from the analytic expansions: theta minus one
-exponential at the rate lambda_left of the linearization at theta on the
-left, the D s^{j-1} e^{-lambda_c s} ansatz on the right; the converged
-profile is grafted onto them once.
+exponential on the left, at the rate lambda_left that the dispersion layer
+solves from the linearization at theta, the D s^{j-1} e^{-lambda_c s}
+ansatz on the right; the converged profile is grafted onto them once.
 
 Orientation: speeds are positive for fronts invading to the right. A
 negative speed is read as the mirrored problem (solve the reflected pair
@@ -35,10 +35,10 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .dispersion import characteristic_deriv, minimal_speed, speed_to_abscissa
+from .dispersion import characteristic_deriv, left_rate, minimal_speed, speed_to_abscissa
 from .errors import AssumptionFailure, NonConvergence, UsageError, require_finite
 from .kernels import KernelPair, Params, check_assumptions, theta
 
@@ -243,49 +243,6 @@ class Convolver:
         return out
 
 
-def _left_rate(pair: KernelPair, params: Params, c: float, th: float) -> float:
-    """Rate lambda_left at which theta - psi decays at -inf: the root of the
-    linearization at theta."""
-    kp, m = params.kappa_plus, params.m
-    kl, kn = params.kappa_local, params.kappa_nonlocal
-    rho_bar = m + 2 * kl * th + kn * th
-
-    def g(y):
-        ap = pair.a_plus.transform(-y)
-        if not math.isfinite(ap):
-            return math.inf
-        val = c * y + kp * ap - rho_bar
-        if kn:
-            am = pair.a_minus.transform(-y)
-            if not math.isfinite(am):
-                return math.inf
-            val -= kn * th * am
-        return val
-
-    cap = pair.a_plus.sigma_left
-    if kn:
-        cap = min(cap, pair.a_minus.sigma_left)
-    # g(0) = -(kappa_plus - m) < 0 always; scan up for the sign change
-    if math.isfinite(cap):
-        grid = [cap * f for f in (1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5)] + \
-            [cap * (1.0 - 2.0 ** (-k)) for k in range(1, 40)]
-    else:
-        grid, y = [], 1e-3
-        while y <= 1e3:
-            grid.append(y)
-            y *= 1.6
-    lo = None
-    for y in grid:
-        if g(y) > 0.0:
-            if lo is None:
-                raise NonConvergence("left-rate-bracket",
-                                     f"left linearization positive already at {y:.3e}")
-            return brentq(g, lo, y, xtol=1e-14)
-        lo = y
-    raise NonConvergence("left-rate-bracket",
-                         "no root of the left linearization up to the scan cap")
-
-
 def _require_probability(pair):
     """Refuse kernels with a mass defect: the waves connect 0 to theta, which
     a truncated kernel's carrying capacity theta_R is not."""
@@ -448,9 +405,13 @@ class _Workspace:
             psi[iA + 1:] = psi[iA] * self.tailg(self.s[iA], self.N - 1 - iA)
         return psi
 
+    def cell_shift(self, psi):
+        """Cells from the origin to psi's theta/2 crossing (or to N)."""
+        return int(np.searchsorted(-psi, -0.5 * self.th)) - int(round(-self.s[0] / self.h))
+
     def recenter(self, psi):
-        icr = int(np.searchsorted(-psi, -0.5 * self.th))
-        shift = icr - int(round(-self.s[0] / self.h))
+        """psi moved by cell_shift(psi) < N cells, its crossing to the origin."""
+        shift = self.cell_shift(psi)
         if abs(shift) < 2:
             return psi
         out = np.empty_like(psi)
@@ -598,7 +559,7 @@ def _make_workspace(pair, params, c, spec, report=None):
     th = theta(params)
     root = speed_to_abscissa(pair, params, c, report)
     lam_c, j = root.lambda_c, root.multiplicity
-    lam_left = _left_rate(pair, params, c, th)
+    lam_left = left_rate(pair, params, c)
     h = spec.h if spec.h is not None else min(0.01, 1.0 / (20.0 * lam_c))
     Ll = spec.l_left if spec.l_left is not None else _LEFT_EFOLD / lam_left
     Lr = spec.l_right if spec.l_right is not None else _RIGHT_EFOLD / lam_c
@@ -649,7 +610,12 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
         return f"the grid [{a:.6g}, {b:.6g}]: l_{side} is too short"
 
     psi = th * np.exp(-ws.lam_c * np.maximum(ws.s - anchor, 0.0))
-    psi = ws.recenter(_sweep_phase(ws, psi))
+    psi = _sweep_phase(ws, psi)
+    # the origin is at a cell below N, so only a shift to the right can keep
+    # no row of the warm start: psi stays above theta/2 on the whole grid
+    if ws.cell_shift(psi) >= ws.N:
+        raise UsageError(f"the warm start does not cross theta/2 on {short('right')}")
+    psi = ws.recenter(psi)
 
     for rounds in range(1, _NEWTON_ROUNDS + 1):
         # each phase cuts at the current psi: the tail's cut follows the bulk step
@@ -690,7 +656,7 @@ def residual(profile: WaveProfile, pair: KernelPair, params: Params) -> float:
     lam_left = math.nan
     v0 = th - profile.values[0]
     if 0.0 < v0 <= 0.5 * th:
-        lam_left = _left_rate(pair, params, profile.speed, th)
+        lam_left = left_rate(pair, params, profile.speed)
     ws = _Workspace(pair, params, profile.speed, th, profile.lambda_c,
                     profile.multiplicity, lam_left, profile.grid, profile.h)
     psi = np.asarray(profile.values, dtype=float)

@@ -242,6 +242,15 @@ def test_profile_grid_short_of_the_crossing_exit_1(kernel_file, capsys):
     assert "grid [-1, 1]: l_right is too short" in doc["error"]["message"]
 
 
+def test_profile_two_point_grid_exit_1(kernel_file, capsys):
+    # a grid of two points that the warm start does not cross theta/2 on
+    code, doc = run_cli(capsys, "profile", "--kernel", kernel_file, "--c", "4",
+                        "--grid-l", "0.004")
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert "l_right is too short" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("times", [
     ["--dt", "nan", "--horizon", "1"], ["--dt", "0.05", "--horizon", "nan"],
     ["--dt", "0.05", "--horizon", "inf"],
@@ -417,6 +426,23 @@ def test_out_dir_json_and_csv(kernel_file, capsys, tmp_path):
     # the sampled G column sits above the true minimum and dips close to it
     assert cols[:, 1].min() >= doc["result"]["c_star"] - 1e-12
     assert cols[:, 1].min() - doc["result"]["c_star"] < 1e-2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "KERNEL", "--c", "3"], ["check", "KERNEL", "--csv"],
+    ["uniqueness", "KERNEL", "--c", "4", "--csv"], ["mu-star", "--q", "4", "--csv"],
+    ["sweep", "--points", "POINTS", "--csv"]],
+    ids=["check-c", "check-csv", "uniqueness-csv", "mu-star-csv", "sweep-csv"])
+def test_options_no_handler_reads_exit_1(argv, kernel_file, tmp_path, capsys):
+    # check reads no speed, and these four commands write no table: the
+    # flags are not accepted, so a run cannot look as if it had used them
+    points = tmp_path / "points.json"
+    points.write_text("[]")
+    subs = {"KERNEL": ["--kernel", kernel_file], "POINTS": [str(points)]}
+    argv = [a for v in argv for a in subs.get(v, [v])]
+    assert main(argv + ["--out", str(tmp_path / "d")]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_csv_without_out_rejected(kernel_file, capsys):

@@ -2,16 +2,18 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from nlkpp.dispersion import (abscissa_to_speed, characteristic,
-                              characteristic_deriv, classify, f_function,
-                              g_function, h_function, minimal_speed, mu_star,
-                              mu_star_bracket, root_multiplicity,
-                              speed_to_abscissa, t_function)
+from nlkpp.dispersion import (_first_sign_change, _strip_grid, abscissa_to_speed,
+                              characteristic, characteristic_deriv, classify,
+                              f_function, g_function, h_function, left_rate,
+                              minimal_speed, mu_star, mu_star_bracket,
+                              root_multiplicity, speed_to_abscissa, t_function)
 from nlkpp.errors import NonConvergence, NoWave, UsageError
-from nlkpp.kernels import ExpPoly, Gaussian, Laplace, Params, Uniform
+from nlkpp.kernels import (ExpPoly, Gaussian, KernelPair, Laplace, Params, Uniform,
+                           theta)
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 K_REF = Laplace(1.0)
@@ -251,3 +253,55 @@ def test_asymmetric_kernel_minimal_speed():
     rep = minimal_speed(k, LK1)
     assert rep.m_xi == 1.0
     assert rep.c_star > 2.0
+
+
+# ---------------------------------------------------------------------------
+# the left rate: the smallest positive root of the linearization at theta
+
+@pytest.mark.parametrize("mu,kp,m,c", [(1.0, 2.0, 1.0, 4.0), (1.0, 2.0, 1.0, 0.3),
+                                       (0.5, 3.0, 1.0, 1.0), (2.0, 1.5, 1.0, 0.5),
+                                       (1.3, 2.5, 0.7, 6.0)])
+def test_left_rate_laplace_matches_the_cubic(mu, kp, m, c):
+    # A(-y) = mu^2 / (mu^2 - y^2) and no nonlocal term: the root solves
+    # (c y - rho_bar)(mu^2 - y^2) + kp mu^2 = 0, rho_bar = m + 2 kl theta
+    params = Params(kp, m, 1.0, 0.0)
+    rho_bar = m + 2.0 * theta(params)
+    cubic = np.polyadd(np.polymul([c, -rho_bar], [-1.0, 0.0, mu * mu]), [kp * mu * mu])
+    roots = [r.real for r in np.roots(cubic) if abs(r.imag) < 1e-12 and 0.0 < r.real < mu]
+    pair = KernelPair(Laplace(mu), Laplace(mu))
+    assert abs(left_rate(pair, params, c) - min(roots)) <= 1e-12 * min(roots)
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5, 5.0])
+def test_left_rate_gaussian_nonlocal_matches_mpmath(c):
+    # c y + kp e^{v+ y^2/2} - rho_bar - kn theta e^{v- y^2/2}, rho_bar =
+    # m + 2 kl theta + kn theta: a 50-digit scan for its first sign change,
+    # then mpmath's bracketing solver inside it
+    vp, vm = 1.0, 0.5
+    params = Params(2.0, 1.0, 0.5, 0.5)
+    th = theta(params)
+    rho_bar = params.m + (2.0 * params.kappa_local + params.kappa_nonlocal) * th
+    with mpmath.workdps(50):
+        def g(y):
+            return (c * y + params.kappa_plus * mpmath.exp(vp * y * y / 2) - rho_bar
+                    - params.kappa_nonlocal * th * mpmath.exp(vm * y * y / 2))
+
+        y = mpmath.mpf(0)
+        while g(y + mpmath.mpf("0.01")) < 0:
+            y += mpmath.mpf("0.01")
+        root = float(mpmath.findroot(g, (y, y + mpmath.mpf("0.01")), solver="anderson"))
+    pair = KernelPair(Gaussian(vp), Gaussian(vm))
+    assert abs(left_rate(pair, params, c) - root) <= 1e-12 * root
+
+
+def test_first_sign_change_refuses_what_it_cannot_bracket():
+    grid = _strip_grid(1.0)
+    assert grid[0] == 1e-6 and grid[-1] == 1.0
+    assert _first_sign_change(lambda x: x - 0.4, grid, "lab", "f") == (0.3, 0.5)
+    with pytest.raises(NonConvergence, match="already positive") as e:
+        _first_sign_change(lambda x: 1.0, grid, "lab", "f")
+    assert e.value.label == "lab"
+    for f in (lambda x: -1.0, lambda x: math.nan if x > 0.1 else -1.0):
+        with pytest.raises(NonConvergence, match="no sign change of f") as e:
+            _first_sign_change(f, grid, "lab", "f")
+        assert e.value.diagnostics["last_value"] == -1.0

@@ -1,8 +1,9 @@
 """Every name a package or test module imports at module level is used in
 it, every private module-level name of the package is read in it, no
 kernel family restates a transform or its evenness, no package module
-reads the environment or imports inside a function, and a profile solve
-leaves scipy.signal unloaded."""
+reads the environment or imports inside a function, the profile solver
+reads kernel spectra through the dispersion layer only, and a profile
+solve leaves scipy.signal unloaded."""
 
 import ast
 import os
@@ -132,6 +133,36 @@ def test_nested_imports_finds_function_level_imports():
 def test_package_imports_at_module_level(path):
     """What a module needs shows at its head, and is loaded when it is."""
     assert nested_imports(path.read_text()) == []
+
+
+def spectral_reads(source):
+    """Where the source finds roots or reads a kernel's transform itself:
+    the name brentq, imported or called, and calls of a .transform method."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.alias) and n.name.split(".")[-1] == "brentq":
+            found.add("brentq")
+        elif isinstance(n, ast.Attribute) and n.attr == "brentq":
+            found.add("brentq")
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                and n.func.attr == "transform":
+            found.add("transform")
+    return sorted(found)
+
+
+def test_spectral_reads_finds_roots_and_transforms():
+    source = ("from scipy.optimize import brentq, minimize_scalar\n"
+              "def f(k):\n    return k.transform(-1.0) + k.transform_deriv(1.0, 2)\n")
+    assert spectral_reads(source) == ["brentq", "transform"]
+    assert spectral_reads("import scipy.optimize as so\nso.brentq(f, 0, 1)\n") == ["brentq"]
+    assert spectral_reads("def g(k):\n    return k.transform_deriv(0.5)\n") == []
+
+
+def test_profile_reads_spectra_through_dispersion():
+    """The boundary rates are characteristic roots: dispersion brackets and
+    solves them, and the profile solver asks it for them."""
+    (profile,) = [p for p in PACKAGE if p.name == "profile.py"]
+    assert spectral_reads(profile.read_text()) == []
 
 
 def test_profile_solve_leaves_scipy_signal_unloaded():

@@ -118,6 +118,19 @@ def test_negative_speed_spans_are_the_callers():
         solve_profile(PAIR, LK1, -4.0, grid=GridSpec(l_left=1.0))
 
 
+@pytest.mark.parametrize("c,message", [
+    (4.0, r"warm start .* grid \[-0\.004, 0\.006\]: l_right is too short"),
+    (-4.0, r"warm start .* grid \[-0\.006, 0\.004\]: l_left is too short")],
+    ids=["c=4", "c=-4"])
+def test_warm_start_off_a_two_point_grid_is_refused(c, message):
+    # spans of 0.004 at h = 0.01 leave N = 2 points, both above theta/2
+    # after the sweeps, with the origin at the first: recentering would
+    # shift by N cells and keep no row of the warm start, so the solve is
+    # refused before Newton, on the caller's grid
+    with pytest.raises(UsageError, match=message):
+        solve_profile(PAIR, LK1, c, grid=GridSpec(l_left=0.004, l_right=0.004))
+
+
 def test_weak_growth_gaussian_converges():
     # kappa_plus = 1.2 m, off the kappa_plus = 2m line, at 1.5 c*: with the
     # band as the tail's preconditioner the solve stalled near 1e-5

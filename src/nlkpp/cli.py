@@ -204,6 +204,10 @@ def _cmd_check(args, manifest):
 
 
 def _cmd_classify(args, manifest):
+    if args.c is not None and not args.csv:
+        # the class and c* do not depend on a speed; only the table's h does
+        raise UsageError("classify reads --c only for the h column of --csv; "
+                         "drop --c or add --csv --out DIR")
     pair, params = _resolve_problem(args, manifest)
     try:
         rep = minimal_speed(pair, params)

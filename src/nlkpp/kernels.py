@@ -111,6 +111,12 @@ class Kernel:
     `transform_deriv(z, order)` is the one place a family states its closed
     forms; orders it does not know fall through to quadrature here, and
     `transform` is its order 0.
+
+    `pdf` takes a float or an array. QUADPACK calls each integrand once per
+    abscissa with a float, and numpy's cost per 0-d call dwarfs the
+    arithmetic, so a float gets a float: the array code's operations in
+    Python, with its bits, calling numpy only for the functions that code
+    takes from it (`np.exp`, not `math.exp`, which differs in the last bit).
     """
 
     family = "generic"
@@ -206,6 +212,8 @@ class Laplace(EvenKernel):
         require_finite("laplace mu", self.mu, "positive")
 
     def pdf(self, s):
+        if isinstance(s, float):
+            return 0.5 * self.mu * float(np.exp(-self.mu * abs(s)))
         return 0.5 * self.mu * np.exp(-self.mu * np.abs(s))
 
     @property
@@ -249,6 +257,9 @@ class Gaussian(EvenKernel):
 
     def pdf(self, s):
         v = self.variance
+        if isinstance(s, float):
+            # numpy's x**2 is x*x
+            return float(np.exp(-(s * s) / (2 * v))) / math.sqrt(2 * math.pi * v)
         return np.exp(-np.asarray(s) ** 2 / (2 * v)) / math.sqrt(2 * math.pi * v)
 
     sigma_right = property(lambda self: math.inf)
@@ -287,6 +298,8 @@ class Uniform(Kernel):
             raise UsageError("uniform kernel needs hi > lo")
 
     def pdf(self, s):
+        if isinstance(s, float):
+            return 1.0 / (self.hi - self.lo) if self.lo <= s <= self.hi else 0.0
         s = np.asarray(s, dtype=float)
         return np.where((s >= self.lo) & (s <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
 
@@ -351,6 +364,14 @@ class ExpPoly(EvenKernel):
         object.__setattr__(self, "alpha", 1.0 / (2.0 * norm))
 
     def pdf(self, s):
+        if isinstance(s, float):
+            # for a float the array code's ** is C's pow on numpy scalars, as
+            # Python's is; where pow overflows numpy gives inf, and the density 0
+            a = abs(float(s))
+            try:
+                return self.alpha * float(np.exp(-self.mu * a ** self.p)) / (1.0 + a ** self.q)
+            except OverflowError:
+                return 0.0
         a = np.abs(np.asarray(s, dtype=float))
         return self.alpha * np.exp(-self.mu * a ** self.p) / (1.0 + a ** self.q)
 
@@ -414,6 +435,13 @@ class Tabulated(Kernel):
         return self.grid_start + self.grid_step * np.arange(len(self.values))
 
     def pdf(self, s):
+        if isinstance(s, float):
+            # round, like np.rint, rounds half to even
+            i = round((s - self.grid_start) / self.grid_step)
+            if 0 <= i < len(self.values) and \
+                    abs(s - (self.grid_start + i * self.grid_step)) <= 0.5 * self.grid_step:
+                return self.values[i]
+            return 0.0
         s = np.asarray(s, dtype=float)
         idx = np.rint((s - self.grid_start) / self.grid_step).astype(int)
         ok = (idx >= 0) & (idx < len(self.values)) & \
@@ -476,6 +504,8 @@ class Truncated(Kernel):
         require_finite("truncation cutoff", self.cutoff)
 
     def pdf(self, s):
+        if isinstance(s, float):
+            return self.base.pdf(s) if s < self.cutoff else 0.0
         s = np.asarray(s, dtype=float)
         return np.where(s < self.cutoff, self.base.pdf(s), 0.0)
 
@@ -538,12 +568,18 @@ class RadialExpMarginal(EvenKernel):
 
     def pdf(self, s):
         nu = self.dim / 2.0
+        # x^nu K_nu(x) tends to 2^{nu-1} Gamma(nu) at the origin
+        at_0 = 2.0 ** (nu - 1.0) * math.gamma(nu)
+        c = math.sqrt(math.pi) * math.gamma(nu + 0.5) * 2.0 ** nu
+        if isinstance(s, float):
+            x = self.mu * abs(s)
+            # np.power: the array code's ** on an array is numpy's power
+            xk = float(np.power(x, nu) * special.kve(nu, x) * np.exp(-x)) if x > 0 else at_0
+            return self.mu * xk / c
         x = self.mu * np.abs(np.asarray(s, dtype=float))
         xs = np.where(x > 0, x, 1.0)
-        # x^nu K_nu(x) tends to 2^{nu-1} Gamma(nu) at the origin
-        xk = np.where(x > 0, xs ** nu * special.kve(nu, xs) * np.exp(-xs),
-                      2.0 ** (nu - 1.0) * math.gamma(nu))
-        return self.mu * xk / (math.sqrt(math.pi) * math.gamma(nu + 0.5) * 2.0 ** nu)
+        xk = np.where(x > 0, xs ** nu * special.kve(nu, xs) * np.exp(-xs), at_0)
+        return self.mu * xk / c
 
     def transform_deriv(self, z, order=1):
         d, mu2 = self.dim, self.mu ** 2

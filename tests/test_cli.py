@@ -450,6 +450,14 @@ def test_csv_without_out_rejected(kernel_file, capsys):
     assert code == 1
 
 
+def test_classify_refuses_c_without_csv(kernel_file, capsys):
+    # --c only sets the speed of the dispersion table's h column
+    code, doc = run_cli(capsys, "classify", "--kernel", kernel_file, "--c", "3")
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert "--c" in doc["error"]["message"]
+
+
 def test_truncate_sweep_csv(kernel_file, capsys, tmp_path):
     out = str(tmp_path / "tr")
     code, doc = run_cli(capsys, "truncate-sweep", "--kernel", kernel_file,

@@ -113,6 +113,46 @@ def test_symmetric_pdf(k):
     assert np.allclose(k.pdf(s), k.pdf(-s), rtol=1e-13, atol=0.0)
 
 
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+_TABLE = Tabulated(-1.0, 0.5, (0.2, 0.6, 0.8, 0.4))
+_CELL_EDGES = [-1.25, -0.75, -0.25, 0.25, 0.75]
+
+# (kernel, points beyond the common ones, whether a one-element array gives
+# the float's bits too): ExpPoly's array code raises a numpy scalar to its
+# powers for a float, with C's pow, and a longer array with numpy's vector
+# power, which differs from pow in the last bit on a few percent of arguments
+FLOAT_PATH = [
+    (Laplace(0.7), [1e4 / 0.7], True),
+    (Gaussian(1.0), [40.0], True),
+    (Uniform(-0.5, 2.0), [-0.5, 2.0, _down(-0.5), _up(-0.5), _down(2.0), _up(2.0)], True),
+    (ExpPoly(1.3, 3.6, 0.8), [1e4 / 0.8, 1e200], False),
+    (_TABLE, _CELL_EDGES + [f(e) for e in _CELL_EDGES for f in (_up, _down)], True),
+    (Truncated(Laplace(1.0), 0.5), [0.5, _up(0.5), _down(0.5)], True),
+    (RadialExpMarginal(1.3, 3), [1e4 / 1.3], True),
+]
+
+
+@pytest.mark.parametrize("k,points,vector_bits", FLOAT_PATH,
+                         ids=[k.family for k, _, _ in FLOAT_PATH])
+def test_pdf_float_path(k, points, vector_bits):
+    # quadrature calls pdf with one float per abscissa: a float comes back,
+    # with the bits the array code gives the same value as a 0-d array
+    for x in [0.0, -0.0, 0.3, -0.61, 1.7, -2.9, np.float64(0.45)] + points:
+        got = k.pdf(x)
+        assert type(got) is float, x
+        with np.errstate(over="ignore"):
+            assert repr(got) == repr(float(k.pdf(np.asarray(x)))), x
+        if vector_bits:
+            assert repr(got) == repr(float(k.pdf(np.array([x]))[0])), x
+
+
 @pytest.mark.parametrize("k", FAMILIES + [Tabulated(-1.0, 0.5, (0.2, 0.6, 0.8, 0.4)),
                                             Truncated(Gaussian(1.0), 0.5)],
                          ids=lambda k: repr(k))

@@ -108,9 +108,9 @@ class Kernel:
     the transform extends to negative arguments). `mass` is 1 except for
     truncated kernels, which keep their defect on purpose.
 
-    `transform_deriv(z, order)` is the one place a family states its closed
-    forms; orders it does not know fall through to quadrature here, and
-    `transform` is its order 0.
+    `transform_below(z, R, order)` is the one integral a family states, and
+    `transform_deriv(z, order)`, its value at the support's end, the one
+    place for its closed forms; `transform` is order 0.
 
     `pdf` takes a float or an array. QUADPACK calls each integrand once per
     abscissa with a float, and numpy's cost per 0-d call dwarfs the
@@ -142,16 +142,6 @@ class Kernel:
         """Distance beyond which the density is below eps of its peak."""
         raise NotImplementedError
 
-    def _quad_weighted(self, weight):
-        lo, hi = self._support
-        return _quad_split(lambda s: self.pdf(s) * weight(s), lo, hi, self._breaks)
-
-    def _tilted(self, z: float, order: int = 0):
-        """pdf(s) e^{z s} s^order, tilted through logs by laplace._weighted:
-        inside the strip the product decays where e^{z s} alone overflows."""
-        g = _weighted(self.pdf, z)
-        return (lambda s: g(s) * s ** order) if order else g
-
     def transform(self, z: float) -> float:
         """Bilateral Laplace transform at real z, +inf when divergent."""
         return self.transform_deriv(z, 0)
@@ -160,8 +150,18 @@ class Kernel:
         """d^k/dz^k of the transform, i.e. int s^k a(s) e^{z s} ds."""
         if z >= self.sigma_right or -z >= self.sigma_left:
             return math.inf
-        lo, hi = self._support
-        return _quad_split(self._tilted(z, order), lo, hi, self._breaks)
+        return self.transform_below(z, self._support[1], order)
+
+    def transform_below(self, z: float, R: float, order: int = 0) -> float:
+        """int_{-inf}^{R} s^order a(s) e^{z s} ds, +inf left of -sigma_left
+        (at z = 0 a moment, which no abscissa bounds), tilted through logs by
+        laplace._weighted: the product decays where e^{z s} alone overflows."""
+        if z < 0 and -z >= self.sigma_left:
+            return math.inf
+        lo, _ = self._support
+        g = _weighted(self.pdf, z)
+        f = (lambda s: g(s) * s ** order) if order else g
+        return _quad_split(f, lo, R, self._breaks)
 
     def cdf(self, x: float) -> float:
         lo, _ = self._support
@@ -170,10 +170,11 @@ class Kernel:
         return _quad_split(self.pdf, lo, x, self._breaks)
 
     def moment_first(self) -> float:
-        return self._quad_weighted(lambda s: s)
+        return self.transform_below(0.0, self._support[1], 1)
 
     def moment_first_abs(self) -> float:
-        return self._quad_weighted(abs)
+        lo, hi = self._support
+        return _quad_split(lambda s: self.pdf(s) * abs(s), lo, hi, self._breaks)
 
     def pdf_max(self) -> float:
         s = np.linspace(-self.support_radius(1e-12), self.support_radius(1e-12), 4001)
@@ -410,7 +411,10 @@ class ExpPoly(EvenKernel):
 class Tabulated(Kernel):
     """Samples on a uniform grid; zero outside. Compact numerical support
     means the abscissa is infinite no matter what the table was sampled
-    from, which the abscissa report labels accordingly."""
+    from, which the abscissa report labels accordingly. The kernel is its
+    comb, a mass grid_step*value at each node: transform, `cdf` and moments
+    are sums through `transform_below`. `pdf` is the comb's histogram, which
+    grid sampling and the assumption scans read."""
 
     grid_start: float
     grid_step: float
@@ -457,17 +461,13 @@ class Tabulated(Kernel):
         g = self._grid()
         return max(abs(g[0]), abs(g[-1])) + self.grid_step
 
-    def transform_deriv(self, z, order=1):
+    def transform_below(self, z, R, order=0):
         g = self._grid()
-        return float(self.grid_step * np.sum(np.asarray(self.values) * g ** order * np.exp(z * g)))
+        v, g = np.asarray(self.values)[g <= R], g[g <= R]
+        return float(self.grid_step * np.sum(v * g ** order * np.exp(z * g)))
 
     def cdf(self, x):
-        g = self._grid()
-        return float(self.grid_step * np.sum(np.asarray(self.values)[g <= x]))
-
-    def moment_first(self):
-        g = self._grid()
-        return float(self.grid_step * np.sum(np.asarray(self.values) * g))
+        return self.transform_below(0.0, x, 0)
 
     def moment_first_abs(self):
         g = self._grid()
@@ -492,7 +492,8 @@ class Truncated(Kernel):
     """Base kernel cut to (-inf, cutoff), mass defect kept (no renormalizing).
 
     The right support is bounded, so the abscissa becomes infinite and the
-    transform is entire in the right half plane.
+    transform is entire in the right half plane. Its integrals are its
+    base's `transform_below` up to the cutoff.
     """
 
     base: Kernel
@@ -519,23 +520,19 @@ class Truncated(Kernel):
     def sigma_left(self):
         return self.base.sigma_left
 
-    @property
-    def _support(self):
-        lo, _ = self.base._support
-        return (lo, self.cutoff)
-
     def support_radius(self, eps=1e-17):
         return self.base.support_radius(eps)
 
-    @property
-    def _breaks(self):
-        return self.base._breaks
-
-    def _tilted(self, z, order=0):
-        return self.base._tilted(z, order)
+    def transform_below(self, z, R, order=0):
+        return self.base.transform_below(z, min(R, self.cutoff), order)
 
     def cdf(self, x):
         return self.base.cdf(min(x, self.cutoff))
+
+    def moment_first_abs(self):
+        # |s| = s - 2 min(s, 0)
+        t = self.base.transform_below
+        return t(0.0, self.cutoff, 1) - 2.0 * t(0.0, min(0.0, self.cutoff), 1)
 
     def to_dict(self):
         return {"family": "truncated", "cutoff": self.cutoff, "base": self.base.to_dict()}

@@ -146,8 +146,9 @@ class Convolver:
     """Convolution with one kernel on a uniform grid of step h.
 
     The weights are h*a(kh) on [-K, K], rescaled to the exact kernel mass
-    so constants are reproduced without discretization error. A call takes
-    a vector already padded by K cells on the left (and at least K on the
+    so constants are reproduced without discretization error (a step whose
+    nodes all miss the support leaves none: a UsageError). A call takes a
+    vector already padded by K cells on the left (and at least K on the
     right) and returns the 'valid' part of the convolution, cut to n rows;
     the padding is left to the caller because each caller's boundary panel
     is different physics. The FFT is circular, of length
@@ -181,8 +182,10 @@ class Convolver:
             K = _half_width(kernel, h)
         w = h * np.asarray(kernel.pdf(np.arange(-K, K + 1) * h), dtype=float)
         tot = w.sum()
-        if tot > 0:
-            w *= kernel.mass / tot
+        if not tot > 0:
+            raise UsageError(f"grid step h={h!r} samples the {kernel.family} kernel (support "
+                             f"within {kernel.support_radius():.6g} of 0) to zero weights")
+        w *= kernel.mass / tot
         self.w, self.K, self.h = w, K, h
         self._specs = {}        # FFT length -> spectrum of w, oldest first
         self._tilt_key, self._tilt_spec = None, None

@@ -333,6 +333,30 @@ def test_evolve_refuses_truncated_kernel(capsys, tmp_path):
     assert "probability kernels" in out["error"]["message"]
 
 
+def test_evolve_refuses_a_kernel_the_grid_misses(capsys, tmp_path):
+    # every node of step 0.02 misses [0.001, 0.004], so no weight survives
+    doc = dict(LK1_DOC, family="uniform", endpoints=[0.001, 0.004])
+    p = tmp_path / "narrow.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "evolve", "--kernel", str(p), "--dt", "0.01",
+                        "--horizon", "0.1", "--grid-h", "0.02")
+    assert code == 1
+    assert out["error"]["type"] == "UsageError"
+    assert "uniform" in out["error"]["message"] and "h=0.02" in out["error"]["message"]
+
+
+def test_truncate_sweep_of_a_cut_kernel_climbs_from_below(capsys, tmp_path):
+    # cutting a cut kernel further out leaves it as it is
+    doc = dict(LK1_DOC, family="truncated", cutoff=1.0,
+               base={"family": "laplace", "mu": 1.0})
+    p = tmp_path / "cut.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "truncate-sweep", "--kernel", str(p), "--radii", "0.5,2,5")
+    assert code == 0
+    assert all(gap >= 0.0 for gap in out["result"]["gaps"])
+    assert out["result"]["gaps"][1:] == [0.0, 0.0]
+
+
 def test_manifest_records_every_run_option(kernel_file, capsys, tmp_path):
     argv = ["evolve", "--kernel", kernel_file, "--dt", "0.05", "--horizon", "0.5"]
     _, step = run_cli(capsys, *argv)

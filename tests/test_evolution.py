@@ -5,7 +5,7 @@ import pytest
 
 from nlkpp.errors import NonConvergence, UsageError
 from nlkpp.evolution import evolve, front_speed, step_data
-from nlkpp.kernels import Gaussian, KernelPair, Laplace, Params, Truncated, theta
+from nlkpp.kernels import Gaussian, KernelPair, Laplace, Params, Truncated, Uniform, theta
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 PAIR = KernelPair(Laplace(1.0), Laplace(1.0))
@@ -166,6 +166,13 @@ def test_mass_defect_refused():
     cut = Truncated(Laplace(1.0), 1.0)
     with pytest.raises(UsageError, match="probability kernels"):
         _run(step_data(0.0, theta(LK1)), horizon=0.1, pair=KernelPair(cut, cut))
+
+
+def test_kernel_the_grid_misses_refused():
+    # the nodes of step 0.02 nearest [0.001, 0.004] are 0 and 0.02: all weights vanish
+    narrow = Uniform(0.001, 0.004)
+    with pytest.raises(UsageError, match="h=0.02"):
+        _run(step_data(0.0, theta(LK1)), horizon=0.1, h=0.02, pair=KernelPair(narrow, narrow))
 
 
 def test_competition_weights_keep_their_own_half_width():

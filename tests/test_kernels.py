@@ -265,6 +265,62 @@ def test_truncated_mass_and_transform():
             assert abs(tk.transform(z) - direct) <= 1e-9 * direct
 
 
+def test_truncated_reads_its_base_through_transform_below():
+    # no private quadrature plumbing of the base: its support, kinks and tilt
+    for name in ("_tilted", "_support", "_breaks"):
+        assert name not in vars(Truncated)
+
+
+@pytest.mark.parametrize("R", [1.0, 1.5, 5.0])
+def test_cut_of_a_cut_stops_at_the_inner_cutoff(R):
+    inner = Truncated(Laplace(1.0), 1.0)
+    outer = Truncated(inner, R)
+    assert outer.mass == inner.mass
+    assert outer.moment_first() == inner.moment_first()
+    assert outer.moment_first_abs() == inner.moment_first_abs()
+    for z in (-0.5, 0.0, 0.7, 3.0):
+        for order in (0, 1, 2):
+            assert outer.transform_deriv(z, order) == inner.transform_deriv(z, order)
+
+
+def _normal_table(step):
+    """N(-0.5, 1) sampled on [-6.5, 5.5], scaled to unit point sum."""
+    g = np.arange(-6.5, 5.5 + step / 2, step)
+    v = np.exp(-0.5 * (g + 0.5) ** 2)
+    return Tabulated(float(g[0]), step, tuple(v / (v.sum() * step)))
+
+
+@pytest.mark.parametrize("R", [-7.0, -0.5, 0.3, 0.325, 2.0, 5.5, 9.0])
+def test_tabulated_cut_is_the_comb_below_the_cutoff(R):
+    table = _normal_table(0.05)
+    cut = Truncated(table, R)
+    assert cut.mass == cut.transform(0.0) == table.cdf(R)
+    g = table.grid_start + table.grid_step * np.arange(len(table.values))
+    v = np.asarray(table.values) * (g <= R)
+    for z in (-1.0, 0.5, 2.0):
+        for order in (0, 1, 2):
+            comb = table.grid_step * math.fsum(v * g ** order * np.exp(z * g))
+            assert abs(cut.transform_deriv(z, order) - comb) <= 1e-13 * max(1.0, abs(comb))
+    comb_abs = table.grid_step * math.fsum(v * np.abs(g))
+    assert abs(cut.moment_first_abs() - comb_abs) <= 1e-13
+    if R >= g[-1]:
+        assert cut.transform(1.5) == table.transform(1.5)
+
+
+def test_cut_of_a_base_with_zero_abscissa_keeps_its_moments():
+    # sigma = 0 for p < 1, so the strip guard of the transform would call the
+    # first moment divergent; at z = 0 the integral is a moment
+    base = ExpPoly(0.5, 2.0, 1.0)
+    cut = Truncated(base, 1.0)
+    with mpmath.workdps(30):
+        def part(*pts):
+            return float(mpmath.quad(lambda s: s * base.alpha * mpmath.exp(-mpmath.sqrt(abs(s)))
+                                     / (1 + s * s), pts))
+        neg, pos = part(-mpmath.inf, -1, 0), part(0, 1)
+    assert abs(cut.moment_first() - (neg + pos)) <= 1e-8 * abs(neg + pos)
+    assert abs(cut.moment_first_abs() - (pos - neg)) <= 1e-8 * (pos - neg)
+
+
 def test_reflection_involution():
     k = Uniform(-0.5, 2.0)
     kr = k.reflected()

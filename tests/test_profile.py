@@ -434,6 +434,39 @@ def test_unit_d_normalization(prof_4):
     assert abs(fit.D_estimate - 1.0) < 0.05
 
 
+def _unit_d_twice(pair, params, c):
+    once = normalize_shift(solve_profile(pair, params, c), "unit-D", pair=pair, params=params)
+    twice = normalize_shift(once, "unit-D", pair=pair, params=params)
+    # D is read again as exactly 1, so the second shift is exactly 0
+    assert np.array_equal(twice.grid, once.grid)
+    assert np.array_equal(twice.values, once.values)
+    return once
+
+
+def test_unit_d_with_nonlocal_competition():
+    # D's transform identity convolves psi with a_minus when kappa_nonlocal > 0
+    pair = KernelPair(Gaussian(1.0), Gaussian(0.5))
+    params = Params(2.0, 1.0, 0.5, 0.5)
+    once = _unit_d_twice(pair, params, 1.5 * minimal_speed(pair, params).c_star)
+    assert abs(tail_asymptotics(once).D_estimate - 1.0) < 0.01
+
+
+def test_unit_d_at_the_double_root(rep, prof_critical):
+    # at c* the characteristic root is double and D comes from the second
+    # derivative; the fit reads D ~ 0.59 there, bent by the e^{-lambda s}
+    # term under s e^{-lambda s}, so only the idempotence is asserted
+    assert prof_critical.multiplicity == 2
+    _unit_d_twice(PAIR, LK1, rep.c_star)
+
+
+def test_kernel_the_grid_misses_refused():
+    # the nodes of step 0.02 nearest [0.001, 0.004] are 0 and 0.02: all weights vanish
+    narrow = KernelPair(Uniform(0.001, 0.004), Uniform(0.001, 0.004))
+    c = 1.5 * minimal_speed(narrow, LK1).c_star
+    with pytest.raises(UsageError, match="zero weights"):
+        solve_profile(narrow, LK1, c, grid=GridSpec(h=0.02))
+
+
 def test_unit_d_on_a_leftward_wave(prof_4):
     # the transform identity reads a decreasing profile, so a leftward wave
     # is normalized through its reflection: its theta/2 crossing mirrors

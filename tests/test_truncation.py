@@ -1,13 +1,17 @@
 """Compactly supported approximations and the minimal-speed recovery sweep."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
+
+from nlkpp import kernels
 
 from nlkpp.dispersion import g_function, minimal_speed
 from nlkpp.errors import AssumptionFailure, UsageError
-from nlkpp.kernels import KernelPair, Laplace, Params
+from nlkpp.kernels import KernelPair, Laplace, Params, Tabulated, Truncated
 from nlkpp.truncation import c_star_sequence, theta_r, truncate, truncated_g
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
@@ -112,3 +116,31 @@ def test_small_radius_kills_growth():
 def test_pair_input_accepted():
     trace = c_star_sequence(KernelPair(K_REF, Laplace(2.0)), LK1, (3.0,))
     assert trace.a_minus_mass[0] != trace.a_plus_mass[0]
+
+
+def _normal_table(step):
+    """N(-0.5, 1) sampled on [-6.5, 5.5], scaled to unit point sum."""
+    g = np.arange(-6.5, 5.5 + step / 2, step)
+    v = np.exp(-0.5 * (g + 0.5) ** 2)
+    return Tabulated(float(g[0]), step, tuple(v / (v.sum() * step)))
+
+
+@pytest.mark.parametrize("step", [0.05, 0.01])
+def test_tabulated_sequence_climbs_to_its_own_limit(step, monkeypatch):
+    # a cut table is the comb below the cutoff: summed, never integrated,
+    # and past the last node it is the table itself
+    def no_quadrature(*args, **kw):
+        raise AssertionError("a tabulated cut reached quadrature")
+    monkeypatch.setattr(kernels, "_quad_split", no_quadrature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        trace = c_star_sequence(_normal_table(step), LK1, (2.0, 5.0, 10.0, 20.0, 40.0))
+    assert all(gap >= 0.0 for gap in trace.gaps)
+    assert trace.gaps[2:] == (0.0, 0.0, 0.0)
+
+
+def test_sequence_of_a_cut_kernel_stops_at_its_cutoff():
+    # the levels past the inner cutoff are the cut kernel itself
+    trace = c_star_sequence(Truncated(K_REF, 1.0), LK1, (0.5, 2.0, 5.0))
+    assert all(gap >= 0.0 for gap in trace.gaps)
+    assert trace.c_star[1:] == (trace.c_star_limit, trace.c_star_limit)

@@ -20,10 +20,12 @@ only claim numeric status, not measure-theoretic truth.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 from scipy import integrate, special
@@ -147,8 +149,9 @@ class Kernel:
         return self.transform_deriv(z, 0)
 
     def transform_deriv(self, z: float, order: int = 1) -> float:
-        """d^k/dz^k of the transform, i.e. int s^k a(s) e^{z s} ds."""
-        if z >= self.sigma_right or -z >= self.sigma_left:
+        """d^k/dz^k of the transform, i.e. int s^k a(s) e^{z s} ds; each
+        abscissa bounds its own side, so z = 0 gives a moment even at sigma 0."""
+        if (z > 0 and z >= self.sigma_right) or (z < 0 and -z >= self.sigma_left):
             return math.inf
         return self.transform_below(z, self._support[1], order)
 
@@ -667,17 +670,26 @@ class JTheta:
     origin_delta: float     # half-width of that interval, 0.0 when none exists
 
     def __call__(self, s):
-        kp = self.params.kappa_plus
-        kn = self.params.kappa_nonlocal
-        return kp * self.pair.a_plus.pdf(s) - self.theta * kn * self.pair.a_minus.pdf(s)
+        return _balance(self.pair, self.params, self.theta, s)
+
+
+def _balance(pair: KernelPair, params: Params, th: float, s):
+    """J_theta at s; without competition a_minus is not sampled, as its
+    term would be 0.0 times a finite density, which changes no bit."""
+    kn = params.kappa_nonlocal
+    vals = params.kappa_plus * pair.a_plus.pdf(s)
+    if kn:
+        vals = vals - th * kn * pair.a_minus.pdf(s)
+    return vals
 
 
 def j_theta(pair: KernelPair, params: Params) -> JTheta:
+    """J_theta scanned across both supports: its minimum (Q2) and the widest
+    interval around 0 where it clears _POS_FLOOR (Q7)."""
     th = theta(params)
     radius = max(pair.a_plus.support_radius(1e-15), pair.a_minus.support_radius(1e-15))
     s = np.linspace(-radius, radius, _SCAN_POINTS)
-    kp, kn = params.kappa_plus, params.kappa_nonlocal
-    vals = kp * pair.a_plus.pdf(s) - th * kn * pair.a_minus.pdf(s)
+    vals = _balance(pair, params, th, s)
 
     # widest interval centred on the origin staying above the floor:
     # k is the first offset where either side drops below it
@@ -695,9 +707,9 @@ def j_theta(pair: KernelPair, params: Params) -> JTheta:
 @dataclass(frozen=True)
 class AssumptionReport:
     """Status per assumption: {"holds", "fails", "undecidable-numerically"}
-    with one diagnostic scalar each."""
+    with one diagnostic scalar each, read-only: callers share a report."""
 
-    entries: dict
+    entries: MappingProxyType
 
     def status(self, label: str) -> str:
         return self.entries[label][0]
@@ -727,8 +739,12 @@ def _sign_status(x: float, band: float = _UNDECIDED_BAND):
     return "undecidable-numerically"
 
 
+@functools.lru_cache(maxsize=16)
 def check_assumptions(pair: KernelPair, params: Params) -> AssumptionReport:
-    """Grid-and-quadrature verdict on Q1..Q7 for one kernel pair."""
+    """Grid-and-quadrature verdict on Q1..Q7 for one kernel pair, cached by
+    value (kernels and Params are frozen dataclasses), so classify and
+    minimal_speed on one problem check it once. Callers share the read-only
+    report; `check_assumptions.cache_clear()` empties the cache."""
     entries = {}
     kp, m = params.kappa_plus, params.m
     entries["Q1"] = (_sign_status(kp - m, 1e-12 * max(kp, m)), kp - m)
@@ -781,7 +797,7 @@ def check_assumptions(pair: KernelPair, params: Params) -> AssumptionReport:
     else:
         entries["Q7"] = ("undecidable-numerically", math.nan)
 
-    return AssumptionReport(entries)
+    return AssumptionReport(MappingProxyType(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 import nlkpp
 from nlkpp.cli import dumps, main, validate_document
 from nlkpp.errors import UsageError
+from nlkpp.kernels import check_assumptions
 
 LK1_DOC = {
     "family": "laplace", "mu": 1.0,
@@ -169,7 +170,9 @@ def test_determinism_of_result_block(kernel_file, capsys):
     (["profile", "--c", "4"], {"check_assumptions": 1, "minimal_speed": 1}),
     # one check inside minimal_speed, then one per solve of this pair
     (["uniqueness", "--c", "4"], {"check_assumptions": 3, "minimal_speed": 1}),
-], ids=["classify", "profile", "uniqueness"])
+    (["check"], {"check_assumptions": 1, "minimal_speed": 0}),
+    (["speed", "--c", "4"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
+], ids=["classify", "profile", "uniqueness", "check", "speed"])
 def test_setup_runs_once_per_command(argv, counts, kernel_file, capsys, monkeypatch):
     """The Q1..Q7 check and the dispersion analysis are set-up work: a
     command does each once per problem, not once per function it calls."""
@@ -192,6 +195,17 @@ def test_setup_runs_once_per_command(argv, counts, kernel_file, capsys, monkeypa
     code, _doc = run_cli(capsys, argv[0], "--kernel", kernel_file, *argv[1:])
     assert code == 0
     assert calls == counts
+
+
+def test_check_block_same_cold_and_warm(kernel_file, capsys):
+    # the second run reads the cached verdict and prints the same block
+    check_assumptions.cache_clear()
+    blocks = []
+    for _ in range(2):
+        assert main(["check", "--kernel", kernel_file]) == 0
+        blocks.append(capsys.readouterr().out.split('"result":', 1)[1])
+    assert check_assumptions.cache_info().hits == 1
+    assert blocks[0] == blocks[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nlkpp import kernels
 from nlkpp.dispersion import (_first_sign_change, _strip_grid, abscissa_to_speed,
                               characteristic, characteristic_deriv, classify,
                               f_function, g_function, h_function, left_rate,
@@ -13,7 +14,7 @@ from nlkpp.dispersion import (_first_sign_change, _strip_grid, abscissa_to_speed
                               root_multiplicity, speed_to_abscissa, t_function)
 from nlkpp.errors import NonConvergence, NoWave, UsageError
 from nlkpp.kernels import (ExpPoly, Gaussian, KernelPair, Laplace, Params, Uniform,
-                           theta)
+                           check_assumptions, j_theta, theta)
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 K_REF = Laplace(1.0)
@@ -25,6 +26,25 @@ LAM_STAR = math.sqrt(math.sqrt(5.0) - 2.0)
 # the critical mortality making (q=4, mu=0.1) an exact endpoint tie T(sigma)=m
 M_TIE_Q4 = 1.9917107761922892
 W_KERNEL = ExpPoly(1.0, 4.0, 0.1)
+
+
+def test_problem_checked_once_across_entry_points(monkeypatch):
+    # classify, minimal_speed and speed_to_abscissa without a report each
+    # ask for the Q1..Q7 verdict; equal problems built anew share one scan
+    scans = []
+
+    def counted(pair, params):
+        scans.append(pair)
+        return j_theta(pair, params)
+    monkeypatch.setattr(kernels, "j_theta", counted)
+    check_assumptions.cache_clear()
+
+    def problem():
+        return KernelPair(Laplace(0.8), Laplace(0.8)), Params(2.0, 1.0, 1.0, 0.0)
+    assert classify(*problem()) == "V"
+    rep = minimal_speed(*problem())
+    speed_to_abscissa(*problem(), 1.5 * rep.c_star)
+    assert len(scans) == 1
 
 
 def test_reference_lambda_star():

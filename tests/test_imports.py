@@ -1,9 +1,10 @@
 """Every name a package or test module imports at module level is used in
 it, every private module-level name of the package is read in it, no
 kernel family restates a transform or its evenness, no package module
-reads the environment or imports inside a function, the profile solver
-reads kernel spectra through the dispersion layer only, and a profile
-solve leaves scipy.signal unloaded."""
+reads the environment or imports inside a function, every functools cache
+of the package is bounded, the profile solver reads kernel spectra through
+the dispersion layer only, and a profile solve leaves scipy.signal
+unloaded."""
 
 import ast
 import os
@@ -133,6 +134,44 @@ def test_nested_imports_finds_function_level_imports():
 def test_package_imports_at_module_level(path):
     """What a module needs shows at its head, and is loaded when it is."""
     assert nested_imports(path.read_text()) == []
+
+
+def unbounded_caches(source):
+    """Line numbers of functools caches without a bound: functools.cache,
+    cache imported from functools, and lru_cache(maxsize=None) or
+    lru_cache(None)."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom) and n.module == "functools":
+            found.update(n.lineno for a in n.names if a.name == "cache")
+        elif isinstance(n, ast.Attribute) and n.attr == "cache" \
+                and isinstance(n.value, ast.Name) and n.value.id == "functools":
+            found.add(n.lineno)
+        elif isinstance(n, ast.Call) and getattr(n.func, "attr", getattr(n.func, "id", None)) \
+                == "lru_cache":
+            size = n.args[0] if n.args else \
+                next((k.value for k in n.keywords if k.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and size.value is None:
+                found.add(n.lineno)
+    return sorted(found)
+
+
+def test_unbounded_caches_finds_every_form():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@functools.cache\ndef f(x):\n    return x\n"
+              "@lru_cache(maxsize=None)\ndef g(x):\n    return x\n"
+              "@functools.lru_cache(None)\ndef h(x):\n    return x\n"
+              "@functools.lru_cache(maxsize=16)\ndef k(x):\n    return x\n"
+              "@lru_cache\ndef m(x):\n    return x\n"
+              "@lru_cache()\ndef n(x):\n    return x\n")
+    assert unbounded_caches(source) == [2, 3, 6, 9]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_caches_are_bounded(path):
+    """A cache keyed by problem values holds a few problems, not every
+    problem a long sweep or a benchmark run has seen."""
+    assert unbounded_caches(path.read_text()) == []
 
 
 def spectral_reads(source):

@@ -1,5 +1,6 @@
 """Kernel families, parameter checks, projections, and the assumption report."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -11,7 +12,7 @@ from nlkpp.errors import AssumptionFailure, UsageError
 from nlkpp.kernels import (ExpPoly, Gaussian, Kernel, KernelPair, Laplace, Params,
                            RadialExpMarginal, Tabulated, Truncated, Uniform,
                            check_assumptions, j_theta,
-                           kernel_from_dict, load_problem,
+                           kernel_from_dict, load_problem, params_from_dict,
                            project_to_direction, theta)
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
@@ -321,6 +322,21 @@ def test_cut_of_a_base_with_zero_abscissa_keeps_its_moments():
     assert abs(cut.moment_first_abs() - (pos - neg)) <= 1e-8 * (pos - neg)
 
 
+@pytest.mark.parametrize("k", [ExpPoly(0.5, 2.0, 1.0), ExpPoly(0.5, 0.0, 1.0),
+                               Truncated(ExpPoly(0.5, 2.0, 1.0), 1.0)],
+                         ids=lambda k: repr(k))
+def test_transform_at_zero_is_mass_when_an_abscissa_is_zero(k):
+    # each abscissa bounds its own side of the strip, so z = 0 is the mass
+    # even where sigma = 0 leaves no strip around it
+    assert abs(k.transform(0.0) - k.mass) <= 1e-12
+    assert k.transform(-0.0) == k.transform(0.0)
+    assert k.transform(-1e-9) == math.inf
+    if k.sigma_right == 0.0:
+        assert k.transform(1e-9) == math.inf
+    else:
+        assert math.isfinite(k.transform(1e-9))
+
+
 def test_reflection_involution():
     k = Uniform(-0.5, 2.0)
     kr = k.reflected()
@@ -490,6 +506,68 @@ def test_check_assumptions_q2_fails_with_dominant_competition():
     rep = check_assumptions(pair, Params(2.0, 1.0, 0.0, 1.0))
     assert rep.status("Q2") == "fails"
     assert rep.failing() == ["Q2", "Q7"]
+
+
+class _Unsampled(Laplace):
+    """A competition kernel whose density must not be read."""
+
+    def pdf(self, s):
+        raise AssertionError("a_minus sampled without competition")
+
+
+def test_j_theta_without_competition_leaves_a_minus_unsampled():
+    # its term would be 0.0 times a finite density: the same bits without it
+    check_assumptions.cache_clear()
+    a_plus = Laplace(1.0)
+    ref = j_theta(KernelPair(a_plus, Laplace(1.0)), LK1)
+    jt = j_theta(KernelPair(a_plus, _Unsampled(1.0)), LK1)
+    assert (jt.grid_min, jt.origin_rho, jt.origin_delta) == \
+        (ref.grid_min, ref.origin_rho, ref.origin_delta)
+    s = np.array([-1.0, 0.0, 2.0])
+    assert jt(s).tobytes() == (2.0 * a_plus.pdf(s) - jt.theta * 0.0 * a_plus.pdf(s)).tobytes()
+    assert jt(0.5) == 2.0 * a_plus.pdf(0.5)
+    assert check_assumptions(KernelPair(a_plus, _Unsampled(1.0)), LK1).failing() == []
+
+
+def test_report_is_read_only():
+    # every caller of a problem shares one report
+    rep = check_assumptions(KernelPair(Laplace(1.0), Laplace(1.0)), LK1)
+    with pytest.raises(TypeError):
+        rep.entries["Q1"] = ("fails", 0.0)
+    with pytest.raises(TypeError):
+        del rep.entries["Q2"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.entries = {}
+    assert rep.failing() == []
+
+
+def test_verdict_is_cached_by_value():
+    check_assumptions.cache_clear()
+    first = check_assumptions(KernelPair(Laplace(0.9), Laplace(0.9)), LK1)
+    again = check_assumptions(KernelPair(Laplace(0.9), Laplace(0.9)),
+                              params_from_dict({"kappa_plus": 2, "m": 1}))
+    assert again is first
+    info = check_assumptions.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert 0 < info.maxsize <= 64
+
+
+@pytest.mark.parametrize("k", FAMILIES + [_TABLE, Truncated(Laplace(1.0), 0.5),
+                                          Truncated(Truncated(Gaussian(1.0), 1.0), 0.5)],
+                         ids=lambda k: repr(k))
+def test_kernels_are_hashable_values(k):
+    # equal values hash equal, so the cache finds a problem built anew
+    twin = kernel_from_dict(k.to_dict())
+    assert twin is not k and twin == k and hash(twin) == hash(k)
+    pair, twin_pair = KernelPair(k, Laplace(1.0)), KernelPair(twin, Laplace(1.0))
+    assert twin_pair is not pair and twin_pair == pair and hash(twin_pair) == hash(pair)
+
+
+def test_params_are_hashable_values():
+    a = Params(2.0, 1.0, 0.5, 0.25)
+    b = params_from_dict({"kappa_plus": 2, "m": 1, "kappa_local": 0.5, "kappa_nonlocal": 0.25})
+    assert b is not a and b == a and hash(b) == hash(a)
+    assert Params(2.0, 1.0, 0.5, 0.5) != a
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .dispersion import (characteristic, classify, g_function, minimal_speed,
                          mu_star, mu_star_bracket, speed_to_abscissa, t_function)
-from .errors import AssumptionFailure, NonConvergence, ToolkitError, UsageError
+from .errors import AssumptionFailure, NonConvergence, UsageError
 from .evolution import evolve, step_data
 from .kernels import Params, check_assumptions, load_problem, params_from_dict, theta
 from .profile import GridSpec, compare_up_to_shift, solve_profile, tail_asymptotics
@@ -163,16 +163,15 @@ def _grid_spec(args) -> GridSpec:
     return GridSpec(l_left=args.grid_l, l_right=args.grid_l, h=args.grid_h)
 
 
-def _dispersion_csvs(args, pair, params, rep):
+def _dispersion_csvs(args, pair, params):
     """With --csv, (lambda, G, T, h) rows on a fixed geometric grid below the
     abscissa, h at --c or else at c*."""
     if not args.csv:
         return {}
+    rep = minimal_speed(pair, params)
     c_for_h = args.c if args.c is not None else rep.c_star
-    lam_star = rep.lambda_star
-    sig = rep.sigma_plus
-    hi = min(3.0 * lam_star, 0.995 * sig) if math.isfinite(sig) else 3.0 * lam_star
-    lams = np.geomspace(lam_star / 30.0, hi, 60)
+    lams = np.geomspace(rep.lambda_star / 30.0,
+                        min(3.0 * rep.lambda_star, 0.995 * rep.sigma_plus), 60)
     rows = [("lambda", "G", "T", "h")]
     for lam in lams:
         rows.append((lam, g_function(pair.a_plus, params, lam),
@@ -214,17 +213,15 @@ def _cmd_classify(args, manifest):
     except NonConvergence:  # the class needs the endpoint only, not c*
         return {"kernel_class": classify(pair, params),
                 "sigma_plus": pair.a_plus.sigma_right}, {}
-    return rep.to_dict(), _dispersion_csvs(args, pair, params, rep)
+    return rep.to_dict(), _dispersion_csvs(args, pair, params)
 
 
 def _cmd_speed(args, manifest):
     pair, params = _resolve_problem(args, manifest)
-    rep = minimal_speed(pair, params)
-    result = rep.to_dict()
+    result = minimal_speed(pair, params).to_dict()
     if args.c is not None:
-        root = speed_to_abscissa(pair, params, args.c, rep)
-        result["at_speed"] = root.to_dict()
-    return result, _dispersion_csvs(args, pair, params, rep)
+        result["at_speed"] = speed_to_abscissa(pair, params, args.c).to_dict()
+    return result, _dispersion_csvs(args, pair, params)
 
 
 def _cmd_profile(args, manifest):
@@ -253,13 +250,8 @@ def _cmd_uniqueness(args, manifest):
     if args.c is None:
         raise UsageError("uniqueness needs --c")
     delta = args.anchor_delta
-    try:  # one report for both solves; solve_profile ignores it for c < 0
-        rep = minimal_speed(pair, params) if args.c > 0 else None
-    except ToolkitError:  # the solve raises its own error, in its own order
-        rep = None
-    p1 = solve_profile(pair, params, args.c, grid=_grid_spec(args), report=rep)
-    p2 = solve_profile(pair, params, args.c, grid=_grid_spec(args), anchor=delta,
-                       report=rep)
+    p1 = solve_profile(pair, params, args.c, grid=_grid_spec(args))
+    p2 = solve_profile(pair, params, args.c, grid=_grid_spec(args), anchor=delta)
     dist = compare_up_to_shift(p1, p2)
     return {"speed": args.c, "anchors": [0.0, delta],
             "residuals": [p1.residual_sup, p2.residual_sup],

@@ -20,12 +20,15 @@ smallest positive root of the linearization at theta,
     rho_bar = m + 2 kappa_local theta + kappa_nonlocal theta.
 
 lambda_star, lambda_left and mu_star are bracketed by one sign-change scan.
+minimal_speed is cached by the problem value; a `report` given to a
+function here is checked against the cached one and never used.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 from scipy.optimize import brentq
 
@@ -183,9 +186,14 @@ def minimal_speed(kernel, params: Params) -> DispersionReport:
     Class V: bracket the zero of H on a geometric grid and polish with a
     bracketed root solve to 1e-12 relative; cross-check the stationarity
     identity c_star = kappa_plus*A'(lambda_star). Class W: the endpoint is
-    the minimizer once H < 0 is confirmed on interior samples.
+    the minimizer once H < 0 is confirmed on interior samples. Cached by
+    value like check_assumptions (`minimal_speed.cache_clear()`); a failure is not.
     """
-    pair = _as_pair(kernel)
+    return _minimal_speed(_as_pair(kernel), params)
+
+
+@functools.lru_cache(maxsize=16)
+def _minimal_speed(pair: KernelPair, params: Params) -> DispersionReport:
     check_assumptions(pair, params).require(["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"])
     k = pair.a_plus
     kp, m = params.kappa_plus, params.m
@@ -227,13 +235,24 @@ def minimal_speed(kernel, params: Params) -> DispersionReport:
                             interval_kind, m_xi, tie)
 
 
+minimal_speed.cache_clear = _minimal_speed.cache_clear
+minimal_speed.cache_info = _minimal_speed.cache_info
+
+
+def _checked(given, own: DispersionReport) -> DispersionReport:
+    """The cached report of a problem; a given one must be it or equal it, nan == nan."""
+    if given is None or given is own or isinstance(given, DispersionReport) and all(
+            a == b or a != a and b != b for a, b in zip(astuple(given), astuple(own))):
+        return own
+    raise UsageError("report= is not minimal_speed of this pair and params")
+
+
 def root_multiplicity(kernel, params: Params, c: float,
                       report: DispersionReport | None = None) -> int:
     """Order of the characteristic root: 1 off the minimal speed, 2 at the
     minimal speed except in class W away from the equality case."""
     require_finite("speed c", c)
-    pair = _as_pair(kernel)
-    report = report or minimal_speed(pair, params)
+    report = _checked(report, minimal_speed(kernel, params))
     if c < report.c_star * (1.0 - 1e-12) - 1e-12:
         raise NoWave(f"c={c!r} below the minimal speed {report.c_star!r}")
     if abs(c - report.c_star) > _CSTAR_BAND * max(1.0, abs(report.c_star)):
@@ -244,7 +263,7 @@ def root_multiplicity(kernel, params: Params, c: float,
         return 1
     # W at the equality: the quadratic term needs the second moment against
     # the endpoint exponential, which is an extra hypothesis, not a given
-    d2 = pair.a_plus.transform_deriv(report.sigma_plus, 2)
+    d2 = _as_pair(kernel).a_plus.transform_deriv(report.sigma_plus, 2)
     if not math.isfinite(d2) or d2 > _ENDPOINT_BLOWUP * params.kappa_plus:
         raise NonConvergence(
             "second-moment",
@@ -258,20 +277,23 @@ def speed_to_abscissa(kernel, params: Params, c: float,
     """Smallest positive root of h(.; c), i.e. the decay rate of the wave
     with speed c. Inverse of abscissa_to_speed on (0, lambda_star]."""
     require_finite("speed c", c)
-    pair = _as_pair(kernel)
-    report = report or minimal_speed(pair, params)
-    k = pair.a_plus
+    report = _checked(report, minimal_speed(kernel, params))
+    k = _as_pair(kernel).a_plus
     c_star, lam_star = report.c_star, report.lambda_star
     if c < c_star * (1.0 - 1e-12) - 1e-12:
         raise NoWave(f"no wave with speed {c!r} < c_star = {c_star!r}")
     if abs(c - c_star) <= _CSTAR_BAND * max(1.0, abs(c_star)):
-        j = root_multiplicity(pair, params, c_star, report)
-        return CharacteristicRoot(lam_star, c, j)
+        return CharacteristicRoot(lam_star, c, root_multiplicity(kernel, params, c_star))
 
-    # h(0+) = kappa_plus - m > 0 and h(lambda_star) = lambda_star (c_star - c) < 0
-    lo = min(1e-12, 1e-6 * lam_star)
+    # h(0+) = kappa_plus - m > 0 and h(lambda_star) = lambda_star (c_star - c) < 0.
+    # A >= 1 + m_xi lam (A is convex) makes h > 0 below `edge`; past c of about
+    # 1e12 that is under the usual lower end, and the tolerance scales with it
+    lo, xtol = min(1e-12, 1e-6 * lam_star), 1e-15
+    edge = (params.kappa_plus - params.m) / (c - params.kappa_plus * report.m_xi)
+    if edge <= lo:
+        lo, xtol = 0.5 * edge, 1e-15 * edge
     lam_c = brentq(lambda lam: characteristic(k, params, c, lam), lo, lam_star,
-                   xtol=1e-15, rtol=1e-12)
+                   xtol=xtol, rtol=1e-12)
     return CharacteristicRoot(lam_c, c, 1)
 
 
@@ -279,12 +301,11 @@ def abscissa_to_speed(kernel, params: Params, sigma: float,
                       report: DispersionReport | None = None) -> float:
     """G(sigma) for sigma in (0, lambda_star]: the speed whose wave decays
     at rate sigma."""
-    pair = _as_pair(kernel)
-    report = report or minimal_speed(pair, params)
+    report = _checked(report, minimal_speed(kernel, params))
     if not 0.0 < sigma <= report.lambda_star * (1.0 + 1e-12):
         raise UsageError(
             f"decay rate {sigma!r} outside (0, {report.lambda_star!r}]")
-    return g_function(pair.a_plus, params, min(sigma, report.sigma_plus))
+    return g_function(_as_pair(kernel).a_plus, params, min(sigma, report.sigma_plus))
 
 
 def left_rate(pair: KernelPair, params: Params, c: float) -> float:

@@ -136,6 +136,8 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
         raise UsageError(f"domain {tuple(domain)!r} is shorter than the grid step {h!r}")
 
     n_steps = int(round(horizon / dt))
+    if n_steps == 0:
+        raise UsageError(f"horizon {horizon!r} rounds to no time step of dt = {dt!r}")
     snap_dt = horizon / 80.0 if snapshot_dt is None else snapshot_dt
     snap_every = max(1, int(round(snap_dt / dt)))
     lvl = 0.5 * th

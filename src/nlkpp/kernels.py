@@ -363,8 +363,13 @@ class ExpPoly(EvenKernel):
         require_finite("exp_poly q", self.q, "nonnegative")
         if self.p == 0 and self.q <= 1:
             raise UsageError("exp_poly with p=0 needs q > 1 to be integrable")
-        norm = _quad_split(lambda s: math.exp(-self.mu * s ** self.p) / (1.0 + s ** self.q),
-                           0, math.inf)
+
+        def shape(s):   # 0 where a power overflows a float, as pdf's float path has it
+            try:
+                return math.exp(-self.mu * s ** self.p) / (1.0 + s ** self.q)
+            except OverflowError:
+                return 0.0
+        norm = _quad_split(shape, 0, math.inf)
         object.__setattr__(self, "alpha", 1.0 / (2.0 * norm))
 
     def pdf(self, s):
@@ -399,11 +404,20 @@ class ExpPoly(EvenKernel):
             if self.q <= order + 1:
                 # divergence comes from the side where the exponential cancels
                 return math.inf if z > 0 or order % 2 == 0 else -math.inf
-            flat = _quad_split(lambda s: s ** order / (1.0 + s ** self.q), 0, math.inf)
-            damp = _quad_split(
-                lambda s: s ** order * math.exp(-2.0 * self.mu * s) / (1.0 + s ** self.q),
-                0, math.inf)
-            return self.alpha * (sgn ** order) * (flat + (-1.0) ** order * damp)
+
+            def flat(s):    # 0 where s^q overflows a float, as in shape
+                try:
+                    return s ** order / (1.0 + s ** self.q)
+                except OverflowError:
+                    return 0.0
+
+            def damp(s):
+                try:
+                    return s ** order * math.exp(-2.0 * self.mu * s) / (1.0 + s ** self.q)
+                except OverflowError:
+                    return 0.0
+            return self.alpha * (sgn ** order) * (
+                _quad_split(flat, 0, math.inf) + (-1.0) ** order * _quad_split(damp, 0, math.inf))
         return super().transform_deriv(z, order)
 
     def to_dict(self):

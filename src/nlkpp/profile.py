@@ -38,9 +38,9 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .dispersion import characteristic_deriv, left_rate, minimal_speed, speed_to_abscissa
+from .dispersion import _checked, characteristic_deriv, left_rate, minimal_speed, speed_to_abscissa
 from .errors import AssumptionFailure, NonConvergence, UsageError, require_finite
-from .kernels import KernelPair, Params, check_assumptions, theta
+from .kernels import KernelPair, Params, theta
 
 _RIGHT_EFOLD = 34.0     # e-foldings of right tail; ~40 hits the float64 floor
 _LEFT_EFOLD = 26.0
@@ -558,16 +558,15 @@ def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
     return full(v), float(np.abs(g).max())
 
 
-def _make_workspace(pair, params, c, spec, report=None):
-    th = theta(params)
-    root = speed_to_abscissa(pair, params, c, report)
+def _make_workspace(pair, params, c, spec):
+    root = speed_to_abscissa(pair, params, c)
     lam_c, j = root.lambda_c, root.multiplicity
     lam_left = left_rate(pair, params, c)
     h = spec.h if spec.h is not None else min(0.01, 1.0 / (20.0 * lam_c))
     Ll = spec.l_left if spec.l_left is not None else _LEFT_EFOLD / lam_left
     Lr = spec.l_right if spec.l_right is not None else _RIGHT_EFOLD / lam_c
     s = -Ll + h * np.arange(int(round((Ll + Lr) / h)) + 1)
-    return _Workspace(pair, params, c, th, lam_c, j, lam_left, s, h)
+    return _Workspace(pair, params, c, theta(params), lam_c, j, lam_left, s, h)
 
 
 def solve_profile(pair: KernelPair, params: Params, c: float,
@@ -580,10 +579,9 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
     shifts the initial supersolution; the converged wave is the same up to
     the final normalization, which is what the uniqueness checks exercise.
 
-    `report` is minimal_speed(pair, params) for the pair as passed (None:
-    computed here). It describes rightward fronts, so c < 0 ignores it. A
-    pair with the same a_plus shares it, but Q2 reads a_minus and
-    kappa_nonlocal, so a given report does not spare this pair's Q1..Q5.
+    Set-up goes through the cached minimal_speed(pair, params). A `report`
+    is checked against that of the pair as passed, also for c < 0, and
+    never used: any other report is a UsageError.
     """
     require_finite("speed c", c)
     require_finite("anchor", anchor)
@@ -593,16 +591,13 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
                                 "stationary fronts (c = 0) are out of scope")
     _require_probability(pair)
     spec = grid or GridSpec()
+    if report is not None:
+        _checked(report, minimal_speed(pair, params))
     mirrored = c < 0.0
     if mirrored:    # the decreasing wave of the reflected pair, its spans swapped
-        pair, c, anchor, report = pair.reflected(), -c, -anchor, None
+        pair, c, anchor = pair.reflected(), -c, -anchor
         spec = replace(spec, l_left=spec.l_right, l_right=spec.l_left)
-
-    if report is None:
-        report = minimal_speed(pair, params)
-    else:
-        check_assumptions(pair, params).require(["Q1", "Q2", "Q3", "Q4", "Q5"])
-    ws = _make_workspace(pair, params, c, spec, report)
+    ws = _make_workspace(pair, params, c, spec)
     th = ws.th
 
     def short(side):

@@ -11,6 +11,7 @@ import pytest
 
 import nlkpp
 from nlkpp.cli import dumps, main, validate_document
+from nlkpp.dispersion import minimal_speed
 from nlkpp.errors import UsageError
 from nlkpp.kernels import check_assumptions
 
@@ -168,33 +169,31 @@ def test_determinism_of_result_block(kernel_file, capsys):
 @pytest.mark.parametrize("argv,counts", [
     (["classify"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
     (["profile", "--c", "4"], {"check_assumptions": 1, "minimal_speed": 1}),
-    # one check inside minimal_speed, then one per solve of this pair
-    (["uniqueness", "--c", "4"], {"check_assumptions": 3, "minimal_speed": 1}),
+    (["uniqueness", "--c", "4"], {"check_assumptions": 1, "minimal_speed": 1}),
     (["check"], {"check_assumptions": 1, "minimal_speed": 0}),
     (["speed", "--c", "4"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
 ], ids=["classify", "profile", "uniqueness", "check", "speed"])
 def test_setup_runs_once_per_command(argv, counts, kernel_file, capsys, monkeypatch):
     """The Q1..Q7 check and the dispersion analysis are set-up work: a
-    command does each once per problem, not once per function it calls."""
-    from nlkpp import cli, dispersion, profile
+    command does each once per problem, not once per function it calls.
+    Both are cached, so their computations are the cache misses; the
+    uncached _classify is counted by call."""
+    from nlkpp import dispersion
 
-    calls = dict.fromkeys(counts, 0)
+    real, classified = dispersion._classify, []
 
-    def counted(name, fn):
-        def wrapper(*a, **kw):
-            calls[name] += 1
-            return fn(*a, **kw)
-        return wrapper
-
-    # all three names are globals of nlkpp.dispersion; the others import them
-    wrapped = {name: counted(name, getattr(dispersion, name)) for name in counts}
-    for mod in (cli, profile, dispersion):
-        for name, fn in wrapped.items():
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, fn)
+    def counted(*a, **kw):
+        classified.append(a)
+        return real(*a, **kw)
+    monkeypatch.setattr(dispersion, "_classify", counted)
+    check_assumptions.cache_clear()
+    minimal_speed.cache_clear()
     code, _doc = run_cli(capsys, argv[0], "--kernel", kernel_file, *argv[1:])
     assert code == 0
-    assert calls == counts
+    computed = {"check_assumptions": check_assumptions.cache_info().misses,
+                "_classify": len(classified),
+                "minimal_speed": minimal_speed.cache_info().misses}
+    assert {name: computed[name] for name in counts} == counts
 
 
 def test_check_block_same_cold_and_warm(kernel_file, capsys):
@@ -275,6 +274,35 @@ def test_evolve_bad_time_exit_1(kernel_file, capsys, times):
     code, doc = run_cli(capsys, "evolve", "--kernel", kernel_file, *times)
     assert code == 1
     assert doc["error"]["type"] == "UsageError"
+
+
+def test_evolve_horizon_of_no_step_exit_1(kernel_file, capsys):
+    # a horizon under half a step would run no step and report t_final 0
+    code, doc = run_cli(capsys, "evolve", "--kernel", kernel_file,
+                        "--dt", "0.01", "--horizon", "0.004")
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert "no time step" in doc["error"]["message"]
+
+
+def test_huge_speeds_answer_with_a_document(kernel_file, capsys):
+    # past c of about 1e12 the usual lower end of the root's bracket is above the root
+    code, doc = run_cli(capsys, "speed", "--kernel", kernel_file, "--c", "2e12")
+    assert code == 0
+    assert abs(doc["result"]["at_speed"]["lambda_c"] * 2e12 - 1.0) < 1e-11
+    code, doc = run_cli(capsys, "profile", "--kernel", kernel_file, "--c", "1e300")
+    assert code in (1, 2, 3)
+    assert doc["error"]["type"] in ("UsageError", "AssumptionFailure", "NonConvergence")
+
+
+def test_check_exp_poly_with_a_large_exponent(capsys, tmp_path):
+    # s^200 overflows a float inside the normalization integral
+    p = tmp_path / "q200.json"
+    p.write_text(json.dumps({"family": "exp_poly", "p": 1.0, "q": 200.0, "mu": 1.0,
+                             "params": LK1_DOC["params"]}))
+    code, doc = run_cli(capsys, "check", "--kernel", str(p))
+    assert code == 0
+    assert {e["status"] for e in doc["result"]["assumptions"].values()} == {"holds"}
 
 
 @pytest.mark.parametrize("params", ["kappa_plus=2,m=1,kappa_local=nan",

@@ -157,6 +157,77 @@ def test_speed_below_minimum_rejected():
         root_multiplicity(K_REF, LK1, 2.0)
 
 
+def test_huge_speed_has_a_root():
+    # h(1e-12; c) < 0 once c 1e-12 > kappa_plus - m, so the bracket's lower end
+    # moves below the root; the root keeps its relative accuracy
+    root = speed_to_abscissa(K_REF, LK1, 1e13)
+    assert root.multiplicity == 1
+    assert abs(root.lambda_c * 1e13 - 1.0) < 1e-11   # A(lam) = 1 + O(lam^2)
+
+
+# ---------------------------------------------------------------------------
+# reports: one per problem value, cached, and a given one is only checked
+
+L2_PAIR = KernelPair(Laplace(2.0), Laplace(2.0))
+G_PAIR = KernelPair(Gaussian(1.0), Gaussian(1.0))
+
+
+@pytest.mark.parametrize("call", [
+    # c* = 3.330 for the reference pair: no wave at Laplace(2)'s 1.665
+    lambda: root_multiplicity(K_REF, LK1, 1.665, minimal_speed(L2_PAIR, LK1)),
+    lambda: speed_to_abscissa(K_REF, LK1, 1.665, minimal_speed(L2_PAIR, LK1)),
+    # 0.87 lies beyond the reference lambda* = 0.486
+    lambda: abscissa_to_speed(K_REF, LK1, 0.87, minimal_speed(L2_PAIR, LK1)),
+    lambda: speed_to_abscissa(G_PAIR, LK1, 1.05 * minimal_speed(G_PAIR, LK1).c_star,
+                              minimal_speed(K_REF, LK1)),
+    lambda: root_multiplicity(G_PAIR, LK1, 1.05 * minimal_speed(G_PAIR, LK1).c_star,
+                              minimal_speed(K_REF, LK1)),
+    lambda: speed_to_abscissa(K_REF, LK1, 4.0, minimal_speed(G_PAIR, LK1)),
+    lambda: speed_to_abscissa(K_REF, LK1, 4.0, minimal_speed(K_REF, LK1).to_dict())],
+    ids=["multiplicity-laplace2", "speed-laplace2", "abscissa-laplace2",
+         "speed-gaussian", "multiplicity-gaussian", "speed-reference", "a-dict"])
+def test_report_of_another_problem_refused(call):
+    with pytest.raises(UsageError, match="report="):
+        call()
+
+
+@pytest.mark.parametrize("kernel,params", [(Gaussian(1.0), LK1), (K_REF, LK1),
+                                           (W_KERNEL, Params(2.0, 1.0))],
+                         ids=["gaussian", "laplace", "w"])
+def test_report_rebuilt_after_cache_clear_accepted(kernel, params):
+    # a new object with equal fields; t_at_sigma is nan except in class W
+    rep = minimal_speed(kernel, params)
+    minimal_speed.cache_clear()
+    assert minimal_speed(kernel, params) is not rep
+    c = 1.5 * rep.c_star
+    assert speed_to_abscissa(kernel, params, c, rep) == speed_to_abscissa(kernel, params, c)
+    assert root_multiplicity(kernel, params, rep.c_star, rep) \
+        == root_multiplicity(kernel, params, rep.c_star)
+    assert abscissa_to_speed(kernel, params, 0.5 * rep.lambda_star, rep) \
+        == abscissa_to_speed(kernel, params, 0.5 * rep.lambda_star)
+
+
+def test_equal_problems_compute_minimal_speed_once():
+    minimal_speed.cache_clear()
+    rep = minimal_speed(Laplace(0.8), Params(2.0, 1.0, 1.0, 0.0))
+    pair, params = KernelPair(Laplace(0.8), Laplace(0.8)), Params(2.0, 1.0, 1.0, 0.0)
+    assert minimal_speed(pair, params) is rep
+    root = speed_to_abscissa(pair, params, 1.5 * rep.c_star)
+    root_multiplicity(pair, params, 1.5 * rep.c_star)
+    abscissa_to_speed(pair, params, root.lambda_c)
+    assert minimal_speed.cache_info().misses == 1
+
+
+def test_failing_problem_raises_on_every_call():
+    # exceptions are not cached: the second call computes and raises again
+    k = ExpPoly(1.0, 2.0023275656815063, 0.11240536172946254)
+    minimal_speed.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NonConvergence):
+            minimal_speed(k, LK1)
+    assert minimal_speed.cache_info().misses == 2
+    assert minimal_speed.cache_info().currsize == 0
+
 # ---------------------------------------------------------------------------
 # classification
 

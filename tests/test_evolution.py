@@ -144,6 +144,13 @@ def test_bad_time_inputs_refused(times):
         _run(step_data(0.0, theta(LK1)), **kw)
 
 
+
+@pytest.mark.parametrize("horizon", [0.004, 0.005], ids=["under-half", "half-to-even"])
+def test_horizon_of_no_step_refused(horizon):
+    # round(horizon / dt) == 0: no step would run, and t_final 0 would read as done
+    with pytest.raises(UsageError, match="no time step"):
+        _run(step_data(0.0, theta(LK1)), dt=0.01, horizon=horizon)
+
 @pytest.mark.parametrize("domain", [(float("nan"), 5.0), (-float("inf"), 5.0),
                                     (0.0, float("inf")), (0.0, float("nan"))],
                          ids=["lo-nan", "lo-inf", "hi-inf", "hi-nan"])

@@ -2,9 +2,9 @@
 it, every private module-level name of the package is read in it, no
 kernel family restates a transform or its evenness, no package module
 reads the environment or imports inside a function, every functools cache
-of the package is bounded, the profile solver reads kernel spectra through
-the dispersion layer only, and a profile solve leaves scipy.signal
-unloaded."""
+of the package is bounded, no call in the package passes a report on, the
+profile solver reads kernel spectra through the dispersion layer only, and
+a profile solve leaves scipy.signal unloaded."""
 
 import ast
 import os
@@ -173,6 +173,52 @@ def test_package_caches_are_bounded(path):
     problem a long sweep or a benchmark run has seen."""
     assert unbounded_caches(path.read_text()) == []
 
+
+def report_slots(sources):
+    """Functions of the sources that take a `report` parameter, with the
+    position of that parameter among the positional ones."""
+    slots = {}
+    for n in ast.walk(ast.parse("\n".join(sources))):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [a.arg for a in n.args.posonlyargs + n.args.args]
+            if "report" in names:
+                slots[n.name] = names.index("report")
+    return slots
+
+
+def report_passes(sources):
+    """(callee, line) of the calls that pass a report on: a `report=`
+    keyword to anything, or a positional argument in the report slot of a
+    function of the sources."""
+    slots = report_slots(sources)
+    found = []
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                if any(k.arg == "report" for k in n.keywords) \
+                        or name in slots and len(n.args) > slots[name]:
+                    found.append((name, n.lineno))
+    return sorted(found)
+
+
+def test_report_passes_finds_both_forms():
+    sources = ["def f(pair, params, c, report=None):\n    return c\n",
+               "def g(pair, params, rep):\n    f(pair, params, 1.0, rep)\n"
+               "    f(pair, params, 1.0)\n    m.f(pair, params, 1.0, report=rep)\n"
+               "    h(pair, report=rep)\n    return f(pair, params, rep.c_star)\n"]
+    assert report_slots(sources) == {"f": 3}
+    assert report_passes(sources) == [("f", 2), ("f", 4), ("h", 5)]
+
+
+def test_package_passes_no_report():
+    """A report is a value of its problem, which minimal_speed caches:
+    every function asks for it, and the public ones that still accept one
+    only check it. Threading it by hand must not creep back."""
+    sources = [p.read_text() for p in PACKAGE]
+    assert sorted(report_slots(sources)) == ["abscissa_to_speed", "root_multiplicity",
+                                             "solve_profile", "speed_to_abscissa"]
+    assert report_passes(sources) == []
 
 def spectral_reads(source):
     """Where the source finds roots or reads a kernel's transform itself:

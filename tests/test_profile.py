@@ -132,7 +132,7 @@ def test_deep_rows_match_long_double_sum(rep, factor):
     # claims are checked, as the residual convolves them
     c = factor * rep.c_star
     prof = solve_profile(PAIR, LK1, c, report=rep)
-    ws = _make_workspace(PAIR, LK1, c, GridSpec(), report=rep)
+    ws = _make_workspace(PAIR, LK1, c, GridSpec())
     ext = ws.build_ext(prof.values)
     i_dp = ws.i_deep(prof.values)
     out = ws.conv_plus(ext, ws.N, i_dp, ws.lam_c)[i_dp:]
@@ -529,6 +529,15 @@ def test_report_of_the_pair_is_ignored_by_the_mirrored_solve():
         assert np.array_equal(given.values, plain.values)
         assert given.lambda_c == plain.lambda_c
 
+
+
+@pytest.mark.parametrize("c", [4.0, -4.0])
+def test_report_of_another_problem_refused_by_the_solve(c):
+    # the Gaussian pair's report on the reference pair: checked against the
+    # pair as passed, also before a negative speed mirrors it
+    foreign = minimal_speed(KernelPair(Gaussian(1.0), Gaussian(1.0)), LK1)
+    with pytest.raises(UsageError, match="report="):
+        solve_profile(PAIR, LK1, c, report=foreign)
 
 def test_reflect_round_trip(prof_4):
     back = prof_4.reflect().reflect()

@@ -20,8 +20,14 @@ smallest positive root of the linearization at theta,
     rho_bar = m + 2 kappa_local theta + kappa_nonlocal theta.
 
 lambda_star, lambda_left and mu_star are bracketed by one sign-change scan.
-minimal_speed is cached by the problem value; a `report` given to a
-function here is checked against the cached one and never used.
+H increases (H' = kappa_plus lam A''(lam) > 0) and the left linearization
+is convex (Q2) and negative at 0, so each crosses zero once and its scan
+samples every fourth point of the ladder, then bisects back; nothing
+proves that mu_star's gap crosses once, so its scan walks every sample.
+The same monotonicity lets one sample of H next to sigma certify class W.
+minimal_speed and the classification are cached by the problem value; a
+`report` given to a function here is checked against the cached one and
+never used.
 """
 
 from __future__ import annotations
@@ -32,12 +38,13 @@ from dataclasses import asdict, astuple, dataclass
 
 from scipy.optimize import brentq
 
-from .errors import NonConvergence, NoWave, UsageError, require_finite
+from .errors import NonConvergence, NoWave, ToolkitError, UsageError, require_finite
 from .kernels import ENDPOINT_RTOL, ExpPoly, Kernel, KernelPair, Params, check_assumptions, theta
 
 _TIE_BAND = 1e-9            # |m - T(sigma)| below this counts as the equality case
 _CSTAR_BAND = 1e-9          # |c - c_star| below this (relative) counts as minimal speed
 _ENDPOINT_BLOWUP = 1e10     # partial integrals past this * kappa_plus mean T = -inf
+_STRIDE = 4                 # ladder stride of the scans whose function crosses zero once
 
 
 @dataclass(frozen=True)
@@ -123,9 +130,11 @@ def h_function(kernel: Kernel, params: Params, lam: float) -> float:
     return params.m - t_function(kernel, params, lam)
 
 
+@functools.lru_cache(maxsize=16)
 def _classify(kernel: Kernel, params: Params):
     """(class, t_at_sigma, interval_kind). t_at_sigma is nan when sigma is
-    infinite or the transform diverges there."""
+    infinite or the transform diverges there. Cached by value: classify and
+    minimal_speed both ask for it."""
     sig = kernel.sigma_right
     if not math.isfinite(sig):
         return "V", math.nan, "open"
@@ -150,7 +159,7 @@ def _strip_grid(sig: float) -> list:
     bracketed: fractions of a finite sig that crowd towards it, then sig
     itself; a geometric ladder from 1e-6 to 1e4 for an infinite one."""
     if math.isfinite(sig):
-        fracs = [1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5] + \
+        fracs = [1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3] + \
             [1.0 - 2.0 ** (-k) for k in range(1, 46)]
         return [f * sig for f in fracs] + [sig]
     grid, lam = [], 1e-6
@@ -160,33 +169,61 @@ def _strip_grid(sig: float) -> list:
     return grid
 
 
-def _first_sign_change(f, grid, label: str, what: str):
+def _first_sign_change(f, grid, label: str, what: str, stride: int = 1):
     """The first pair of consecutive samples (lo, hi) of grid with f(lo) <= 0
     < f(hi). A positive first sample, a nan, or no sign change up to the
-    last sample raises NonConvergence(label), which names what f is."""
-    prev_lam, prev_val = None, None
-    for lam in grid:
-        val = f(lam)
-        if math.isnan(val):
+    last sample raises NonConvergence(label), which names what f is.
+
+    The walk stops at the first sample that is positive or nan, or where f
+    raises a ToolkitError, which is raised as the walk would have met it.
+    With stride k it samples every k-th point, then bisects the samples
+    between the last that did not stop it and the first that did (or the
+    end): the same answer, errors included, whenever the stopping samples
+    are a tail of the grid.
+    """
+    vals = {}
+
+    def stops(i):
+        if i not in vals:
+            try:
+                vals[i] = f(grid[i])
+            except ToolkitError as exc:
+                vals[i] = exc
+        return isinstance(vals[i], ToolkitError) or not vals[i] <= 0.0
+
+    n = len(grid)
+    lo, hi = -1, n          # stops(lo) is false and stops(hi) true; -1 and n are sentinels
+    for j in range(stride - 1, n, stride):
+        if stops(j):
+            hi = j
             break
-        if val > 0.0:
-            if prev_lam is None:
-                raise NonConvergence(
-                    label, f"{what} already positive at smallest sample {lam:.3e}")
-            return prev_lam, lam
-        prev_lam, prev_val = lam, val
+        lo = j
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stops(mid):
+            hi = mid
+        else:
+            lo = mid
+    val = vals.get(hi)
+    if isinstance(val, ToolkitError):
+        raise val
+    if hi < n and val > 0.0:
+        if hi == 0:
+            raise NonConvergence(
+                label, f"{what} already positive at smallest sample {grid[0]:.3e}")
+        return grid[lo], grid[hi]
     raise NonConvergence(
         label, f"no sign change of {what} up to the scan cap",
-        {"last_lambda": prev_lam, "last_value": prev_val})
+        {"last_lambda": grid[lo] if lo >= 0 else None, "last_value": vals.get(lo)})
 
 
 def minimal_speed(kernel, params: Params) -> DispersionReport:
     """Minimizer of G over the strip and the speed there.
 
-    Class V: bracket the zero of H on a geometric grid and polish with a
+    Class V: bracket the zero of H on the strip's ladder and polish with a
     bracketed root solve to 1e-12 relative; cross-check the stationarity
     identity c_star = kappa_plus*A'(lambda_star). Class W: the endpoint is
-    the minimizer once H < 0 is confirmed on interior samples. Cached by
+    the minimizer once H < 0 is confirmed at sigma (1 - 2^-16). Cached by
     value like check_assumptions (`minimal_speed.cache_clear()`); a failure is not.
     """
     return _minimal_speed(_as_pair(kernel), params)
@@ -204,19 +241,21 @@ def _minimal_speed(pair: KernelPair, params: Params) -> DispersionReport:
     if cls == "W":
         lam_star = sig
         c_star = (kp * k.transform(sig) - m) / sig
-        for j in range(1, 17):
-            lam = sig * (1.0 - 2.0 ** (-j))
-            if h_function(k, params, lam) >= 1e-10 * m:
-                raise NonConvergence(
-                    "w-endpoint-cert",
-                    f"H not negative at {lam:.6g}; endpoint is not the minimizer")
+        # H increases, so its sample nearest sigma bounds those below it; the
+        # refusal names the first of sigma(1 - 2^-j), j = 1..16, where H >= 0
+        lams = [sig * (1.0 - 2.0 ** (-j)) for j in range(1, 17)]
+        if h_function(k, params, lams[-1]) >= 1e-10 * m:
+            lam = next(x for x in lams if h_function(k, params, x) >= 1e-10 * m)
+            raise NonConvergence(
+                "w-endpoint-cert",
+                f"H not negative at {lam:.6g}; endpoint is not the minimizer")
     else:
         def H(lam):
             return h_function(k, params, lam)
 
-        # H(0+) = m - kappa_plus < 0
+        # H(0+) = m - kappa_plus < 0 and H' = kappa_plus lam A'' > 0: one crossing
         lo, hi = _first_sign_change(H, _strip_grid(sig), "lambda-star-bracket",
-                                    "the stationarity numerator")
+                                    "the stationarity numerator", _STRIDE)
         lam_star = brentq(H, lo, hi, xtol=1e-15, rtol=1e-12)
         c_star = g_function(k, params, lam_star)
         alt = kp * k.transform_deriv(lam_star, 1)
@@ -322,9 +361,9 @@ def left_rate(pair: KernelPair, params: Params, c: float) -> float:
         return val if math.isfinite(val) else math.inf
 
     cap = min(pair.a_plus.sigma_left, pair.a_minus.sigma_left if kn else math.inf)
-    # g(0) = -(kappa_plus - m) < 0 always
+    # g(0) = -(kappa_plus - m) < 0 and g is convex (Q2): one crossing
     lo, hi = _first_sign_change(g, _strip_grid(cap), "left-rate-bracket",
-                                "the left linearization")
+                                "the left linearization", _STRIDE)
     return brentq(g, lo, hi, xtol=1e-14)
 
 
@@ -342,7 +381,8 @@ def mu_star(q: float, params: Params) -> float:
         k = ExpPoly(1.0, q, mu)
         return t_function(k, params, mu) - params.m
 
-    # the endpoint T must start above m: double the rate from 1e-3 up to 128
+    # the endpoint T must start above m: double the rate from 1e-3 up to 128,
+    # one sample at a time, since nothing proves the gap crosses zero once
     lo, hi = _first_sign_change(lambda mu: -gap(mu), [1e-3 * 2.0 ** k for k in range(17)],
                                 "mu-star-bracket", "m minus the endpoint T")
     root = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12)

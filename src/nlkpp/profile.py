@@ -63,6 +63,9 @@ _FIT_CEIL = 1e-3        # ... and below this times theta, where the tail is line
 # relabeling by half an ulp more. A half-theta shift below this many ulps
 # of h is roundoff of crossing() itself, not a displacement of the profile.
 _CROSSING_ULPS = 8
+# Grid points a solve may allocate: 16 MB per array, 31 times the largest
+# grid the test suite builds (63,580 points, Uniform(-0.5, 2) at 3 c*)
+_MAX_GRID_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -565,7 +568,11 @@ def _make_workspace(pair, params, c, spec):
     h = spec.h if spec.h is not None else min(0.01, 1.0 / (20.0 * lam_c))
     Ll = spec.l_left if spec.l_left is not None else _LEFT_EFOLD / lam_left
     Lr = spec.l_right if spec.l_right is not None else _RIGHT_EFOLD / lam_c
-    s = -Ll + h * np.arange(int(round((Ll + Lr) / h)) + 1)
+    n = int(round((Ll + Lr) / h)) + 1
+    if n > _MAX_GRID_POINTS:
+        raise UsageError(f"the grid needs {n} points, above the limit of {_MAX_GRID_POINTS}; "
+                         f"give a larger h or shorter spans")
+    s = -Ll + h * np.arange(n)
     return _Workspace(pair, params, c, theta(params), lam_c, j, lam_left, s, h)
 
 

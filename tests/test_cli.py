@@ -168,30 +168,24 @@ def test_determinism_of_result_block(kernel_file, capsys):
 
 @pytest.mark.parametrize("argv,counts", [
     (["classify"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
-    (["profile", "--c", "4"], {"check_assumptions": 1, "minimal_speed": 1}),
-    (["uniqueness", "--c", "4"], {"check_assumptions": 1, "minimal_speed": 1}),
-    (["check"], {"check_assumptions": 1, "minimal_speed": 0}),
+    (["profile", "--c", "4"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
+    (["uniqueness", "--c", "4"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
+    (["check"], {"check_assumptions": 1, "_classify": 0, "minimal_speed": 0}),
     (["speed", "--c", "4"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
 ], ids=["classify", "profile", "uniqueness", "check", "speed"])
-def test_setup_runs_once_per_command(argv, counts, kernel_file, capsys, monkeypatch):
+def test_setup_runs_once_per_command(argv, counts, kernel_file, capsys):
     """The Q1..Q7 check and the dispersion analysis are set-up work: a
     command does each once per problem, not once per function it calls.
-    Both are cached, so their computations are the cache misses; the
-    uncached _classify is counted by call."""
+    All three are cached, so their computations are the cache misses."""
     from nlkpp import dispersion
 
-    real, classified = dispersion._classify, []
-
-    def counted(*a, **kw):
-        classified.append(a)
-        return real(*a, **kw)
-    monkeypatch.setattr(dispersion, "_classify", counted)
     check_assumptions.cache_clear()
+    dispersion._classify.cache_clear()
     minimal_speed.cache_clear()
     code, _doc = run_cli(capsys, argv[0], "--kernel", kernel_file, *argv[1:])
     assert code == 0
     computed = {"check_assumptions": check_assumptions.cache_info().misses,
-                "_classify": len(classified),
+                "_classify": dispersion._classify.cache_info().misses,
                 "minimal_speed": minimal_speed.cache_info().misses}
     assert {name: computed[name] for name in counts} == counts
 

@@ -5,9 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nlkpp import kernels
-from nlkpp.dispersion import (_first_sign_change, _strip_grid, abscissa_to_speed,
+from nlkpp.dispersion import (_classify, _first_sign_change, _strip_grid, abscissa_to_speed,
                               characteristic, characteristic_deriv, classify,
                               f_function, g_function, h_function, left_rate,
                               minimal_speed, mu_star, mu_star_bracket,
@@ -45,6 +47,15 @@ def test_problem_checked_once_across_entry_points(monkeypatch):
     rep = minimal_speed(*problem())
     speed_to_abscissa(*problem(), 1.5 * rep.c_star)
     assert len(scans) == 1
+
+
+def test_classify_and_minimal_speed_share_one_classification():
+    # a benchmark point task asks for both; the endpoint analysis runs once
+    _classify.cache_clear()
+    minimal_speed.cache_clear()
+    k = ExpPoly(1.0, 3.5, 0.3)
+    assert classify(k, LK1) == minimal_speed(k, LK1).kernel_class
+    assert _classify.cache_info().misses == 1
 
 
 def test_reference_lambda_star():
@@ -388,11 +399,118 @@ def test_left_rate_gaussian_nonlocal_matches_mpmath(c):
 def test_first_sign_change_refuses_what_it_cannot_bracket():
     grid = _strip_grid(1.0)
     assert grid[0] == 1e-6 and grid[-1] == 1.0
-    assert _first_sign_change(lambda x: x - 0.4, grid, "lab", "f") == (0.3, 0.5)
-    with pytest.raises(NonConvergence, match="already positive") as e:
-        _first_sign_change(lambda x: 1.0, grid, "lab", "f")
-    assert e.value.label == "lab"
-    for f in (lambda x: -1.0, lambda x: math.nan if x > 0.1 else -1.0):
-        with pytest.raises(NonConvergence, match="no sign change of f") as e:
-            _first_sign_change(f, grid, "lab", "f")
-        assert e.value.diagnostics["last_value"] == -1.0
+    for stride in (1, 4):
+        assert _first_sign_change(lambda x: x - 0.4, grid, "lab", "f", stride) == (0.3, 0.5)
+        with pytest.raises(NonConvergence, match="already positive") as e:
+            _first_sign_change(lambda x: 1.0, grid, "lab", "f", stride)
+        assert e.value.label == "lab"
+        for f in (lambda x: -1.0, lambda x: math.nan if x > 0.1 else -1.0):
+            with pytest.raises(NonConvergence, match="no sign change of f") as e:
+                _first_sign_change(f, grid, "lab", "f", stride)
+            assert e.value.diagnostics["last_value"] == -1.0
+
+
+@pytest.mark.parametrize("sig", [1e-3, 0.37, 1.0, 2e3, math.inf])
+def test_strip_grid_strictly_increasing(sig):
+    grid = _strip_grid(sig)
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def _walk(f, grid, label, what):
+    """The one-by-one walk the strided scan must reproduce."""
+    prev_lam, prev_val = None, None
+    for lam in grid:
+        val = f(lam)
+        if math.isnan(val):
+            break
+        if val > 0.0:
+            if prev_lam is None:
+                raise NonConvergence(
+                    label, f"{what} already positive at smallest sample {lam:.3e}")
+            return prev_lam, lam
+        prev_lam, prev_val = lam, val
+    raise NonConvergence(
+        label, f"no sign change of {what} up to the scan cap",
+        {"last_lambda": prev_lam, "last_value": prev_val})
+
+
+def _outcome(scan):
+    try:
+        return scan()
+    except NonConvergence as e:
+        return e.label, str(e), e.diagnostics
+    except UsageError as e:
+        return str(e)
+
+
+_STOPPING = st.one_of(st.floats(min_value=0.0, exclude_min=True), st.just(math.nan),
+                      st.just("raise"))
+
+
+@given(finite=st.booleans(), sig=st.floats(1e-3, 1e3), data=st.data())
+def test_strided_scan_is_the_walk(finite, sig, data):
+    # "f > 0, nan or raising" switches on once at sample k: k = 0 is a
+    # positive first sample, k = n no sign change, and the tail mixes
+    # positive values, nans and errors
+    grid = _strip_grid(sig if finite else math.inf)
+    n = len(grid)
+    k = data.draw(st.sampled_from([0, n]) | st.integers(0, n), label="k")
+    vals = data.draw(st.lists(st.floats(max_value=0.0), min_size=k, max_size=k), label="below") + \
+        data.draw(st.lists(_STOPPING, min_size=n - k, max_size=n - k), label="tail")
+    at = dict(zip(grid, vals))
+    calls = []
+
+    def f(lam):
+        calls.append(lam)
+        if at[lam] == "raise":
+            raise UsageError(f"raised at {lam!r}")
+        return at[lam]
+    want = _outcome(lambda: _walk(f, grid, "lab", "f"))
+    for stride in range(1, 9):
+        calls.clear()
+        assert _outcome(lambda: _first_sign_change(f, grid, "lab", "f", stride)) == want
+        if stride == 4:     # every 4th sample, then two to bisect
+            assert len(set(calls)) <= -(-n // 4) + 2
+
+
+@pytest.fixture
+def h_calls(monkeypatch):
+    """The samples at which minimal_speed evaluates H, from a cold cache."""
+    from nlkpp import dispersion
+    calls = []
+
+    def counted(kernel, params, lam):
+        calls.append(lam)
+        return h_function(kernel, params, lam)
+    monkeypatch.setattr(dispersion, "h_function", counted)
+    minimal_speed.cache_clear()
+    return calls
+
+
+def test_lambda_star_scan_evaluates_h_eleven_times_on_the_ladder(h_calls):
+    # Gaussian(1): the one-by-one walk evaluated H at the 35 samples up to the
+    # crossing; the stride-4 scan takes 9 probes and 2 bisection steps.
+    # brentq adds 9, two of them at the bracket ends
+    rep = minimal_speed(Gaussian(1.0), LK1)
+    assert len(h_calls) == 11 + 9
+    lo, hi = h_calls[-9:-7]
+    assert lo < rep.lambda_star < hi
+
+
+def test_class_w_certificate_evaluates_h_once(h_calls):
+    # H increases, so its sample at sigma (1 - 2^-16) bounds the 15 below it
+    assert minimal_speed(ExpPoly(1.0, 4.0, 1.0), LK1).kernel_class == "W"
+    assert h_calls == [1.0 - 2.0 ** -16]
+
+
+def test_class_w_certificate_names_the_first_failing_sample(monkeypatch):
+    # a refusal names the first of sigma (1 - 2^-j), j = 1..16, where H >= 0
+    from nlkpp import dispersion
+    k = ExpPoly(1.0, 4.0, 1.0)
+    cut = 1.0 - 2.0 ** -5
+    monkeypatch.setattr(dispersion, "h_function",
+                        lambda kernel, params, lam: 1.0 if lam >= cut else -1.0)
+    minimal_speed.cache_clear()
+    with pytest.raises(NonConvergence, match=f"H not negative at {cut:.6g};") as e:
+        minimal_speed(k, LK1)
+    assert e.value.label == "w-endpoint-cert"

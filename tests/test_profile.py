@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
-from nlkpp.dispersion import minimal_speed, speed_to_abscissa
+from nlkpp.dispersion import left_rate, minimal_speed, speed_to_abscissa
 from nlkpp.errors import (AssumptionFailure, NonConvergence, NoWave,
                           UsageError)
 from nlkpp.kernels import (ExpPoly, Gaussian, KernelPair, Laplace, Params,
                            Truncated, Uniform, theta)
-from nlkpp.profile import (_TAIL_TOL, Convolver, GridSpec, WaveProfile, _band_solver,
-                           _make_workspace, _newton, _sweep_phase, compare_up_to_shift,
-                           normalize_shift, residual, solve_profile, tail_asymptotics)
+from nlkpp.profile import (_LEFT_EFOLD, _RIGHT_EFOLD, _TAIL_TOL, Convolver, GridSpec,
+                           WaveProfile, _band_solver, _make_workspace, _newton, _sweep_phase,
+                           compare_up_to_shift, normalize_shift, residual, solve_profile,
+                           tail_asymptotics)
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 PAIR = KernelPair(Laplace(1.0), Laplace(1.0))
@@ -150,6 +151,21 @@ def test_deep_rows_on_skewed_kernels(lo, hi):
     out = conv(ext, n, i_deep=n // 2, rate=0.02 / 0.05)[n // 2:]
     exact = _long_double_rows(ext, conv.w, n // 2, n)
     assert np.abs((out - exact) / exact).max() <= DEEP_RTOL
+
+
+def test_grid_too_large_refused_by_name():
+    # at c = 1e5 both rates are about 1e-5 and h = 1/(20 lambda_c): the
+    # default spans ask for about 6e8 points, 4.8 GB per float64 array
+    c = 1e5
+    lam_c = speed_to_abscissa(PAIR, LK1, c).lambda_c
+    lam_left = left_rate(PAIR, LK1, c)
+    h = min(0.01, 1.0 / (20.0 * lam_c))
+    n = int(round((_LEFT_EFOLD / lam_left + _RIGHT_EFOLD / lam_c) / h)) + 1
+    assert n > 5e8
+    with pytest.raises(UsageError, match=f"the grid needs {n} points"):
+        solve_profile(PAIR, LK1, c)
+    with pytest.raises(UsageError, match="above the limit"):
+        solve_profile(PAIR, LK1, 4.0, grid=GridSpec(l_left=100.0, l_right=100.0, h=1e-4))
 
 
 def test_long_grid_tilt_stays_in_range():

@@ -111,10 +111,10 @@ def _parse_params_text(text: str) -> dict:
 
 
 def _resolve_problem(args, manifest):
-    """(pair, params) from --kernel and --params. The input paths and the
-    parameters go into the manifest as soon as they are read, so an error
-    document names the problem it failed on."""
-    inputs = []
+    """(pair, params) from --kernel and --params. Each input path goes into
+    the manifest before it is read and the parameters once they are known,
+    so an error document names the problem it failed on."""
+    inputs = manifest["inputs"]
     pair, params = None, None
     if getattr(args, "kernel", None):
         inputs.append(args.kernel)
@@ -136,7 +136,6 @@ def _resolve_problem(args, manifest):
     if params is None:
         raise UsageError("no parameters: give --params or a params block "
                          "in the kernel file")
-    manifest["inputs"] = inputs
     manifest["params"] = dataclasses.asdict(params)
     return pair, params
 

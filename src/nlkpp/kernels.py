@@ -24,7 +24,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -187,7 +187,14 @@ class Kernel:
         raise UsageError(f"reflection not supported for family {self.family}")
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The file object kernel_from_dict reads: the family and the
+        constructor fields, a kernel among them (a truncation's base) as its own."""
+        vals = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {"family": self.family,
+                **{k: v.to_dict() if isinstance(v, Kernel) else v for k, v in vals.items()}}
+
+    # the part of a file object that holds the constructor fields
+    _file_fields = staticmethod(lambda d: d)
 
 
 class EvenKernel(Kernel):
@@ -247,9 +254,6 @@ class Laplace(EvenKernel):
     def moment_first_abs(self):
         return 1.0 / self.mu
 
-    def to_dict(self):
-        return {"family": "laplace", "mu": self.mu}
-
 
 @dataclass(frozen=True)
 class Gaussian(EvenKernel):
@@ -284,9 +288,6 @@ class Gaussian(EvenKernel):
 
     def moment_first_abs(self):
         return math.sqrt(2.0 * self.variance / math.pi)
-
-    def to_dict(self):
-        return {"family": "gaussian", "variance": self.variance}
 
 
 @dataclass(frozen=True)
@@ -340,6 +341,11 @@ class Uniform(Kernel):
 
     def to_dict(self):
         return {"family": "uniform", "endpoints": [self.lo, self.hi]}
+
+    @classmethod
+    def _file_fields(cls, d):
+        lo, hi = d.get("endpoints", (cls.lo, cls.hi))
+        return {"lo": lo, "hi": hi}
 
 
 @dataclass(frozen=True)
@@ -420,9 +426,6 @@ class ExpPoly(EvenKernel):
                 _quad_split(flat, 0, math.inf) + (-1.0) ** order * _quad_split(damp, 0, math.inf))
         return super().transform_deriv(z, order)
 
-    def to_dict(self):
-        return {"family": "exp_poly", "p": self.p, "q": self.q, "mu": self.mu}
-
 
 @dataclass(frozen=True)
 class Tabulated(Kernel):
@@ -456,13 +459,7 @@ class Tabulated(Kernel):
         return self.grid_start + self.grid_step * np.arange(len(self.values))
 
     def pdf(self, s):
-        if isinstance(s, float):
-            # round, like np.rint, rounds half to even
-            i = round((s - self.grid_start) / self.grid_step)
-            if 0 <= i < len(self.values) and \
-                    abs(s - (self.grid_start + i * self.grid_step)) <= 0.5 * self.grid_step:
-                return self.values[i]
-            return 0.0
+        # one path for a float too: no quadrature calls it, the comb sums replace quad
         s = np.asarray(s, dtype=float)
         idx = np.rint((s - self.grid_start) / self.grid_step).astype(int)
         ok = (idx >= 0) & (idx < len(self.values)) & \
@@ -502,6 +499,8 @@ class Tabulated(Kernel):
                 "table": {"grid_start": self.grid_start,
                           "grid_step": self.grid_step,
                           "values": list(self.values)}}
+
+    _file_fields = staticmethod(lambda d: d["table"])
 
 
 @dataclass(frozen=True)
@@ -550,9 +549,6 @@ class Truncated(Kernel):
         # |s| = s - 2 min(s, 0)
         t = self.base.transform_below
         return t(0.0, self.cutoff, 1) - 2.0 * t(0.0, min(0.0, self.cutoff), 1)
-
-    def to_dict(self):
-        return {"family": "truncated", "cutoff": self.cutoff, "base": self.base.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -614,9 +610,6 @@ class RadialExpMarginal(EvenKernel):
 
     def support_radius(self, eps=1e-17):
         return math.log(1.0 / eps) / self.mu + 10.0 / self.mu
-
-    def to_dict(self):
-        return {"family": "radial_exp_marginal", "mu": self.mu, "dim": self.dim}
 
 
 @dataclass(frozen=True)
@@ -817,30 +810,26 @@ def check_assumptions(pair: KernelPair, params: Params) -> AssumptionReport:
 # ---------------------------------------------------------------------------
 # JSON ingestion
 
-_FAMILIES = ("exp_poly", "laplace", "gaussian", "uniform", "tabulated",
-             "truncated", "radial_exp_marginal")
+_FAMILIES = {cls.family: cls for cls in (ExpPoly, Laplace, Gaussian, Uniform, Tabulated,
+                                         Truncated, RadialExpMarginal)}
 
 
 def kernel_from_dict(d: dict) -> Kernel:
+    """The kernel of a file object (Kernel.to_dict). An omitted field takes
+    its dataclass default; a kernel field is read as a kernel, a tuple as
+    floats and any other field as a float."""
     fam = d.get("family")
-    if fam == "laplace":
-        return Laplace(float(d.get("mu", 1.0)))
-    if fam == "gaussian":
-        return Gaussian(float(d.get("variance", 1.0)))
-    if fam == "uniform":
-        lo, hi = d.get("endpoints", (-1.0, 1.0))
-        return Uniform(float(lo), float(hi))
-    if fam == "exp_poly":
-        return ExpPoly(float(d.get("p", 1.0)), float(d.get("q", 0.0)), float(d.get("mu", 1.0)))
-    if fam == "tabulated":
-        t = d["table"]
-        return Tabulated(float(t["grid_start"]), float(t["grid_step"]),
-                         tuple(float(v) for v in t["values"]))
-    if fam == "truncated":
-        return Truncated(kernel_from_dict(d["base"]), float(d["cutoff"]))
-    if fam == "radial_exp_marginal":
-        return RadialExpMarginal(float(d["mu"]), float(d["dim"]))
-    raise UsageError(f"unknown kernel family {fam!r}; expected one of {_FAMILIES}")
+    if not isinstance(fam, str) or fam not in _FAMILIES:
+        raise UsageError(f"unknown kernel family {fam!r}; expected one of {tuple(_FAMILIES)}")
+    cls = _FAMILIES[fam]
+    doc = cls._file_fields(d)
+    kw = {}
+    for f in fields(cls):
+        if f.init and (f.default is MISSING or f.name in doc):
+            v = doc[f.name]
+            kw[f.name] = kernel_from_dict(v) if f.type == "Kernel" else \
+                tuple(float(x) for x in v) if f.type == "tuple" else float(v)
+    return cls(**kw)
 
 
 def load_problem(source) -> tuple:

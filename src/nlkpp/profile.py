@@ -568,7 +568,8 @@ def _make_workspace(pair, params, c, spec):
     h = spec.h if spec.h is not None else min(0.01, 1.0 / (20.0 * lam_c))
     Ll = spec.l_left if spec.l_left is not None else _LEFT_EFOLD / lam_left
     Lr = spec.l_right if spec.l_right is not None else _RIGHT_EFOLD / lam_c
-    n = int(round((Ll + Lr) / h)) + 1
+    cells = (Ll + Lr) / h   # inf where a default span overflows, past c of about 1e307
+    n = int(round(cells)) + 1 if math.isfinite(cells) else math.inf
     if n > _MAX_GRID_POINTS:
         raise UsageError(f"the grid needs {n} points, above the limit of {_MAX_GRID_POINTS}; "
                          f"give a larger h or shorter spans")

@@ -442,6 +442,65 @@ def test_no_wave_exit_2(capsys, kernel_file):
     assert doc["error"]["label"] == "no-wave"
 
 
+def test_params_file_and_inline_json(kernel_file, capsys, tmp_path):
+    # a --params path is read as a JSON file and recorded as an input; inline
+    # JSON is not a path
+    block = {"kappa_plus": 8, "m": 1}
+    p = tmp_path / "params.json"
+    p.write_text(json.dumps(block))
+    code_f, doc_f = run_cli(capsys, "speed", "--kernel", kernel_file, "--params", str(p))
+    code_i, doc_i = run_cli(capsys, "speed", "--kernel", kernel_file,
+                            "--params", json.dumps(block))
+    assert code_f == code_i == 0
+    assert doc_f["manifest"]["inputs"] == [kernel_file, str(p)]
+    assert doc_i["manifest"]["inputs"] == [kernel_file]
+    assert doc_f["manifest"]["params"] == doc_i["manifest"]["params"] == {
+        "kappa_plus": 8, "m": 1, "kappa_local": 1, "kappa_nonlocal": 0}
+    assert doc_f["result"] == doc_i["result"]
+
+
+@pytest.mark.parametrize("where", ["file", "inline"])
+def test_bad_params_keep_the_kernel_in_the_inputs(kernel_file, capsys, tmp_path, where):
+    # each input is recorded as it is read, so a bad parameter block still
+    # names the kernel file it was to go with
+    text = '{"kappa_plus": 8,'
+    p = tmp_path / "params.json"
+    p.write_text(text)
+    code, doc = run_cli(capsys, "speed", "--kernel", kernel_file,
+                        "--params", str(p) if where == "file" else text)
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert doc["manifest"]["inputs"] == ([kernel_file, str(p)] if where == "file"
+                                         else [kernel_file])
+    assert doc["manifest"]["params"] == {}
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_classify_answers_where_the_minimal_speed_does_not(capsys, tmp_path):
+    # at this point of the benchmark's known defects the stationarity check
+    # refuses c*, but the class needs only the endpoint transform
+    p = tmp_path / "defect.json"
+    p.write_text(json.dumps({"family": "exp_poly", "p": 1.0, "q": 2.0023275656815063,
+                             "mu": 0.11240536172946254, "params": {"kappa_plus": 2, "m": 1}}))
+    code, doc = run_cli(capsys, "classify", "--kernel", str(p))
+    assert code == 0
+    assert doc["result"] == {"kernel_class": "V", "sigma_plus": 0.11240536172946254}
+    code, doc = run_cli(capsys, "speed", "--kernel", str(p))
+    assert code == 3
+    assert doc["error"]["label"] == "stationarity-check"
+
+
+@pytest.mark.parametrize("c", ["1e7", "1e308"])
+def test_fast_front_profile_refused_by_grid_size(kernel_file, capsys, c):
+    # both rates are about 1/c: the left rate is found, and the grid it asks
+    # for is refused by its size, also where a span overflows a float
+    code, doc = run_cli(capsys, "profile", "--kernel", kernel_file, "--c", c)
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    n = "60000000001" if c == "1e7" else "inf"
+    assert doc["error"]["message"].startswith(f"the grid needs {n} points")
+
+
 def test_error_document_names_the_problem(capsys, kernel_file):
     # the problem is loaded before the dispersion analysis finds no wave at
     # c = 1, so the error document records what was loaded

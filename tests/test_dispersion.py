@@ -374,6 +374,15 @@ def test_left_rate_laplace_matches_the_cubic(mu, kp, m, c):
     assert abs(left_rate(pair, params, c) - min(roots)) <= 1e-12 * min(roots)
 
 
+@pytest.mark.parametrize("c", [1e6, 1e7, 1e12, 1e300])
+def test_left_rate_at_huge_speeds(c):
+    # rho_bar - kappa_plus = 1 and A(-y) = 1/(1 - y^2) on the reference
+    # problem: c y = 1 - 2 y^2 + O(y^4), far below the ladder's 1e-6, and
+    # the root is polished to 1e-12 relative
+    lam = left_rate(KernelPair(K_REF, K_REF), LK1, c)
+    assert abs(lam * c - (1.0 - 2.0 / c / c)) <= 1e-12
+
+
 @pytest.mark.parametrize("c", [1.0, 2.5, 5.0])
 def test_left_rate_gaussian_nonlocal_matches_mpmath(c):
     # c y + kp e^{v+ y^2/2} - rho_bar - kn theta e^{v- y^2/2}, rho_bar =

@@ -1,12 +1,13 @@
 """Every name a package or test module imports at module level is used in
 it, every private module-level name of the package is read in it, no
-kernel family restates a transform or its evenness, no package module
-reads the environment or imports inside a function, every functools cache
-of the package is bounded, no call in the package passes a report on, the
-profile solver reads kernel spectra through the dispersion layer only, and
-a profile solve leaves scipy.signal unloaded."""
+kernel family restates a transform, its evenness or its file format, no
+package module reads the environment or imports inside a function, every
+functools cache of the package is bounded, no call in the package passes a
+report on, the profile solver reads kernel spectra through the dispersion
+layer only, and a profile solve leaves scipy.signal unloaded."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -81,14 +82,20 @@ def test_no_dead_private_names():
 
 def test_kernel_facts_stated_once():
     """A family writes its closed forms in transform_deriv alone, so that
-    transform is order 0 everywhere, and evenness lives in one base class
-    instead of a per-family flag."""
+    transform is order 0 everywhere, evenness lives in one base class
+    instead of a per-family flag, and a file object is the constructor
+    fields, written by Kernel.to_dict and read through one registry, except
+    where the layout is not the fields."""
     from nlkpp import kernels
     families = [c for c in vars(kernels).values()
                 if isinstance(c, type) and issubclass(c, kernels.Kernel)
                 and c is not kernels.Kernel]
     assert [c.__name__ for c in families if "transform" in vars(c)] == []
     assert [p.name for p in PACKAGE if "symmetric" in p.read_text()] == []
+    assert [c.__name__ for c in families if "to_dict" in vars(c)] == ["Uniform", "Tabulated"]
+    concrete = [c for c in families if dataclasses.is_dataclass(c)]
+    assert sorted(c.__name__ for c in kernels._FAMILIES.values()) == \
+        sorted(c.__name__ for c in concrete)
 
 
 def environment_reads(source):

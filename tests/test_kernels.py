@@ -1,6 +1,7 @@
 """Kernel families, parameter checks, projections, and the assumption report."""
 
 import dataclasses
+import json
 import math
 
 import mpmath
@@ -8,6 +9,7 @@ import numpy as np
 from scipy import integrate
 import pytest
 
+from nlkpp import kernels
 from nlkpp.errors import AssumptionFailure, UsageError
 from nlkpp.kernels import (ExpPoly, Gaussian, Kernel, KernelPair, Laplace, Params,
                            RadialExpMarginal, Tabulated, Truncated, Uniform,
@@ -573,14 +575,19 @@ def test_params_are_hashable_values():
 # ---------------------------------------------------------------------------
 # serialization round-trips
 
-@pytest.mark.parametrize("k", [Laplace(0.7), Gaussian(2.0), Uniform(-1, 2),
-                               ExpPoly(1.0, 3.0, 0.8),
-                               Truncated(Laplace(1.0), 5.0),
-                               RadialExpMarginal(1.0, 2), RadialExpMarginal(1.0, 3),
-                               Tabulated(-1.0, 0.5, (0.2, 0.6, 0.8, 0.4))],
-                         ids=lambda k: repr(k))
+DICT_CASES = [Laplace(0.7), Gaussian(2.0), Uniform(-1, 2), ExpPoly(1.0, 3.0, 0.8),
+              Truncated(Laplace(1.0), 5.0), Truncated(Truncated(Gaussian(1.0), 1.0), 0.5),
+              RadialExpMarginal(1.0, 2), RadialExpMarginal(1.0, 3),
+              Tabulated(-1.0, 0.5, (0.2, 0.6, 0.8, 0.4))]
+
+
+def test_dict_cases_cover_every_family():
+    assert sorted({k.family for k in DICT_CASES}) == sorted(kernels._FAMILIES)
+
+
+@pytest.mark.parametrize("k", DICT_CASES, ids=lambda k: repr(k))
 def test_kernel_dict_round_trip(k):
-    back = kernel_from_dict(k.to_dict())
+    back = kernel_from_dict(json.loads(json.dumps(k.to_dict())))
     s = np.linspace(-4, 4, 101)
     assert np.allclose(back.pdf(s), k.pdf(s))
     assert back == k
@@ -590,6 +597,16 @@ def test_kernel_dict_round_trip(k):
             k.reflected()
     else:
         assert k.reflected().reflected() == k
+
+
+def test_omitted_fields_take_the_dataclass_defaults():
+    for name, cls in kernels._FAMILIES.items():
+        if any(f.init and f.default is dataclasses.MISSING for f in dataclasses.fields(cls)):
+            with pytest.raises(KeyError):
+                kernel_from_dict({"family": name})
+        else:
+            assert kernel_from_dict({"family": name}) == cls()
+    assert kernel_from_dict({"family": "uniform", "endpoints": [0, 2]}) == Uniform(0.0, 2.0)
 
 
 def test_kernel_from_dict_rejects_unknown():
@@ -604,7 +621,6 @@ def test_load_problem_defaults_a_minus(tmp_path):
     assert pair.a_minus is pair.a_plus
     assert params.kappa_plus == 2.0
     p = tmp_path / "prob.json"
-    import json
     p.write_text(json.dumps(doc))
     pair2, params2 = load_problem(str(p))
     assert pair2.a_plus.mu == 1.0

@@ -818,6 +818,8 @@ def kernel_from_dict(d: dict) -> Kernel:
     """The kernel of a file object (Kernel.to_dict). An omitted field takes
     its dataclass default; a kernel field is read as a kernel, a tuple as
     floats and any other field as a float."""
+    if not isinstance(d, dict):
+        raise UsageError(f"a kernel is a JSON object; got {type(d).__name__}")
     fam = d.get("family")
     if not isinstance(fam, str) or fam not in _FAMILIES:
         raise UsageError(f"unknown kernel family {fam!r}; expected one of {tuple(_FAMILIES)}")

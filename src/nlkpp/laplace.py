@@ -4,12 +4,17 @@ The kernel classes carry closed forms and exact abscissas; this module is
 the generic fallback for plain callables, plus the pointwise decay bound
 derived from a transform value. Divergence cannot be proven by quadrature,
 so the verdict is three-valued: converged, diverged (partial integrals blow
-past a reference scale or the windowed increments grow), or borderline.
+past a reference scale, or the weighted edge values stop falling), or
+borderline. The scan reads a plain callable in the normal floating-point
+range only: a value below it counts as 0, and the window where the weighted
+integrand reaches 0 is split at its last nonzero point. Kernel objects never
+reach the scan.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy import integrate
@@ -64,9 +69,26 @@ def _window_edges():
 
 def _scan(f, lam, support, guard=None):
     """Expanding-window quadrature of f e^{lam s}; positive side windowed,
-    negative side in one shot (the weight only helps there for lam > 0)."""
+    negative side in one shot (the weight only helps there for lam > 0).
+
+    f is read as 0 wherever |f(s)| is below the normal range: a subnormal
+    value carries few bits and steps from one to the next, a staircase
+    QUADPACK would bisect to its subdivision limit. The clipped tail ends
+    in one jump instead, and the window where the weighted integrand
+    reaches 0 is split at its last nonzero point, found by bisection in s;
+    bumps past that point are still integrated. Past the first few
+    windows, weighted edge values that rise or stay level on two windows
+    in a row read as divergent; a zero edge never counts, so a compact
+    support or an underflowed tail does not. Kernel objects never reach
+    the scan (bilateral_laplace answers them from their transform).
+    """
     lo, hi = support
-    g = _weighted(f, lam)
+
+    def normal(s):
+        t = f(s)
+        return 0.0 if abs(t) < sys.float_info.min else t
+
+    g = _weighted(normal, lam)
     total = 0.0
     if lo < 0.0:
         neg, _ = integrate.quad(g, lo, min(hi, 0.0), limit=400,
@@ -83,16 +105,29 @@ def _scan(f, lam, support, guard=None):
         b = min(b, hi)
         if b <= a:
             break
-        inc, _ = integrate.quad(g, a, b, limit=200, epsabs=QUAD_ABS, epsrel=QUAD_REL)
+        edge = abs(g(b))
+        split = None
+        if edge == 0.0 and g(a) != 0.0:
+            left, right = a, b
+            mid = 0.5 * (a + b)
+            while left < mid < right:
+                if g(mid) != 0.0:
+                    left = mid
+                else:
+                    right = mid
+                mid = 0.5 * (left + right)
+            split = (left,)
+        inc, _ = integrate.quad(g, a, b, limit=200, epsabs=QUAD_ABS, epsrel=QUAD_REL,
+                                points=split)
         total += inc
         if not math.isfinite(total) or (guard is not None and abs(total) > guard):
             return LaplaceEval(math.inf, lam, "diverged")
-        # a convergent tail has weighted edge values falling off; rising
-        # values on two windows past the first few mean lam*s + log f(s)
-        # climbs (increments alone mislead here: doubling window lengths
-        # outgrow a slow decay for a while even when the integral is finite)
-        edge = abs(g(b))
-        if edge > edge_prev and a >= 4.0:
+        # a convergent tail has weighted edge values falling off; rising or
+        # level values on two windows past the first few mean lam*s + log f(s)
+        # does not fall (increments alone mislead here: doubling window
+        # lengths outgrow a slow decay for a while even when the integral is
+        # finite)
+        if edge >= edge_prev > 0.0 and a >= 4.0:
             grew += 1
             if grew >= 2:
                 return LaplaceEval(math.inf, lam, "diverged")

@@ -475,6 +475,16 @@ def test_bad_params_keep_the_kernel_in_the_inputs(kernel_file, capsys, tmp_path,
     assert doc["manifest"]["params"] == {}
 
 
+def test_kernel_that_is_not_an_object_is_an_error_document(capsys, tmp_path):
+    p = tmp_path / "bad_minus.json"
+    p.write_text(json.dumps(dict(LK1_DOC, a_minus=3)))
+    code, doc = run_cli(capsys, "check", "--kernel", str(p))
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert "a kernel is a JSON object; got int" in doc["error"]["message"]
+    assert doc["manifest"]["inputs"] == [str(p)]
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_classify_answers_where_the_minimal_speed_does_not(capsys, tmp_path):
     # at this point of the benchmark's known defects the stationarity check

@@ -648,6 +648,16 @@ def test_load_problem_refuses_unreadable_sources(tmp_path, monkeypatch):
             load_problem(source)
 
 
+@pytest.mark.parametrize("doc", [
+    {"family": "laplace", "mu": 1.0, "a_minus": 3},
+    {"family": "truncated", "base": [1, 2], "cutoff": 3.0},
+    {"family": "truncated", "base": "laplace", "cutoff": 3.0},
+], ids=["a_minus-int", "base-list", "base-str"])
+def test_load_problem_refuses_a_kernel_that_is_not_an_object(doc):
+    with pytest.raises(UsageError, match="a kernel is a JSON object; got (int|list|str)"):
+        load_problem(dict(doc, params={"kappa_plus": 2.0, "m": 1.0}))
+
+
 def test_load_problem_missing_params():
     with pytest.raises(UsageError):
         load_problem({"family": "laplace", "mu": 1.0})

@@ -2,10 +2,13 @@
 identities, and the decay envelope."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.integrate import IntegrationWarning
 
 from nlkpp.errors import UsageError
 from nlkpp.kernels import ExpPoly, Gaussian, Laplace, Uniform
@@ -42,6 +45,61 @@ def test_callable_matches_closed_form():
 def test_callable_divergence_detected():
     ev = bilateral_laplace(lambda s: 0.5 * math.exp(-abs(s)), 1.5)
     assert ev.status != "converged"
+
+
+def test_level_weighted_integrand_diverges():
+    # at lam = sigma the weighted tail stays at 0.5 (or 1) until f underflows;
+    # a level edge counts as a rise, so the scan does not stop at the
+    # underflow and call the truncated sum convergent
+    ev = bilateral_laplace(lambda s: 0.5 * math.exp(-abs(s)), 1.0)
+    assert ev.status == "diverged"
+    ev = bilateral_laplace(lambda s: math.exp(-2.0 * s) if s >= 0 else 0.0, 2.0,
+                           support=(0.0, math.inf))
+    assert ev.status == "diverged"
+
+
+def _two_sided(a, b, w):
+    """The density w a e^{-as} on s >= 0 and (1 - w) b e^{bs} on s < 0, with
+    a counter of its own calls; abscissa a, transform at lam in (0, a)
+    w a/(a - lam) + (1 - w) b/(b + lam)."""
+    calls = [0]
+
+    def f(s):
+        calls[0] += 1
+        return w * a * math.exp(-a * s) if s >= 0.0 else (1.0 - w) * b * math.exp(b * s)
+
+    return f, calls
+
+
+@pytest.mark.parametrize("a, b, w, rho", [(0.34, 1.0, 0.5, 0.45), (1.3, 0.6, 0.3, 0.7),
+                                          (2.9, 2.2, 0.75, 0.25)])
+def test_engine_skips_the_subnormal_tail(a, b, w, rho):
+    # the tail where f passes through the subnormal range is read as 0 and
+    # the window it ends in is split there, so QUADPACK neither bisects a
+    # staircase to its subdivision limit nor warns
+    f, calls = _two_sided(a, b, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        est = abscissa(f)
+        ev = bilateral_laplace(f, rho * a)
+    assert calls[0] <= 25_000
+    assert abs(est.value - a) <= 1e-5 * a
+    assert ev.status == "converged"
+
+
+@settings(max_examples=20)
+@given(a=st.floats(0.3, 3.0), b=st.floats(0.3, 3.0), w=st.floats(0.2, 0.8),
+       rho=st.floats(0.2, 0.8))
+def test_engine_on_two_sided_exponentials(a, b, w, rho):
+    f, _ = _two_sided(a, b, w)
+    est = abscissa(f)
+    lo, hi = est.bracket
+    assert lo * (1.0 - 1e-6) <= a <= hi * (1.0 + 1e-6)
+    assert abs(est.value - a) <= 1e-5 * a
+    lam = rho * a
+    ev = bilateral_laplace(f, lam)
+    assert ev.status == "converged"
+    assert abs(ev.value - (w * a / (a - lam) + (1.0 - w) * b / (b + lam))) <= 1e-6
 
 
 def test_rejects_nonpositive_argument():

@@ -41,15 +41,59 @@ _UNDECIDED_BAND = 1e-10
 ENDPOINT_RTOL = 1e-14
 
 
-def _quad_split(f, lo, hi, breaks=()):
-    """Adaptive quadrature split at interior kinks; quad cannot take break
-    points together with infinite limits, so the segments are explicit."""
+def _quad(f, a, b):
+    """One QUADPACK integral of f over [a, b] at the package's tolerances."""
+    return integrate.quad(f, a, b, limit=400, epsabs=QUAD_ABS, epsrel=QUAD_REL)[0]
+
+
+def _quad_split(piece, lo, hi, breaks=()):
+    """piece(a, b) summed over [lo, hi] cut at the interior kinks, in order
+    from 0.0; quad cannot take break points together with infinite limits,
+    so the segments are explicit. A piece is one _quad call, or its memo
+    (_tilted_piece), whose hit returns the bits of that call."""
     xs = [lo] + sorted(p for p in breaks if lo < p < hi) + [hi]
     total = 0.0
     for a, b in zip(xs[:-1], xs[1:]):
-        val, _ = integrate.quad(f, a, b, limit=400, epsabs=QUAD_ABS, epsrel=QUAD_REL)
-        total += val
+        total += piece(a, b)
     return total
+
+
+# Bound of each quadrature memo below. Pieces repeat within one task (a
+# truncation and its base, a root read again at a speed), not across
+# tasks, so a few hundred entries hold all the reuse there is.
+@functools.lru_cache(maxsize=512)
+def _tilted_piece(kernel, z, order, a, b):
+    """int_a^b s^order a(s) e^{z s} ds as one _quad call over the log-space
+    tilt of kernel.pdf, cached by value (kernels are frozen dataclasses):
+    equal keys, 0.0 and -0.0 or 2 and 2.0 among them, give the same bits.
+    A hit does not repeat the call's IntegrationWarning;
+    `_tilted_piece.cache_clear()` empties the memo."""
+    g = _weighted(kernel.pdf, z)
+    return _quad((lambda s: g(s) * s ** order) if order else g, a, b)
+
+
+@functools.lru_cache(maxsize=512)
+def _endpoint_flat(q, order):
+    """int_0^inf s^order / (1 + s^q) ds, ExpPoly's endpoint piece on the
+    side where the exponential cancels: it depends on (q, order) alone."""
+    def flat(s):    # 0 where s^q overflows a float, as in ExpPoly's shape
+        try:
+            return s ** order / (1.0 + s ** q)
+        except OverflowError:
+            return 0.0
+    return _quad(flat, 0, math.inf)
+
+
+@functools.lru_cache(maxsize=512)
+def _endpoint_damped(mu, q, order):
+    """int_0^inf s^order e^{-2 mu s} / (1 + s^q) ds, ExpPoly's endpoint
+    piece on the side where the exponential doubles."""
+    def damp(s):
+        try:
+            return s ** order * math.exp(-2.0 * mu * s) / (1.0 + s ** q)
+        except OverflowError:
+            return 0.0
+    return _quad(damp, 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -158,26 +202,28 @@ class Kernel:
     def transform_below(self, z: float, R: float, order: int = 0) -> float:
         """int_{-inf}^{R} s^order a(s) e^{z s} ds, +inf left of -sigma_left
         (at z = 0 a moment, which no abscissa bounds), tilted through logs by
-        laplace._weighted: the product decays where e^{z s} alone overflows."""
+        laplace._weighted: the product decays where e^{z s} alone overflows.
+        Each piece between the support's end, the kinks and R is computed
+        once per process (_tilted_piece), so a truncation shares its base's
+        pieces below the cutoff and a root read again costs no quadrature."""
         if z < 0 and -z >= self.sigma_left:
             return math.inf
         lo, _ = self._support
-        g = _weighted(self.pdf, z)
-        f = (lambda s: g(s) * s ** order) if order else g
-        return _quad_split(f, lo, R, self._breaks)
+        return _quad_split(functools.partial(_tilted_piece, self, z, order), lo, R, self._breaks)
 
     def cdf(self, x: float) -> float:
         lo, _ = self._support
         if x <= lo:
             return 0.0
-        return _quad_split(self.pdf, lo, x, self._breaks)
+        return _quad_split(functools.partial(_quad, self.pdf), lo, x, self._breaks)
 
     def moment_first(self) -> float:
         return self.transform_below(0.0, self._support[1], 1)
 
     def moment_first_abs(self) -> float:
         lo, hi = self._support
-        return _quad_split(lambda s: self.pdf(s) * abs(s), lo, hi, self._breaks)
+        return _quad_split(functools.partial(_quad, lambda s: self.pdf(s) * abs(s)),
+                           lo, hi, self._breaks)
 
     def pdf_max(self) -> float:
         s = np.linspace(-self.support_radius(1e-12), self.support_radius(1e-12), 4001)
@@ -375,7 +421,7 @@ class ExpPoly(EvenKernel):
                 return math.exp(-self.mu * s ** self.p) / (1.0 + s ** self.q)
             except OverflowError:
                 return 0.0
-        norm = _quad_split(shape, 0, math.inf)
+        norm = _quad(shape, 0, math.inf)
         object.__setattr__(self, "alpha", 1.0 / (2.0 * norm))
 
     def pdf(self, s):
@@ -411,19 +457,9 @@ class ExpPoly(EvenKernel):
                 # divergence comes from the side where the exponential cancels
                 return math.inf if z > 0 or order % 2 == 0 else -math.inf
 
-            def flat(s):    # 0 where s^q overflows a float, as in shape
-                try:
-                    return s ** order / (1.0 + s ** self.q)
-                except OverflowError:
-                    return 0.0
-
-            def damp(s):
-                try:
-                    return s ** order * math.exp(-2.0 * self.mu * s) / (1.0 + s ** self.q)
-                except OverflowError:
-                    return 0.0
             return self.alpha * (sgn ** order) * (
-                _quad_split(flat, 0, math.inf) + (-1.0) ** order * _quad_split(damp, 0, math.inf))
+                _endpoint_flat(self.q, order)
+                + (-1.0) ** order * _endpoint_damped(self.mu, self.q, order))
         return super().transform_deriv(z, order)
 
 

@@ -70,6 +70,7 @@ def _window_edges():
 def _scan(f, lam, support, guard=None):
     """Expanding-window quadrature of f e^{lam s}; positive side windowed,
     negative side in one shot (the weight only helps there for lam > 0).
+    Windows that end at or before the support's start are skipped.
 
     f is read as 0 wherever |f(s)| is below the normal range: a subnormal
     value carries few bits and steps from one to the next, a staircase
@@ -101,6 +102,8 @@ def _scan(f, lam, support, guard=None):
     grew = 0
     edge_prev = math.inf
     for a, b in _window_edges():
+        if b <= lo:
+            continue
         a = max(a, lo)
         b = min(b, hi)
         if b <= a:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
+from nlkpp import dispersion, kernels
 from nlkpp.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -36,3 +37,27 @@ def test_recorded_cli_result(entry, tmp_path, capsys):
         assert block == entry["result"]
     else:
         assert workloads.numbers_agree(json.loads(block), json.loads(entry["result"]))
+
+
+# the entries whose commands read quadrature pieces again: truncation
+# levels share their base's, and a sweep's points repeat problems
+WARM = [e for e in POOL["entries"] if e["command"] in ("truncate-sweep", "sweep")]
+
+
+def test_recorded_cli_results_replay_warm(tmp_path, capsys):
+    """The twelve entries twice in one process from empty caches: the warm
+    pass, served from the quadrature memo and the problem caches, prints
+    what the cold pass printed."""
+    assert len(WARM) == 12
+    for cache in (kernels._tilted_piece, kernels._endpoint_flat, kernels._endpoint_damped,
+                  kernels.check_assumptions, dispersion._classify, dispersion.minimal_speed):
+        cache.cache_clear()
+    for rep in ("cold", "warm"):
+        for entry in WARM:
+            code = main(workloads.cli_argv(entry, str(tmp_path)))
+            block = workloads.result_block(capsys.readouterr().out)
+            assert (rep, entry["id"], code) == (rep, entry["id"], entry["code"])
+            if SAME_TOOLCHAIN:
+                assert (rep, entry["id"], block) == (rep, entry["id"], entry["result"])
+            else:
+                assert workloads.numbers_agree(json.loads(block), json.loads(entry["result"]))

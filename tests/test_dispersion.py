@@ -297,6 +297,29 @@ def test_classify_flips_across_mu_star(q):
     assert classify(ExpPoly(1.0, q, mu + 1e-4), LK1) == "V"
 
 
+def test_mu_star_computes_the_algebraic_endpoint_piece_once_per_order():
+    # int_0^inf s^k / (1 + s^q) ds depends on (q, k) alone: the endpoint T
+    # reads k = 0 and 1 at every rate the bracket and the root solve try
+    kernels._endpoint_flat.cache_clear()
+    mu_star(3.0, LK1)
+    info = kernels._endpoint_flat.cache_info()
+    assert info.misses == 2
+    assert info.hits >= 20
+
+
+def test_root_read_again_costs_no_quadrature():
+    # abscissa_to_speed at lambda_c reads the transform where the root
+    # solve of speed_to_abscissa already computed it
+    k = ExpPoly(1.0, 3.0, 1.0)
+    rep = minimal_speed(k, LK1)
+    root = speed_to_abscissa(k, LK1, 1.5 * rep.c_star)
+    before = kernels._tilted_piece.cache_info()
+    abscissa_to_speed(k, LK1, root.lambda_c)
+    after = kernels._tilted_piece.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
 # ---------------------------------------------------------------------------
 # multiplicity table
 

@@ -6,6 +6,7 @@ import math
 
 import mpmath
 import numpy as np
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 import pytest
 
@@ -668,3 +669,88 @@ def test_load_problem_rejects_unknown_parameter():
         load_problem({"family": "laplace", "mu": 1.0,
                       "params": {"kappa_plus": 2.0, "m": 1.0, "kappa_local": 1.0,
                                  "kapa_nonlocal": 0.5}})
+
+
+# ---------------------------------------------------------------------------
+# the quadrature memo
+
+MEMOS = (kernels._tilted_piece, kernels._endpoint_flat, kernels._endpoint_damped)
+
+
+def _misses():
+    return sum(memo.cache_info().misses for memo in MEMOS)
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _twins(z):
+    """Keys equal to z by value, which share its memo entries."""
+    return [z] + ([-z] if z == 0.0 else []) + ([int(z)] if z == int(z) else [])
+
+
+@st.composite
+def _memo_reads(draw):
+    """A kernel whose transforms reach quadrature, with z in its strip (or
+    at the p = 1 endpoint, where ExpPoly's endpoint pieces are read), an
+    order and a finite upper limit."""
+    family = draw(st.sampled_from(["exp_poly_1", "exp_poly_p", "uniform", "truncated",
+                                   "radial"]))
+    mu = draw(st.floats(0.3, 2.0))
+    order = draw(st.integers(0, 2))
+    inner = st.floats(-0.95 * mu, 0.95 * mu)
+    if family == "exp_poly_1":
+        k = ExpPoly(1.0, draw(st.floats(0.0, 5.0)), mu)
+        z = draw(st.one_of(inner, st.sampled_from([0.0, -0.0, mu, -mu])))
+    elif family == "exp_poly_p":
+        # |z| <= mu keeps the tilted tail decaying fast enough for QUADPACK
+        # at p near 1 (at p = 1 + 2^-52 and z = mu it does not reach 1e-8)
+        mu = draw(st.floats(1.0, 2.0))
+        k = ExpPoly(draw(st.floats(1.05, 2.0, exclude_max=True)), draw(st.floats(0.0, 4.0)), mu)
+        z = draw(st.one_of(st.floats(-mu, mu), st.sampled_from([0.0, -0.0, 1.0, -1.0])))
+    elif family == "uniform":
+        k = Uniform(-draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0)))
+        order = draw(st.integers(1, 2))
+        z = draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, -2.0])))
+    elif family == "truncated":
+        k = Truncated(Laplace(mu), draw(st.floats(0.5, 20.0)))
+        z = draw(st.one_of(st.floats(-0.95 * mu, 3.0), st.sampled_from([0.0, -0.0, 1.0, 2.0])))
+    else:
+        k = RadialExpMarginal(mu, draw(st.integers(2, 4)))
+        z = draw(st.one_of(inner, st.sampled_from([0.0, -0.0])))
+    return k, z, order, draw(st.floats(0.5, 10.0))
+
+
+@settings(max_examples=200)
+@given(read=_memo_reads(), data=st.data())
+def test_memo_returns_the_bits_of_a_fresh_quadrature(read, data):
+    # a read served by an entry another key made (z against -0.0 or an int
+    # z, an int order against a float one) has the bits of that read made
+    # right after the memo was emptied
+    k, z, order, R = read
+    twin = data.draw(st.sampled_from(_twins(z)))
+    twin_order = data.draw(st.sampled_from([order, float(order)]))
+    for f in (k.transform_deriv, lambda z, n: k.transform_below(z, R, n)):
+        _clear_memos()
+        fresh = f(twin, twin_order)
+        _clear_memos()
+        f(z, order)
+        misses = _misses()
+        warm = f(twin, twin_order)
+        assert _misses() == misses
+        assert warm.hex() == fresh.hex()
+
+
+def test_memo_serves_a_truncation_from_its_base():
+    # the cut kernel's integral below 0 is its base's, so a new cutoff
+    # computes only the piece from 0 to the cutoff
+    base = Laplace(0.7)
+    _clear_memos()
+    Truncated(base, 3.0).moment_first_abs()
+    info = kernels._tilted_piece.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+    Truncated(base, 5.0).moment_first_abs()
+    info = kernels._tilted_piece.cache_info()
+    assert (info.hits, info.misses) == (3, 3)

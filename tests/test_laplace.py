@@ -58,6 +58,22 @@ def test_level_weighted_integrand_diverges():
     assert ev.status == "diverged"
 
 
+@pytest.mark.parametrize("start,value", [(2.0, 2.0 / math.e), (1.0, 2.0 * math.exp(-0.5))])
+def test_support_that_starts_past_the_first_window(start, value):
+    # windows that end at or before the support's start are skipped, not
+    # read as the end of the support: int_start^inf e^{-s/2} ds = 2e^{-start/2}
+    ev = bilateral_laplace(lambda s: math.exp(-s), 0.5, support=(start, math.inf))
+    assert ev.status == "converged"
+    assert ev.value == pytest.approx(value, rel=1e-12)
+
+
+def test_abscissa_of_a_support_that_starts_past_the_first_window():
+    est = abscissa(lambda s: math.exp(-s), support=(2.0, math.inf))
+    assert est == abscissa(lambda s: math.exp(-s), support=(0.0, math.inf))
+    lo, hi = est.bracket
+    assert lo <= 1.0 <= hi and hi / lo < 1.0 + 1e-6
+
+
 def _two_sided(a, b, w):
     """The density w a e^{-as} on s >= 0 and (1 - w) b e^{bs} on s < 0, with
     a counter of its own calls; abscissa a, transform at lam in (0, a)

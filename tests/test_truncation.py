@@ -9,7 +9,7 @@ from scipy.integrate import IntegrationWarning
 
 from nlkpp import kernels
 
-from nlkpp.dispersion import g_function, minimal_speed
+from nlkpp.dispersion import _classify, g_function, minimal_speed
 from nlkpp.errors import AssumptionFailure, UsageError
 from nlkpp.kernels import KernelPair, Laplace, Params, Tabulated, Truncated
 from nlkpp.truncation import c_star_sequence, theta_r, truncate, truncated_g
@@ -144,3 +144,21 @@ def test_sequence_of_a_cut_kernel_stops_at_its_cutoff():
     trace = c_star_sequence(Truncated(K_REF, 1.0), LK1, (0.5, 2.0, 5.0))
     assert all(gap >= 0.0 for gap in trace.gaps)
     assert trace.c_star[1:] == (trace.c_star_limit, trace.c_star_limit)
+
+
+def test_sequence_computes_each_piece_once():
+    # a level's transform below 0 is its base's, so the five levels, the
+    # limit and the lower barrier share those pieces: 276 QUADPACK calls
+    # instead of 441. From emptied caches the same call makes the same
+    # ones and returns the same trace
+    radii = [40.0 * f for f in (0.05, 0.125, 0.25, 0.5, 1.0)]
+    runs = []
+    for _ in range(2):
+        for cache in (kernels._tilted_piece, kernels.check_assumptions, _classify,
+                      minimal_speed):
+            cache.cache_clear()
+        trace = c_star_sequence(K_REF, LK1, radii)
+        info = kernels._tilted_piece.cache_info()
+        runs.append((repr(trace), info.misses, info.hits))
+    assert runs[1] == runs[0]
+    assert runs[0][1:] == (276, 165)

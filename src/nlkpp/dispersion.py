@@ -130,11 +130,11 @@ def h_function(kernel: Kernel, params: Params, lam: float) -> float:
     return params.m - t_function(kernel, params, lam)
 
 
-@functools.lru_cache(maxsize=16)
 def _classify(kernel: Kernel, params: Params):
     """(class, t_at_sigma, interval_kind). t_at_sigma is nan when sigma is
-    infinite or the transform diverges there. Cached by value: classify and
-    minimal_speed both ask for it."""
+    infinite or the transform diverges there. Not cached: its work is
+    transform reads at sigma, which the quadrature memos serve when
+    classify and minimal_speed both ask."""
     sig = kernel.sigma_right
     if not math.isfinite(sig):
         return "V", math.nan, "open"

@@ -63,37 +63,31 @@ def _quad_split(piece, lo, hi, breaks=()):
 # tasks, so a few hundred entries hold all the reuse there is.
 @functools.lru_cache(maxsize=512)
 def _tilted_piece(kernel, z, order, a, b):
-    """int_a^b s^order a(s) e^{z s} ds as one _quad call over the log-space
-    tilt of kernel.pdf, cached by value (kernels are frozen dataclasses):
-    equal keys, 0.0 and -0.0 or 2 and 2.0 among them, give the same bits.
-    A hit does not repeat the call's IntegrationWarning;
+    """int_a^b s^order a(s) e^{z s} ds as one _quad call, cached by value
+    (kernels are frozen dataclasses): equal keys, 0.0 and -0.0 or 2 and 2.0
+    among them, give the same bits. At z = 0 the integrand is kernel.pdf
+    itself (the tilt would only take a log and an exp), so `cdf`'s pieces
+    are its z = 0, order-0 entries; elsewhere it is the log-space tilt of
+    laplace._weighted. A hit does not repeat the call's IntegrationWarning;
     `_tilted_piece.cache_clear()` empties the memo."""
-    g = _weighted(kernel.pdf, z)
+    g = kernel.pdf if z == 0 else _weighted(kernel.pdf, z)
     return _quad((lambda s: g(s) * s ** order) if order else g, a, b)
 
 
 @functools.lru_cache(maxsize=512)
-def _endpoint_flat(q, order):
-    """int_0^inf s^order / (1 + s^q) ds, ExpPoly's endpoint piece on the
-    side where the exponential cancels: it depends on (q, order) alone."""
-    def flat(s):    # 0 where s^q overflows a float, as in ExpPoly's shape
+def _exp_poly_piece(mu, p, q, order):
+    """int_0^inf s^order e^{-mu s^p} / (1 + s^q) ds, ExpPoly's one integral:
+    (mu, p, q, 0) is half its normalization, and at p = 1 the endpoint
+    transform sums (0.0, 1.0, q, k), where the exponential cancels, and
+    (2 mu, 1.0, q, k), where it doubles. The first depends on (q, k)
+    alone, so every rate shares it; keys compare by value, as in
+    _tilted_piece."""
+    def f(s):       # 0 where a power overflows a float, as pdf's float path has it
         try:
-            return s ** order / (1.0 + s ** q)
+            return s ** order * math.exp(-mu * s ** p) / (1.0 + s ** q)
         except OverflowError:
             return 0.0
-    return _quad(flat, 0, math.inf)
-
-
-@functools.lru_cache(maxsize=512)
-def _endpoint_damped(mu, q, order):
-    """int_0^inf s^order e^{-2 mu s} / (1 + s^q) ds, ExpPoly's endpoint
-    piece on the side where the exponential doubles."""
-    def damp(s):
-        try:
-            return s ** order * math.exp(-2.0 * mu * s) / (1.0 + s ** q)
-        except OverflowError:
-            return 0.0
-    return _quad(damp, 0, math.inf)
+    return _quad(f, 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,9 @@ class Kernel:
 
     `transform_below(z, R, order)` is the one integral a family states, and
     `transform_deriv(z, order)`, its value at the support's end, the one
-    place for its closed forms; `transform` is order 0.
+    place for its closed forms; `transform` is order 0, `cdf(x)` is
+    `transform_below(0.0, x, 0)` and `moment_first` its order 1 over the
+    whole support. At z = 0 the integrand is the density, untilted.
 
     `pdf` takes a float or an array. QUADPACK calls each integrand once per
     abscissa with a float, and numpy's cost per 0-d call dwarfs the
@@ -202,7 +198,8 @@ class Kernel:
     def transform_below(self, z: float, R: float, order: int = 0) -> float:
         """int_{-inf}^{R} s^order a(s) e^{z s} ds, +inf left of -sigma_left
         (at z = 0 a moment, which no abscissa bounds), tilted through logs by
-        laplace._weighted: the product decays where e^{z s} alone overflows.
+        laplace._weighted away from z = 0: the product decays where e^{z s}
+        alone overflows.
         Each piece between the support's end, the kinks and R is computed
         once per process (_tilted_piece), so a truncation shares its base's
         pieces below the cutoff and a root read again costs no quadrature."""
@@ -212,10 +209,7 @@ class Kernel:
         return _quad_split(functools.partial(_tilted_piece, self, z, order), lo, R, self._breaks)
 
     def cdf(self, x: float) -> float:
-        lo, _ = self._support
-        if x <= lo:
-            return 0.0
-        return _quad_split(functools.partial(_quad, self.pdf), lo, x, self._breaks)
+        return self.transform_below(0.0, x, 0)
 
     def moment_first(self) -> float:
         return self.transform_below(0.0, self._support[1], 1)
@@ -390,7 +384,7 @@ class Uniform(Kernel):
 
     @classmethod
     def _file_fields(cls, d):
-        lo, hi = d.get("endpoints", (cls.lo, cls.hi))
+        lo, hi = _array("endpoints", d.get("endpoints", (cls.lo, cls.hi)))
         return {"lo": lo, "hi": hi}
 
 
@@ -415,13 +409,7 @@ class ExpPoly(EvenKernel):
         require_finite("exp_poly q", self.q, "nonnegative")
         if self.p == 0 and self.q <= 1:
             raise UsageError("exp_poly with p=0 needs q > 1 to be integrable")
-
-        def shape(s):   # 0 where a power overflows a float, as pdf's float path has it
-            try:
-                return math.exp(-self.mu * s ** self.p) / (1.0 + s ** self.q)
-            except OverflowError:
-                return 0.0
-        norm = _quad(shape, 0, math.inf)
+        norm = _exp_poly_piece(self.mu, self.p, self.q, 0)
         object.__setattr__(self, "alpha", 1.0 / (2.0 * norm))
 
     def pdf(self, s):
@@ -458,8 +446,8 @@ class ExpPoly(EvenKernel):
                 return math.inf if z > 0 or order % 2 == 0 else -math.inf
 
             return self.alpha * (sgn ** order) * (
-                _endpoint_flat(self.q, order)
-                + (-1.0) ** order * _endpoint_damped(self.mu, self.q, order))
+                _exp_poly_piece(0.0, 1.0, self.q, order)
+                + (-1.0) ** order * _exp_poly_piece(2.0 * self.mu, 1.0, self.q, order))
         return super().transform_deriv(z, order)
 
 
@@ -515,9 +503,6 @@ class Tabulated(Kernel):
         g = self._grid()
         v, g = np.asarray(self.values)[g <= R], g[g <= R]
         return float(self.grid_step * np.sum(v * g ** order * np.exp(z * g)))
-
-    def cdf(self, x):
-        return self.transform_below(0.0, x, 0)
 
     def moment_first_abs(self):
         g = self._grid()
@@ -669,7 +654,7 @@ def project_to_direction(kernel_nd, xi) -> Kernel:
     is again a probability density.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(xi) - 1.0) <= 1e-12:   # a nan norm fails too
         raise UsageError("direction must have unit norm")
 
     if isinstance(kernel_nd, Kernel):
@@ -852,8 +837,9 @@ _FAMILIES = {cls.family: cls for cls in (ExpPoly, Laplace, Gaussian, Uniform, Ta
 
 def kernel_from_dict(d: dict) -> Kernel:
     """The kernel of a file object (Kernel.to_dict). An omitted field takes
-    its dataclass default; a kernel field is read as a kernel, a tuple as
-    floats and any other field as a float."""
+    its dataclass default; a kernel field is read as a kernel, a tuple (and
+    Uniform's endpoints) from an array of floats, and any other field as a
+    float."""
     if not isinstance(d, dict):
         raise UsageError(f"a kernel is a JSON object; got {type(d).__name__}")
     fam = d.get("family")
@@ -866,8 +852,16 @@ def kernel_from_dict(d: dict) -> Kernel:
         if f.init and (f.default is MISSING or f.name in doc):
             v = doc[f.name]
             kw[f.name] = kernel_from_dict(v) if f.type == "Kernel" else \
-                tuple(float(x) for x in v) if f.type == "tuple" else float(v)
+                tuple(float(x) for x in _array(f.name, v)) if f.type == "tuple" else float(v)
     return cls(**kw)
+
+
+def _array(name, v):
+    """v, the value of field `name`, which must be a JSON array: a string
+    is a sequence too, and would load as one number per character."""
+    if not isinstance(v, (list, tuple)):
+        raise UsageError(f"kernel field {name!r} must be an array; got {type(v).__name__}")
+    return v
 
 
 def load_problem(source) -> tuple:

@@ -78,7 +78,7 @@ def c_star_sequence(kernel_or_pair, params: Params, radii) -> TruncationTrace:
         tm = truncate(pair.a_minus, R)
         masses_p.append(tp.mass)
         masses_m.append(tm.mass)
-        thetas.append(theta_r(params, tp.mass, tm.mass))
+        thetas.append(theta_r(params, masses_p[-1], masses_m[-1]))
         rep = minimal_speed(KernelPair(tp, tm), params)
         lams.append(rep.lambda_star)
         speeds.append(rep.c_star)

@@ -167,27 +167,23 @@ def test_determinism_of_result_block(kernel_file, capsys):
 
 
 @pytest.mark.parametrize("argv,counts", [
-    (["classify"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
-    (["profile", "--c", "4"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
-    (["uniqueness", "--c", "4"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
-    (["check"], {"check_assumptions": 1, "_classify": 0, "minimal_speed": 0}),
-    (["speed", "--c", "4"], {"check_assumptions": 1, "_classify": 1, "minimal_speed": 1}),
+    (["classify"], {"check_assumptions": 1, "minimal_speed": 1}),
+    (["profile", "--c", "4"], {"check_assumptions": 1, "minimal_speed": 1}),
+    (["uniqueness", "--c", "4"], {"check_assumptions": 1, "minimal_speed": 1}),
+    (["check"], {"check_assumptions": 1, "minimal_speed": 0}),
+    (["speed", "--c", "4"], {"check_assumptions": 1, "minimal_speed": 1}),
 ], ids=["classify", "profile", "uniqueness", "check", "speed"])
 def test_setup_runs_once_per_command(argv, counts, kernel_file, capsys):
     """The Q1..Q7 check and the dispersion analysis are set-up work: a
     command does each once per problem, not once per function it calls.
-    All three are cached, so their computations are the cache misses."""
-    from nlkpp import dispersion
-
+    Both are cached, so their computations are the cache misses."""
     check_assumptions.cache_clear()
-    dispersion._classify.cache_clear()
     minimal_speed.cache_clear()
     code, _doc = run_cli(capsys, argv[0], "--kernel", kernel_file, *argv[1:])
     assert code == 0
     computed = {"check_assumptions": check_assumptions.cache_info().misses,
-                "_classify": dispersion._classify.cache_info().misses,
                 "minimal_speed": minimal_speed.cache_info().misses}
-    assert {name: computed[name] for name in counts} == counts
+    assert computed == counts
 
 
 def test_check_block_same_cold_and_warm(kernel_file, capsys):
@@ -483,6 +479,18 @@ def test_kernel_that_is_not_an_object_is_an_error_document(capsys, tmp_path):
     assert doc["error"]["type"] == "UsageError"
     assert "a kernel is a JSON object; got int" in doc["error"]["message"]
     assert doc["manifest"]["inputs"] == [str(p)]
+
+
+def test_string_endpoints_are_an_error_document(capsys, tmp_path):
+    # "12" is no pair of endpoints, though a string unpacks to two characters
+    p = tmp_path / "str_endpoints.json"
+    p.write_text(json.dumps({"family": "uniform", "endpoints": "12",
+                             "params": LK1_DOC["params"]}))
+    code, doc = run_cli(capsys, "check", "--kernel", str(p))
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert "kernel field 'endpoints' must be an array; got str" in doc["error"]["message"]
+    assert "result" not in doc
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")

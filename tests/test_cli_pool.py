@@ -49,8 +49,8 @@ def test_recorded_cli_results_replay_warm(tmp_path, capsys):
     pass, served from the quadrature memo and the problem caches, prints
     what the cold pass printed."""
     assert len(WARM) == 12
-    for cache in (kernels._tilted_piece, kernels._endpoint_flat, kernels._endpoint_damped,
-                  kernels.check_assumptions, dispersion._classify, dispersion.minimal_speed):
+    for cache in (kernels._tilted_piece, kernels._exp_poly_piece,
+                  kernels.check_assumptions, dispersion.minimal_speed):
         cache.cache_clear()
     for rep in ("cold", "warm"):
         for entry in WARM:

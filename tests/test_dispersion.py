@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nlkpp import kernels
-from nlkpp.dispersion import (_classify, _first_sign_change, _strip_grid, abscissa_to_speed,
+from nlkpp.dispersion import (_first_sign_change, _strip_grid, abscissa_to_speed,
                               characteristic, characteristic_deriv, classify,
                               f_function, g_function, h_function, left_rate,
                               minimal_speed, mu_star, mu_star_bracket,
@@ -50,12 +50,14 @@ def test_problem_checked_once_across_entry_points(monkeypatch):
 
 
 def test_classify_and_minimal_speed_share_one_classification():
-    # a benchmark point task asks for both; the endpoint analysis runs once
-    _classify.cache_clear()
+    # a benchmark point task asks for both; the endpoint analysis computes
+    # its integrals once, and minimal_speed reads them from the memo
     minimal_speed.cache_clear()
     k = ExpPoly(1.0, 3.5, 0.3)
-    assert classify(k, LK1) == minimal_speed(k, LK1).kernel_class
-    assert _classify.cache_info().misses == 1
+    cls = classify(k, LK1)
+    misses = kernels._exp_poly_piece.cache_info().misses
+    assert minimal_speed(k, LK1).kernel_class == cls
+    assert kernels._exp_poly_piece.cache_info().misses == misses
 
 
 def test_reference_lambda_star():
@@ -299,12 +301,23 @@ def test_classify_flips_across_mu_star(q):
 
 def test_mu_star_computes_the_algebraic_endpoint_piece_once_per_order():
     # int_0^inf s^k / (1 + s^q) ds depends on (q, k) alone: the endpoint T
-    # reads k = 0 and 1 at every rate the bracket and the root solve try
-    kernels._endpoint_flat.cache_clear()
+    # reads k = 0 and 1 at every rate the bracket and the root solve try.
+    # The doubling scan's damped piece at mu is the normalization at 2 mu
+    kernels._exp_poly_piece.cache_clear()
     mu_star(3.0, LK1)
-    info = kernels._endpoint_flat.cache_info()
-    assert info.misses == 2
-    assert info.hits >= 20
+    assert kernels._exp_poly_piece.cache_info().misses == 55
+    for k in (0, 1):
+        kernels._exp_poly_piece(0.0, 1.0, 3.0, k)
+    assert kernels._exp_poly_piece.cache_info().misses == 55
+
+
+@pytest.mark.parametrize("q", sorted(MU_STAR_ORACLES))
+def test_mu_star_bracket_reads_the_root_normalizer(q):
+    # the root solve built ExpPoly(1, q, mu*), so the bracket's alpha is a hit
+    mu = mu_star(q, LK1)
+    misses = kernels._exp_poly_piece.cache_info().misses
+    mu_star_bracket(q, LK1, mu)
+    assert kernels._exp_poly_piece.cache_info().misses == misses
 
 
 def test_root_read_again_costs_no_quadrature():

@@ -4,7 +4,9 @@ kernel family restates a transform, its evenness or its file format, no
 package module reads the environment or imports inside a function, every
 functools cache of the package is bounded, no call in the package passes a
 report on, the profile solver reads kernel spectra through the dispersion
-layer only, and a profile solve leaves scipy.signal unloaded."""
+layer only, and a profile solve leaves scipy.signal unloaded. README's
+cache list names the package's functools caches, and kernels.py calls
+QUADPACK from _quad alone."""
 
 import ast
 import dataclasses
@@ -179,6 +181,81 @@ def test_package_caches_are_bounded(path):
     """A cache keyed by problem values holds a few problems, not every
     problem a long sweep or a benchmark run has seen."""
     assert unbounded_caches(path.read_text()) == []
+
+
+def cached_functions(source):
+    """Names of the functions a functools.lru_cache decorates, in any of
+    the forms unbounded_caches reads."""
+    def name(d):
+        d = d.func if isinstance(d, ast.Call) else d
+        return getattr(d, "attr", getattr(d, "id", None))
+    return sorted(n.name for n in ast.walk(ast.parse(source))
+                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(name(d) == "lru_cache" for d in n.decorator_list))
+
+
+def test_cached_functions_finds_every_form():
+    source = ("import functools\nfrom functools import lru_cache\n"
+              "@functools.lru_cache(maxsize=16)\ndef k(x):\n    return x\n"
+              "@lru_cache\ndef m(x):\n    return x\n"
+              "@property\ndef n(x):\n    return x\n"
+              "class C:\n    @lru_cache(4)\n    def g(self):\n        return 1\n")
+    assert cached_functions(source) == ["g", "k", "m"]
+
+
+def readme_caches(text):
+    """The `module.name` entries of README's "Caches" list: the bullets of
+    the paragraph that starts with **Caches.**"""
+    block = text.split("**Caches.**", 1)[1].split("\n\n", 1)[0]
+    return sorted(line[3:].split("`", 1)[0] for line in block.splitlines()
+                  if line.startswith("- `"))
+
+
+def test_readme_caches_reads_the_list():
+    text = "x\n\n**Caches.** Two:\n- `a.f`, one;\n  more;\n- `b._g`, two.\n\n- `c.h`\n"
+    assert readme_caches(text) == ["a.f", "b._g"]
+
+
+def test_readme_lists_every_cache():
+    """The README's cache list names every functools cache of the package,
+    and no other, so a cache added or removed shows in the docs."""
+    found = sorted(f"{p.stem}.{f}" for p in PACKAGE for f in cached_functions(p.read_text()))
+    readme = (Path(nlkpp.__file__).resolve().parents[2] / "README.md").read_text()
+    assert readme_caches(readme) == found
+
+
+def quad_callers(source):
+    """Names of the functions (or "<module>") whose bodies call
+    integrate.quad, the functions nested in them counted as their own."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", owner))
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "quad" and getattr(child.func.value, "id", None) \
+                    == "integrate":
+                callers.add(owner)
+            visit(child, owner)
+    visit(ast.parse(source), "<module>")
+    return sorted(callers)
+
+
+def test_quad_callers_finds_nested_and_module_calls():
+    source = ("from scipy import integrate\nintegrate.quad(f, 0, 1)\n"
+              "def a():\n    def b():\n        return integrate.quad(g, 0, 1)\n"
+              "    return b\n"
+              "def c():\n    return quad(f, 0, 1)\n")
+    assert quad_callers(source) == ["<module>", "b"]
+
+
+def test_kernels_call_quadpack_in_one_place():
+    """Every kernel integral goes through _quad, so they all share its
+    limit and tolerances."""
+    kernels = next(p for p in PACKAGE if p.name == "kernels.py")
+    assert quad_callers(kernels.read_text()) == ["_quad"]
 
 
 def report_slots(sources):

@@ -12,6 +12,7 @@ import pytest
 
 from nlkpp import kernels
 from nlkpp.errors import AssumptionFailure, UsageError
+from nlkpp.laplace import QUAD_ABS, QUAD_REL
 from nlkpp.kernels import (ExpPoly, Gaussian, Kernel, KernelPair, Laplace, Params,
                            RadialExpMarginal, Tabulated, Truncated, Uniform,
                            check_assumptions, j_theta,
@@ -456,6 +457,17 @@ def test_project_rejects_bad_direction():
         project_to_direction(Laplace(1.0), [0.5])
 
 
+@pytest.mark.parametrize("kernel_nd,xi", [
+    (Uniform(-1.0, 2.0), [math.nan]),
+    ({"kind": "product", "factors": [Uniform(-1.0, 2.0), Laplace(1.0)]}, [math.nan, 0.0]),
+    ({"kind": "radial_gaussian", "variance": 1.0}, [math.nan, math.nan]),
+], ids=["1d", "product", "radial"])
+def test_project_rejects_a_nan_direction(kernel_nd, xi):
+    # a nan norm is no unit norm; |nan - 1| > tol is false, so the check is written to fail on it
+    with pytest.raises(UsageError, match="unit norm"):
+        project_to_direction(kernel_nd, xi)
+
+
 def test_directional_moment_symmetric_is_zero():
     # the first moment along the projection direction
     assert Laplace(1.0).moment_first() == 0.0
@@ -659,6 +671,22 @@ def test_load_problem_refuses_a_kernel_that_is_not_an_object(doc):
         load_problem(dict(doc, params={"kappa_plus": 2.0, "m": 1.0}))
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"family": "uniform", "endpoints": "12"}, "endpoints"),
+    ({"family": "uniform", "endpoints": 3.0}, "endpoints"),
+    ({"family": "tabulated", "table": {"grid_start": -0.5, "grid_step": 0.5, "values": "11"}},
+     "values"),
+    ({"family": "truncated", "cutoff": 2.0,
+      "base": {"family": "uniform", "endpoints": "12"}}, "endpoints"),
+], ids=["uniform-str", "uniform-number", "tabulated-str", "truncated-base"])
+def test_load_problem_refuses_a_string_for_an_array(doc, field):
+    # a string is a sequence: "12" would load as the endpoints (1.0, 2.0)
+    with pytest.raises(UsageError, match=f"kernel field '{field}' must be an array"):
+        kernel_from_dict(doc)
+    with pytest.raises(UsageError, match=f"'{field}'"):
+        load_problem(dict(doc, params={"kappa_plus": 2.0, "m": 1.0}))
+
+
 def test_load_problem_missing_params():
     with pytest.raises(UsageError):
         load_problem({"family": "laplace", "mu": 1.0})
@@ -674,7 +702,7 @@ def test_load_problem_rejects_unknown_parameter():
 # ---------------------------------------------------------------------------
 # the quadrature memo
 
-MEMOS = (kernels._tilted_piece, kernels._endpoint_flat, kernels._endpoint_damped)
+MEMOS = (kernels._tilted_piece, kernels._exp_poly_piece)
 
 
 def _misses():
@@ -754,3 +782,87 @@ def test_memo_serves_a_truncation_from_its_base():
     Truncated(base, 5.0).moment_first_abs()
     info = kernels._tilted_piece.cache_info()
     assert (info.hits, info.misses) == (3, 3)
+
+
+def test_mass_read_again_makes_no_quadrature():
+    # a truncation's mass is its base's cdf, whose two pieces, [-inf, 0]
+    # and [0, 2], the memo holds
+    k = Truncated(ExpPoly(1.0, 3.0, 1.0), 2.0)
+    _clear_memos()
+    first = k.mass
+    assert kernels._tilted_piece.cache_info().misses == 2
+    assert k.mass == first
+    assert kernels._tilted_piece.cache_info().misses == 2
+
+
+def _reference_cdf(k, x):
+    """quad of k.pdf at the package's limit and tolerances, summed from 0.0
+    over the pieces cdf cuts: [-inf, 0] and [0, x], x no further than a
+    truncation's cutoff."""
+    hi = min(x, getattr(k, "cutoff", x))
+    xs = [-math.inf] + ([0.0] if hi > 0.0 else []) + [hi]
+    total = 0.0
+    for a, b in zip(xs[:-1], xs[1:]):
+        total += integrate.quad(k.pdf, a, b, limit=400, epsabs=QUAD_ABS, epsrel=QUAD_REL)[0]
+    return total
+
+
+@pytest.mark.parametrize("k", [
+    ExpPoly(1.0, 3.0, 1.0), ExpPoly(1.5, 2.0, 0.7), ExpPoly(0.5, 2.5, 1.0), Gaussian(0.7),
+    RadialExpMarginal(1.3, 3), Truncated(ExpPoly(1.0, 3.0, 1.0), 2.0),
+], ids=repr)
+@pytest.mark.parametrize("x", [-1.5, 0.0, 0.4, 3.0])
+def test_cdf_is_a_quadrature_of_the_untilted_density(k, x):
+    # cdf is transform_below at z = 0, whose pieces integrate pdf itself
+    _clear_memos()
+    assert k.cdf(x).hex() == _reference_cdf(k, x).hex()
+    assert k.cdf(x).hex() == k.transform_below(-0.0, x, 0).hex()
+
+
+def _shape(mu, p, q):
+    def f(s):
+        try:
+            return math.exp(-mu * s ** p) / (1.0 + s ** q)
+        except OverflowError:
+            return 0.0
+    return f
+
+
+def _flat(q, order):
+    def f(s):
+        try:
+            return s ** order / (1.0 + s ** q)
+        except OverflowError:
+            return 0.0
+    return f
+
+
+def _damp(mu, q, order):
+    def f(s):
+        try:
+            return s ** order * math.exp(-2.0 * mu * s) / (1.0 + s ** q)
+        except OverflowError:
+            return 0.0
+    return f
+
+
+def _quad_0_inf(f):
+    return integrate.quad(f, 0, math.inf, limit=400, epsabs=QUAD_ABS, epsrel=QUAD_REL)[0]
+
+
+# at q = 400, s ** q overflows a float from s = 5.9 on
+@pytest.mark.parametrize("q", [3.5, 400.0])
+@pytest.mark.parametrize("mu", [0.3, 1.7])
+def test_exp_poly_piece_has_the_bits_of_each_integral_it_states(mu, q):
+    # the normalization's integrand at any p, and at p = 1 the endpoint's
+    # two, written as ExpPoly stated them before they were one function
+    _clear_memos()
+    for p in (0.5, 1.0, 1.5):
+        assert kernels._exp_poly_piece(mu, p, q, 0).hex() == _quad_0_inf(_shape(mu, p, q)).hex()
+    for order in (0, 1, 2):
+        assert kernels._exp_poly_piece(0.0, 1.0, q, order).hex() == \
+            _quad_0_inf(_flat(q, order)).hex()
+        assert kernels._exp_poly_piece(2.0 * mu, 1.0, q, order).hex() == \
+            _quad_0_inf(_damp(mu, q, order)).hex()
+    k = ExpPoly(1.0, q, mu)
+    assert k.alpha == 1.0 / (2.0 * _quad_0_inf(_shape(mu, 1.0, q)))

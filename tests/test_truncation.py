@@ -9,9 +9,9 @@ from scipy.integrate import IntegrationWarning
 
 from nlkpp import kernels
 
-from nlkpp.dispersion import _classify, g_function, minimal_speed
+from nlkpp.dispersion import g_function, minimal_speed
 from nlkpp.errors import AssumptionFailure, UsageError
-from nlkpp.kernels import KernelPair, Laplace, Params, Tabulated, Truncated
+from nlkpp.kernels import Gaussian, KernelPair, Laplace, Params, Tabulated, Truncated
 from nlkpp.truncation import c_star_sequence, theta_r, truncate, truncated_g
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
@@ -154,11 +154,24 @@ def test_sequence_computes_each_piece_once():
     radii = [40.0 * f for f in (0.05, 0.125, 0.25, 0.5, 1.0)]
     runs = []
     for _ in range(2):
-        for cache in (kernels._tilted_piece, kernels.check_assumptions, _classify,
-                      minimal_speed):
+        for cache in (kernels._tilted_piece, kernels.check_assumptions, minimal_speed):
             cache.cache_clear()
         trace = c_star_sequence(K_REF, LK1, radii)
         info = kernels._tilted_piece.cache_info()
         runs.append((repr(trace), info.misses, info.hits))
     assert runs[1] == runs[0]
     assert runs[0][1:] == (276, 165)
+
+
+def test_gaussian_sequence_reads_each_mass_once():
+    # a Gaussian has no closed-form cdf: each level's mass is two memo
+    # pieces, [-inf, 0] shared by every level and [0, R], and each mass is
+    # read once. 220 QUADPACK calls; computing the base's cdf afresh at
+    # every mass read made 247
+    for cache in (kernels._tilted_piece, kernels.check_assumptions, minimal_speed):
+        cache.cache_clear()
+    trace = c_star_sequence(Gaussian(1.0), LK1, (1.0, 2.0, 4.0, 8.0))
+    info = kernels._tilted_piece.cache_info()
+    assert (info.misses, info.hits) == (220, 140)
+    assert trace.a_plus_mass == trace.a_minus_mass
+    assert trace.a_plus_mass[0] == Gaussian(1.0).cdf(1.0)

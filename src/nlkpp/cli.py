@@ -282,6 +282,8 @@ def _initial_condition(args, pair, params):
             raise UsageError(f"profile CSV {path} has no (s, psi) rows")
         grid = np.array([r[0] for r in rows])
         vals = np.array([r[1] for r in rows])
+        if not np.all(np.diff(grid) > 0.0):   # np.interp needs increasing nodes
+            raise UsageError(f"profile CSV {path}: the s column must increase strictly")
 
         def u0(x):
             return np.clip(np.interp(x, grid, vals), 0.0, th)

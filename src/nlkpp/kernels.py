@@ -31,8 +31,9 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import AssumptionFailure, UsageError, require_finite
-from .laplace import QUAD_ABS, QUAD_REL, _weighted
 
+QUAD_ABS = 1e-10      # the tolerances of every kernel quadrature (_quad)
+QUAD_REL = 1e-8
 _POS_FLOOR = 1e-6     # the "rho" used for Q4/Q7 grid scans
 _SCAN_POINTS = 8001   # grid size of the Q4 and J_theta scans
 _UNDECIDED_BAND = 1e-10
@@ -44,6 +45,24 @@ ENDPOINT_RTOL = 1e-14
 def _quad(f, a, b):
     """One QUADPACK integral of f over [a, b] at the package's tolerances."""
     return integrate.quad(f, a, b, limit=400, epsabs=QUAD_ABS, epsrel=QUAD_REL)[0]
+
+
+def _weighted(f, lam):
+    """f(s) e^{lam s} evaluated through logs so the weight alone cannot
+    overflow where f is already negligible."""
+
+    def g(s):
+        t = f(s)
+        if t == 0.0 or not math.isfinite(t):
+            return 0.0 if t == 0.0 else math.copysign(1e308, t)
+        r = math.log(abs(t)) + lam * s
+        if r > 700.0:
+            return math.copysign(1e308, t)
+        if r < -745.0:
+            return 0.0
+        return math.copysign(math.exp(r), t)
+
+    return g
 
 
 def _quad_split(piece, lo, hi, breaks=()):
@@ -68,7 +87,7 @@ def _tilted_piece(kernel, z, order, a, b):
     among them, give the same bits. At z = 0 the integrand is kernel.pdf
     itself (the tilt would only take a log and an exp), so `cdf`'s pieces
     are its z = 0, order-0 entries; elsewhere it is the log-space tilt of
-    laplace._weighted. A hit does not repeat the call's IntegrationWarning;
+    _weighted. A hit does not repeat the call's IntegrationWarning;
     `_tilted_piece.cache_clear()` empties the memo."""
     g = kernel.pdf if z == 0 else _weighted(kernel.pdf, z)
     return _quad((lambda s: g(s) * s ** order) if order else g, a, b)
@@ -198,7 +217,7 @@ class Kernel:
     def transform_below(self, z: float, R: float, order: int = 0) -> float:
         """int_{-inf}^{R} s^order a(s) e^{z s} ds, +inf left of -sigma_left
         (at z = 0 a moment, which no abscissa bounds), tilted through logs by
-        laplace._weighted away from z = 0: the product decays where e^{z s}
+        _weighted away from z = 0: the product decays where e^{z s}
         alone overflows.
         Each piece between the support's end, the kinks and R is computed
         once per process (_tilted_piece), so a truncation shares its base's

@@ -640,6 +640,24 @@ def test_profile_csv_feeds_evolve(kernel_file, capsys, tmp_path):
     assert abs(doc["result"]["speed"] - 4.0) < 0.04
 
 
+def test_evolve_refuses_a_profile_csv_whose_s_does_not_increase(kernel_file, capsys, tmp_path):
+    # np.interp needs increasing nodes; descending rows read as theta everywhere
+    s = np.linspace(-5.0, 5.0, 201)
+    rows = [f"{x},{1.0 / (1.0 + np.exp(x))}" for x in s.tolist()]
+    argv = ["evolve", "--kernel", kernel_file, "--domain", "-10,10", "--grid-h", "0.05",
+            "--dt", "0.01", "--horizon", "0.5"]
+    up, down = tmp_path / "up.csv", tmp_path / "down.csv"
+    up.write_text("s,psi\n" + "\n".join(rows) + "\n")
+    down.write_text("s,psi\n" + "\n".join(rows[::-1]) + "\n")
+    code, doc = run_cli(capsys, *argv, "--u0", f"profile-csv:{up}")
+    assert code == 0
+    assert doc["result"]["speed"] > 1.0
+    code, doc = run_cli(capsys, *argv, "--u0", f"profile-csv:{down}")
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert str(down) in doc["error"]["message"]
+
+
 def test_evolve_exp_datum_snapshots_csv(kernel_file, capsys, tmp_path):
     out = str(tmp_path / "ev")
     code, doc = run_cli(capsys, "evolve", "--kernel", kernel_file, "--u0", "exp:0.5",

@@ -5,8 +5,9 @@ package module reads the environment or imports inside a function, every
 functools cache of the package is bounded, no call in the package passes a
 report on, the profile solver reads kernel spectra through the dispersion
 layer only, and a profile solve leaves scipy.signal unloaded. README's
-cache list names the package's functools caches, and kernels.py calls
-QUADPACK from _quad alone."""
+cache list names the package's functools caches, the package calls
+QUADPACK from kernels._quad alone, and laplace.py imports nothing from
+scipy."""
 
 import ast
 import dataclasses
@@ -253,9 +254,33 @@ def test_quad_callers_finds_nested_and_module_calls():
 
 def test_kernels_call_quadpack_in_one_place():
     """Every kernel integral goes through _quad, so they all share its
-    limit and tolerances."""
-    kernels = next(p for p in PACKAGE if p.name == "kernels.py")
-    assert quad_callers(kernels.read_text()) == ["_quad"]
+    limit and tolerances, and no other module of the package calls
+    QUADPACK (the Laplace engine sums on its own node table)."""
+    assert [(p.name, c) for p in PACKAGE for c in quad_callers(p.read_text())] == \
+        [("kernels.py", "_quad")]
+
+
+def scipy_imports(source):
+    """Modules the source imports from scipy, by either import form."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            found.update(a.name for a in n.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "scipy":
+            found.update(f"{n.module}.{a.name}" for a in n.names)
+    return sorted(found)
+
+
+def test_scipy_imports_finds_both_forms():
+    source = ("import scipy.special as sp\nfrom scipy import integrate\nimport numpy\n"
+              "from .errors import UsageError\n")
+    assert scipy_imports(source) == ["scipy.integrate", "scipy.special"]
+
+
+def test_laplace_imports_nothing_from_scipy():
+    """The Laplace engine is numpy node sums and least-squares fits."""
+    (laplace,) = [p for p in PACKAGE if p.name == "laplace.py"]
+    assert scipy_imports(laplace.read_text()) == []
 
 
 def report_slots(sources):

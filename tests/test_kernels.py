@@ -12,9 +12,8 @@ import pytest
 
 from nlkpp import kernels
 from nlkpp.errors import AssumptionFailure, UsageError
-from nlkpp.laplace import QUAD_ABS, QUAD_REL
-from nlkpp.kernels import (ExpPoly, Gaussian, Kernel, KernelPair, Laplace, Params,
-                           RadialExpMarginal, Tabulated, Truncated, Uniform,
+from nlkpp.kernels import (QUAD_ABS, QUAD_REL, ExpPoly, Gaussian, Kernel, KernelPair,
+                           Laplace, Params, RadialExpMarginal, Tabulated, Truncated, Uniform,
                            check_assumptions, j_theta,
                            kernel_from_dict, load_problem, params_from_dict,
                            project_to_direction, theta)

@@ -93,6 +93,17 @@ def _weighted_sums(y, s, log_w, lam):
     return float(np.sum(terms)), 2.0 * float(np.sum(terms[::2]))
 
 
+def _fit(x, y):
+    """(c, b, r) of the least-squares fit y = c + b log x - r x, from the
+    normal equations of the centered columns, solved in closed form."""
+    u, v = np.log(x), -x
+    du, dv, dy = u - u.mean(), v - v.mean(), y - y.mean()
+    suu, svv, suv = (du * du).sum(), (dv * dv).sum(), (du * dv).sum()
+    suy, svy, det = (du * dy).sum(), (dv * dy).sum(), suu * svv - suv * suv
+    b, r = (svv * suy - suv * svy) / det, (suu * svy - suv * suy) / det
+    return float(y.mean() - b * u.mean() - r * v.mean()), float(b), float(r)
+
+
 def _tail(s, y):
     """The fits over the tail that the nodes s (increasing, > 0) sample with
     values y, on a window from min(s_end^(2/3), s_end/2) and of at least
@@ -110,10 +121,8 @@ def _tail(s, y):
     idx = nz[nz >= first]
     if idx.size < _MIN_FIT:
         return _NO_TAIL
-    x, half = s[idx], idx.size // 2
-    design = np.column_stack((np.ones_like(x), np.log(x), -x))
-    logs = np.log(np.abs(y[idx]))
-    fits = [np.linalg.lstsq(design[part], logs[part], rcond=None)[0].tolist()
+    x, logs, half = s[idx], np.log(np.abs(y[idx])), idx.size // 2
+    fits = [_fit(x[part], logs[part])
             for part in (slice(None), slice(None, half), slice(half, None))]
     sigma, rate_lo, (c, b, rate) = fits[0][2], fits[1][2], fits[2]
     if end + 1 < s.size and c + b * math.log(s[end + 1]) - rate * s[end + 1] > _LOG_TINY + 1.0:

@@ -44,8 +44,8 @@ from .kernels import KernelPair, Params, theta
 
 _RIGHT_EFOLD = 34.0     # e-foldings of right tail; ~40 hits the float64 floor
 _LEFT_EFOLD = 26.0
-_BULK_FLOOR = 1e-3      # psi/theta above this is "bulk" for the Newton split
-_DEEP_FLOOR = 1e-6      # below this the convolution rows are tilted before the FFT
+_BULK_FLOOR = 1e-3      # psi/theta below this is the tail: the Newton split,
+                        # the tilted convolution rows and the tail fit's top
 # Largest tilt exponent in one deep-row segment: half the float64 exponent
 # range, so neither the tilt nor its inverse overflows or goes subnormal.
 _TILT_SPAN = 0.5 * math.log(np.finfo(float).max)
@@ -56,13 +56,13 @@ _SWEEPS = 40            # warm start; much past 80 the iterate drifts at high sp
 _NEWTON_ROUNDS = 5
 _TAIL_TOL = 2e-7        # tail Newton's scaled residual, and a round's stopping residual
 _FIT_FLOOR = 1e-12      # tail fit: psi above this, clear of the float64 roundoff
-_FIT_CEIL = 1e-3        # ... and below this times theta, where the tail is linear
 # crossing() evaluates g[i-1] + t (g[i] - g[i-1]) with six roundings (three
 # in t). For a crossing at the origin both grid points lie within h of it,
 # so each rounding moves the result by less than one ulp of h, and the grid
 # relabeling by half an ulp more. A half-theta shift below this many ulps
 # of h is roundoff of crossing() itself, not a displacement of the profile.
-_CROSSING_ULPS = 8
+# Unit-D reads a D this many ulps from 1 as 1 by the same rule.
+_ROUNDOFF_ULPS = 8
 # Grid points a solve may allocate: 16 MB per array, 31 times the largest
 # grid the test suite builds (63,580 points, Uniform(-0.5, 2) at 3 c*)
 _MAX_GRID_POINTS = 2_000_000
@@ -319,12 +319,13 @@ class _Workspace:
 
     # -- residual ----------------------------------------------------------
 
-    def residual_vec(self, psi, i_deep=None, lo=0, hi=None):
+    def residual_vec(self, psi, lo=0, hi=None):
         """Rows lo..hi-1 (hi None: N) of the residual at the grid vector psi,
-        from the window build_ext(psi)[lo:hi + 2K] they read. i_deep >= lo."""
+        from the window build_ext(psi)[lo:hi + 2K] they read; the rows past
+        psi's bulk_end convolve in tilted coordinates."""
         K, hi = self.K, self.N if hi is None else hi
         n, p, ext = hi - lo, psi[lo:hi], self.build_ext(psi)[lo:hi + 2 * K]
-        convp = self.conv_plus(ext, n, None if i_deep is None else i_deep - lo, self.lam_c)
+        convp = self.conv_plus(ext, n, max(self.bulk_end(psi) - lo, 0), self.lam_c)
         dpsi = (ext[K + 1:K + n + 1] - ext[K - 1:K + n - 1]) / (2 * self.h)
         r = self.c * dpsi + self.kp * convp - self.m * p - self.kl * p * p
         if self.kn:
@@ -386,9 +387,6 @@ class _Workspace:
         col[1] -= a * math.exp(lh)
         col[-1] += a * math.exp(-lh)
         return rfft(col, nfft)
-
-    def i_deep(self, psi):
-        return int(np.searchsorted(-psi, -_DEEP_FLOOR * self.th))
 
     def bulk_end(self, psi):
         return int(np.searchsorted(-psi, -_BULK_FLOOR * self.th))
@@ -503,7 +501,7 @@ def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
     modulus of its neighbour instead. The shift family makes the Jacobian
     nearly singular along that mode, so a row pinning the mean of v borders
     the system, and the preconditioner solves the border by elimination."""
-    n, i_dp, border = hi - lo, ws.i_deep(psi), lo > 0
+    n, border = hi - lo, lo > 0
     v, cap = psi[lo:hi], ws.th
     if border:
         E = np.maximum(psi[lo - 1] * ws.tailg(ws.s[lo - 1], n), 1e-13 * ws.th)
@@ -515,7 +513,7 @@ def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
         return np.concatenate([psi[:lo], E * vv if border else vv, psi[hi:]])
 
     def gres(vv):
-        r = ws.residual_vec(full(vv), i_deep=i_dp, lo=lo, hi=hi)
+        r = ws.residual_vec(full(vv), lo=lo, hi=hi)
         return r / E if border else r
 
     g = gres(v)
@@ -629,12 +627,12 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
         lo = ws.bulk_end(psi)
         if lo < ws.N:
             psi, _ = _newton(ws, psi, lo, ws.N, _TAIL_TOL, 15, 6)
-        rr = float(np.abs(ws.residual_vec(psi, i_deep=ws.i_deep(psi))).max())
+        rr = float(np.abs(ws.residual_vec(psi)).max())
         # no tail rows: a right span that ends in the bulk is refused by name
         if rr < _TAIL_TOL or lo == ws.N:
             break
     psi = ws.graft(np.clip(psi, 0.0, th))
-    res = float(np.abs(ws.residual_vec(psi, i_deep=ws.i_deep(psi))).max())
+    res = float(np.abs(ws.residual_vec(psi)).max())
     if res > tol:
         raise NonConvergence(
             "iteration-stalled",
@@ -666,7 +664,7 @@ def residual(profile: WaveProfile, pair: KernelPair, params: Params) -> float:
     ws = _Workspace(pair, params, profile.speed, th, profile.lambda_c,
                     profile.multiplicity, lam_left, profile.grid, profile.h)
     psi = np.asarray(profile.values, dtype=float)
-    return float(np.abs(ws.residual_vec(psi, i_deep=ws.i_deep(psi))).max())
+    return float(np.abs(ws.residual_vec(psi)).max())
 
 
 def tail_asymptotics(profile: WaveProfile) -> TailFit:
@@ -675,15 +673,15 @@ def tail_asymptotics(profile: WaveProfile) -> TailFit:
     j and D come from regressing log psi + lambda_c s on log s (the rate is
     pinned to the dispersion value); the reported rate is re-estimated by a
     joint [1, log s, s] fit as an independent consistency check. The window
-    keeps psi between the floor _FIT_FLOOR and _FIT_CEIL theta, below which
-    the linear tail dominates, and drops the last 10% of the grid, where the
-    closure ansatz contaminates the values.
+    keeps psi between the floor _FIT_FLOOR and the tail's top, _BULK_FLOOR
+    theta, below which the linear tail dominates, and drops the last 10% of
+    the grid, where the closure ansatz contaminates the values.
     """
     if profile.orientation == "increasing":
         return tail_asymptotics(profile.reflect())
     g, v = profile.grid, np.asarray(profile.values, float)
     s_max = g[0] + 0.9 * (g[-1] - g[0])
-    mask = (v > _FIT_FLOOR) & (v < _FIT_CEIL * profile.theta) & (g > 0.0) & (g <= s_max)
+    mask = (v > _FIT_FLOOR) & (v < _BULK_FLOOR * profile.theta) & (g > 0.0) & (g <= s_max)
     if int(mask.sum()) < 50:
         raise NonConvergence("tail-underresolved",
                              f"only {int(mask.sum())} usable tail points; "
@@ -736,13 +734,14 @@ def normalize_shift(profile: WaveProfile, mode: str,
 
     Unit-D reads D from the transform identity, so it needs the kernel
     pair and the parameters; an increasing profile goes through its
-    reflection.
+    reflection. A D within the roundoff of 1 is not shifted, so a second
+    unit-D shift is a no-op.
     """
     if mode == "half-theta-at-origin":
         out = profile.shifted(0.0)
         for _ in range(2):
             q = out.crossing(0.5 * out.theta)
-            if abs(q) <= _CROSSING_ULPS * np.spacing(out.h):
+            if abs(q) <= _ROUNDOFF_ULPS * np.spacing(out.h):
                 break
             out = out.shifted(q)
         return replace(out, shift_mode=mode)
@@ -751,8 +750,9 @@ def normalize_shift(profile: WaveProfile, mode: str,
             raise UsageError("unit-D normalization needs the kernel pair and parameters")
         if profile.orientation == "increasing":
             return normalize_shift(profile.reflect(), mode, pair.reflected(), params).reflect()
-        q = math.log(_tail_prefactor(profile, pair, params)) / profile.lambda_c
-        return replace(profile.shifted(q), shift_mode=mode)
+        D = _tail_prefactor(profile, pair, params)
+        q = 0.0 if abs(D - 1.0) <= _ROUNDOFF_ULPS * np.finfo(float).eps else math.log(D)
+        return replace(profile.shifted(q / profile.lambda_c), shift_mode=mode)
     raise UsageError(f"unknown shift mode {mode!r}")
 
 

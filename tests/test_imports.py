@@ -7,7 +7,7 @@ report on, the profile solver reads kernel spectra through the dispersion
 layer only, and a profile solve leaves scipy.signal unloaded. README's
 cache list names the package's functools caches, the package calls
 QUADPACK from kernels._quad alone, and laplace.py imports nothing from
-scipy."""
+scipy and calls nothing in numpy.linalg."""
 
 import ast
 import dataclasses
@@ -281,6 +281,39 @@ def test_laplace_imports_nothing_from_scipy():
     """The Laplace engine is numpy node sums and least-squares fits."""
     (laplace,) = [p for p in PACKAGE if p.name == "laplace.py"]
     assert scipy_imports(laplace.read_text()) == []
+
+
+def linalg_uses(source):
+    """Names the source reaches in numpy.linalg: attributes of a linalg
+    attribute, names imported from numpy.linalg, and linalg imported from
+    numpy or as a module."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute) \
+                and n.value.attr == "linalg":
+            found.add(n.attr)
+        elif isinstance(n, ast.Import):
+            found.update(a.name for a in n.names if a.name == "numpy.linalg")
+        elif isinstance(n, ast.ImportFrom) and n.module == "numpy.linalg":
+            found.update(a.name for a in n.names)
+        elif isinstance(n, ast.ImportFrom) and n.module == "numpy":
+            found.update("numpy.linalg" for a in n.names if a.name == "linalg")
+    return sorted(found)
+
+
+def test_linalg_uses_finds_every_form():
+    source = ("import numpy as np\nimport numpy.linalg\nfrom numpy import linalg\n"
+              "from numpy.linalg import solve\n"
+              "def f(a, b):\n    return np.linalg.lstsq(a, b), np.sum(a), a.linalg\n")
+    assert linalg_uses(source) == ["lstsq", "numpy.linalg", "solve"]
+
+
+def test_laplace_makes_no_linalg_call():
+    """The tail fits solve their centered normal equations in numpy
+    arithmetic: a LAPACK least-squares call raises a process's peak
+    memory by about a megabyte for a 40-by-3 system."""
+    (laplace,) = [p for p in PACKAGE if p.name == "laplace.py"]
+    assert linalg_uses(laplace.read_text()) == []
 
 
 def report_slots(sources):

@@ -108,6 +108,23 @@ def test_right_span_in_the_bulk_runs_one_round(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("factor,rounds", [(1.0, 3), (1.2, 1), (2.0, 1)])
+def test_reference_solves_need_few_rounds(rep, monkeypatch, factor, rounds):
+    # a round is one bulk and one tail Newton call; at the double root c*
+    # the tail takes three rounds to settle, above it one does
+    import nlkpp.profile
+    newton, calls = nlkpp.profile._newton, []
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return newton(*args)
+
+    monkeypatch.setattr(nlkpp.profile, "_newton", counted)
+    prof = solve_profile(PAIR, LK1, factor * rep.c_star, report=rep)
+    assert prof.residual_sup <= 1e-6
+    assert 0 < len(calls) <= 2 * rounds, calls
+
+
 def test_negative_speed_spans_are_the_callers():
     # for c < 0 the reflected pair is solved with the spans swapped, so
     # l_left still reaches left of the origin, and a short span is

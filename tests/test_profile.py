@@ -1,6 +1,7 @@
 """Wave profile solver: residuals, monotonicity, tails, shifts, reflection."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,15 +130,15 @@ def _long_double_rows(ext, w, start, stop):
 
 @pytest.mark.parametrize("factor", [1.0, 2.0])
 def test_deep_rows_match_long_double_sum(rep, factor):
-    # the rows below 1e-6 theta of a converged profile, where the tail
-    # claims are checked, as the residual convolves them
+    # the tail rows of a converged profile, below 1e-3 theta, where the
+    # tail claims are checked, as the residual convolves them
     c = factor * rep.c_star
     prof = solve_profile(PAIR, LK1, c, report=rep)
     ws = _make_workspace(PAIR, LK1, c, GridSpec())
     ext = ws.build_ext(prof.values)
-    i_dp = ws.i_deep(prof.values)
-    out = ws.conv_plus(ext, ws.N, i_dp, ws.lam_c)[i_dp:]
-    exact = _long_double_rows(ext, ws.conv_plus.w, i_dp, ws.N)
+    i_cut = ws.bulk_end(prof.values)
+    out = ws.conv_plus(ext, ws.N, i_cut, ws.lam_c)[i_cut:]
+    exact = _long_double_rows(ext, ws.conv_plus.w, i_cut, ws.N)
     assert np.abs((out - exact) / exact).max() <= DEEP_RTOL
 
 
@@ -363,22 +364,18 @@ def test_row_windows_match_the_whole_grid(pair, params, c):
     ws = _make_workspace(pair, params, c, GridSpec())
     th, N = ws.th, ws.N
     i_cut = int(np.searchsorted(-psi, -1e-3 * th))
-    i_dp = ws.i_deep(psi)
+    assert i_cut == ws.bulk_end(psi)
     # plain rows: each convolution is within 4 eps max|ext| of the exact
     # sum on either side (see the Convolver test), and enters the rows
     # times kappa_plus and kappa_nonlocal psi
     plain = 8 * np.finfo(float).eps * (params.kappa_plus + params.kappa_nonlocal * th)
-    for i_deep in (None, i_dp):
-        full = ws.residual_vec(psi, i_deep=i_deep)
-        bulk = ws.residual_vec(psi, i_deep=i_deep, hi=i_cut)
-        assert np.abs(bulk - full[:i_cut]).max() <= plain * th
-        tail = ws.residual_vec(psi, i_deep=i_deep, lo=i_cut)
-        d = np.abs(tail - full[i_cut:])
-        k = N - i_cut if i_deep is None else i_deep - i_cut
-        assert d[:k].max() <= plain * th
-        # deep rows: the tilted sums are the same on both; what is left is
-        # the second convolution's roundoff, times kappa_nonlocal psi
-        assert np.all(d[k:] <= 2 * DEEP_RTOL * psi[i_cut + k:])
+    full = ws.residual_vec(psi)
+    bulk = ws.residual_vec(psi, hi=i_cut)
+    assert np.abs(bulk - full[:i_cut]).max() <= plain * th
+    # tail rows: the tilted sums are the same on both; what is left is the
+    # second convolution's roundoff, times kappa_nonlocal psi
+    tail = ws.residual_vec(psi, lo=i_cut)
+    assert np.all(np.abs(tail - full[i_cut:]) <= 2 * DEEP_RTOL * psi[i_cut:])
     u = th * np.exp(-0.05 * np.abs(ws.s))
     _diag, jmv = ws.linearize(psi)
     for lo, hi in ((0, i_cut), (i_cut, N)):
@@ -473,6 +470,30 @@ def test_unit_d_at_the_double_root(rep, prof_critical):
     # term under s e^{-lambda s}, so only the idempotence is asserted
     assert prof_critical.multiplicity == 2
     _unit_d_twice(PAIR, LK1, rep.c_star)
+
+
+# the benchmark's profile pairs: the reference pair, a Gaussian pair with
+# nonlocal competition, and a class W ExpPoly kernel
+UNIT_D_PAIRS = {
+    "reference": (PAIR, LK1),
+    "gaussian-nonlocal": (KernelPair(Gaussian(1.0), Gaussian(0.5)), Params(2.0, 1.0, 0.5, 0.5)),
+    "exp-poly-w": (KernelPair(ExpPoly(1.0, 4.0, 1.0), ExpPoly(1.0, 4.0, 1.0)), LK1),
+}
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.2, 2.0])
+@pytest.mark.parametrize("name", list(UNIT_D_PAIRS))
+def test_second_unit_d_shift_is_a_no_op(name, factor):
+    # D read again after a unit-D shift is 1 to within an ulp or two, which
+    # log(D) would turn into a second shift of the grid; scaling the solved
+    # profile by 1 + j 1e-15 moves those last bits
+    pair, params = UNIT_D_PAIRS[name]
+    prof = solve_profile(pair, params, factor * minimal_speed(pair, params).c_star)
+    for j in range(8):
+        scaled = replace(prof, values=(1.0 + j * 1e-15) * prof.values)
+        once = normalize_shift(scaled, "unit-D", pair=pair, params=params)
+        twice = normalize_shift(once, "unit-D", pair=pair, params=params)
+        assert np.array_equal(twice.grid, once.grid), j
 
 
 def test_kernel_the_grid_misses_refused():

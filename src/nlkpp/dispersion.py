@@ -45,6 +45,7 @@ _TIE_BAND = 1e-9            # |m - T(sigma)| below this counts as the equality c
 _CSTAR_BAND = 1e-9          # |c - c_star| below this (relative) counts as minimal speed
 _ENDPOINT_BLOWUP = 1e10     # partial integrals past this * kappa_plus mean T = -inf
 _STRIDE = 4                 # ladder stride of the scans whose function crosses zero once
+_RTOL_FLOOR = 4 * math.ulp(1.0)    # the smallest rtol brentq accepts
 
 
 @dataclass(frozen=True)
@@ -328,11 +329,16 @@ def speed_to_abscissa(kernel, params: Params, c: float,
     # A >= 1 + m_xi lam (A is convex) makes h > 0 below `edge`; past c of about
     # 1e12 that is under the usual lower end, and the tolerance scales with it
     lo, xtol = min(1e-12, 1e-6 * lam_star), 1e-15
-    edge = (params.kappa_plus - params.m) / (c - params.kappa_plus * report.m_xi)
+    slope = c - params.kappa_plus * report.m_xi
+    edge = (params.kappa_plus - params.m) / slope
     if edge <= lo:
         lo, xtol = 0.5 * edge, 1e-15 * edge
+    # a root off by rtol lam_c reads back as c off by about rtol |h'(lam_c)|,
+    # and h' increases from -slope at 0 to c_star - c < 0: where c is near 0
+    # against slope, rtol shrinks to keep that within 1e-10 |c|, down to 4 eps
+    rtol = min(1e-12, max(_RTOL_FLOOR, 1e-10 * abs(c) / slope))
     lam_c = brentq(lambda lam: characteristic(k, params, c, lam), lo, lam_star,
-                   xtol=xtol, rtol=1e-12)
+                   xtol=xtol, rtol=rtol)
     return CharacteristicRoot(lam_c, c, 1)
 
 

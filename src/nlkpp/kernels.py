@@ -47,22 +47,20 @@ def _quad(f, a, b):
     return integrate.quad(f, a, b, limit=400, epsabs=QUAD_ABS, epsrel=QUAD_REL)[0]
 
 
-def _weighted(f, lam):
-    """f(s) e^{lam s} evaluated through logs so the weight alone cannot
-    overflow where f is already negligible."""
-
-    def g(s):
-        t = f(s)
-        if t == 0.0 or not math.isfinite(t):
-            return 0.0 if t == 0.0 else math.copysign(1e308, t)
-        r = math.log(abs(t)) + lam * s
-        if r > 700.0:
-            return math.copysign(1e308, t)
-        if r < -745.0:
-            return 0.0
-        return math.copysign(math.exp(r), t)
-
-    return g
+def _weighted(t, lam, s):
+    """t e^{lam s}, where t = a(s), evaluated through logs so the weight
+    alone cannot overflow where a is already negligible: 0.0 at a zero
+    density, +-1e308 at an infinite or nan one and where the product
+    overflows, 0.0 where it underflows. _log_density's memo serves a
+    positive finite t from its log; every other t comes here."""
+    if t == 0.0 or not math.isfinite(t):
+        return 0.0 if t == 0.0 else math.copysign(1e308, t)
+    r = math.log(abs(t)) + lam * s
+    if r > 700.0:
+        return math.copysign(1e308, t)
+    if r < -745.0:
+        return 0.0
+    return math.copysign(math.exp(r), t)
 
 
 def _quad_split(piece, lo, hi, breaks=()):
@@ -86,11 +84,61 @@ def _tilted_piece(kernel, z, order, a, b):
     (kernels are frozen dataclasses): equal keys, 0.0 and -0.0 or 2 and 2.0
     among them, give the same bits. At z = 0 the integrand is kernel.pdf
     itself (the tilt would only take a log and an exp), so `cdf`'s pieces
-    are its z = 0, order-0 entries; elsewhere it is the log-space tilt of
-    _weighted. A hit does not repeat the call's IntegrationWarning;
-    `_tilted_piece.cache_clear()` empties the memo."""
-    g = kernel.pdf if z == 0 else _weighted(kernel.pdf, z)
+    are its z = 0, order-0 entries; elsewhere it is _tilted, which reads
+    log a(s) from the kernel's sample memo. A hit does not repeat the
+    call's IntegrationWarning; `_tilted_piece.cache_clear()` empties the
+    memo."""
+    g = kernel.pdf if z == 0 else _tilted(kernel, z)
     return _quad((lambda s: g(s) * s ** order) if order else g, a, b)
+
+
+# Entries of one kernel's sample memo before it is emptied. Most root
+# solves visit a few hundred abscissas; the few that drive QUADPACK to its
+# subdivision limit visit up to 12.7k, and a memo that held them all cost
+# a megabyte more for 7% fewer pdf calls over the dispersion sweep's
+# ExpPoly tasks.
+_SAMPLE_CAP = 4096
+
+
+@functools.lru_cache(maxsize=1)
+def _log_density(kernel):
+    """The sample memo of one kernel, {s: log a(s)}, which _tilted fills:
+    cached by value like _tilted_piece, for the last kernel only (a root
+    solve reads one, and a truncation reads its base's), and emptied when
+    it reaches _SAMPLE_CAP entries. A density outside (0, inf) has no log
+    and is kept as the 1-tuple (a(s),). `_log_density.cache_clear()`
+    drops the memo."""
+    return {}
+
+
+def _tilted(kernel, z):
+    """s -> _weighted(kernel.pdf(s), z, s), with pdf called once per
+    abscissa. QUADPACK's abscissas on a piece are the nodes of its
+    halvings, which z changes only in how far they go, so the tilts and
+    orders a root solve reads ask for the same s again; a later read takes
+    log a(s) from _log_density's memo. It is the log _weighted takes,
+    followed by _weighted's guards, so a hit returns a miss's bits. Keys
+    compare by value, 0.0 and -0.0 sharing an entry; every family's pdf is
+    equal at both."""
+    logs, pdf = _log_density(kernel), kernel.pdf
+
+    def g(s):
+        v = logs.get(s)
+        if v is None:
+            if len(logs) >= _SAMPLE_CAP:
+                logs.clear()
+            t = pdf(s)
+            v = logs[s] = math.log(t) if 0.0 < t < math.inf else (t,)
+        if type(v) is tuple:
+            return _weighted(v[0], z, s)
+        r = v + z * s
+        if r > 700.0:
+            return 1e308
+        if r < -745.0:
+            return 0.0
+        return math.exp(r)
+
+    return g
 
 
 @functools.lru_cache(maxsize=512)

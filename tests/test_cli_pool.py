@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import scipy
 
-from nlkpp import dispersion, kernels
 from nlkpp.cli import main
+from test_imports import PACKAGE, cached_functions
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _spec = importlib.util.spec_from_file_location("_perfbench_workloads",
@@ -46,11 +46,14 @@ WARM = [e for e in POOL["entries"] if e["command"] in ("truncate-sweep", "sweep"
 
 def test_recorded_cli_results_replay_warm(tmp_path, capsys):
     """The twelve entries twice in one process from empty caches: the warm
-    pass, served from the quadrature memo and the problem caches, prints
-    what the cold pass printed."""
+    pass, served from the quadrature and sample memos and the problem
+    caches, prints what the cold pass printed. Every functools cache of the
+    package is emptied first, as tests/test_imports.py finds them."""
     assert len(WARM) == 12
-    for cache in (kernels._tilted_piece, kernels._exp_poly_piece,
-                  kernels.check_assumptions, dispersion.minimal_speed):
+    caches = [getattr(importlib.import_module(f"nlkpp.{p.stem}"), name)
+              for p in PACKAGE for name in cached_functions(p.read_text())]
+    assert caches
+    for cache in caches:
         cache.cache_clear()
     for rep in ("cold", "warm"):
         for entry in WARM:

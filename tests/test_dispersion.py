@@ -178,6 +178,25 @@ def test_huge_speed_has_a_root():
     assert abs(root.lambda_c * 1e13 - 1.0) < 1e-11   # A(lam) = 1 + O(lam^2)
 
 
+# a skewed uniform kernel whose c* is just below 0: a speed drawn between
+# c* and 2|c*| can land within 1e-5 of 0
+SKEWED = Uniform(-2.9657556088041406, 0.5508189227256212)
+SKEWED_PARAMS = Params(1.4486041978345037, 0.6580476608929284, 1.340873679452533, 0.0)
+
+
+@pytest.mark.parametrize("c", [-1.0345069800681006e-05, -1e-5, 2e-5, 1e-4, -1e-3, 0.0037],
+                         ids=repr)
+def test_round_trip_keeps_relative_accuracy_near_zero_speed(c):
+    # a root off by rtol lam moves the speed read back by rtol |h'|, about
+    # 0.02 here: 2.3e-9 of c = -1.03e-5 at rtol = 1e-12, so the root
+    # solve tightens rtol where c is small against c - kappa_plus m_xi
+    rep = minimal_speed(SKEWED, SKEWED_PARAMS)
+    assert rep.c_star < c < 0.01
+    back = abscissa_to_speed(SKEWED, SKEWED_PARAMS,
+                             speed_to_abscissa(SKEWED, SKEWED_PARAMS, c).lambda_c)
+    assert abs(back - c) <= 1e-10 * abs(c)
+
+
 # ---------------------------------------------------------------------------
 # reports: one per problem value, cached, and a given one is only checked
 
@@ -540,6 +559,31 @@ def test_lambda_star_scan_evaluates_h_eleven_times_on_the_ladder(h_calls):
     assert len(h_calls) == 11 + 9
     lo, hi = h_calls[-9:-7]
     assert lo < rep.lambda_star < hi
+
+
+def test_exp_poly_root_solves_sample_each_abscissa_once(monkeypatch):
+    # minimal_speed and one speed_to_abscissa on ExpPoly(1, 3, 1) from empty
+    # caches: the tilted reads call pdf once at each of the 1,170 abscissas
+    # QUADPACK visits, whatever the tilt and order, and the Q6 moment calls
+    # it at 270 of them through its own quadrature; the root solve at
+    # 1.5 c* visits none that are new. Without the sample memo the two made
+    # 8,790 and 10,710 calls
+    calls = []
+    pdf = ExpPoly.pdf
+
+    def counted(self, s):
+        if isinstance(s, float):
+            calls.append(s)
+        return pdf(self, s)
+    monkeypatch.setattr(ExpPoly, "pdf", counted)
+    for cache in (kernels._tilted_piece, kernels._exp_poly_piece, kernels._log_density,
+                  check_assumptions, minimal_speed):
+        cache.cache_clear()
+    k = ExpPoly(1.0, 3.0, 1.0)
+    rep = minimal_speed(k, LK1)
+    assert (len(calls), len(set(calls))) == (1440, 1170)
+    speed_to_abscissa(k, LK1, 1.5 * rep.c_star)
+    assert len(calls) == 1440
 
 
 def test_class_w_certificate_evaluates_h_once(h_calls):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -701,7 +702,7 @@ def test_load_problem_rejects_unknown_parameter():
 # ---------------------------------------------------------------------------
 # the quadrature memo
 
-MEMOS = (kernels._tilted_piece, kernels._exp_poly_piece)
+MEMOS = (kernels._tilted_piece, kernels._exp_poly_piece, kernels._log_density)
 
 
 def _misses():
@@ -792,6 +793,91 @@ def test_mass_read_again_makes_no_quadrature():
     assert kernels._tilted_piece.cache_info().misses == 2
     assert k.mass == first
     assert kernels._tilted_piece.cache_info().misses == 2
+
+
+# ---------------------------------------------------------------------------
+# the sample memo under the tilted integrands
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@st.composite
+def _tilted_reads(draw):
+    """A kernel whose tilted transforms reach quadrature, a z inside its
+    strip and the other z whose reads fill its sample memo first. ExpPoly
+    below p = 1 has sigma 0, so its only finite tilt is z = 0."""
+    family = draw(st.sampled_from(["exp_poly", "truncated", "uniform"]))
+    mu = draw(st.floats(1.0, 2.0))
+    if family == "exp_poly":
+        p = draw(st.one_of(st.floats(0.5, 0.95), st.just(1.0), st.floats(1.05, 2.0)))
+        k = ExpPoly(p, draw(st.floats(0.0, 4.0)), mu)
+        # |z| <= mu keeps QUADPACK within its tolerance (_memo_reads)
+        zs = st.floats(-0.95 * mu, 0.95 * mu) if p == 1.0 else st.floats(-mu, mu)
+    elif family == "truncated":
+        k = Truncated(Laplace(mu), draw(st.floats(0.5, 20.0)))
+        zs = st.floats(-0.95 * mu, 3.0)
+    else:
+        k = Uniform(-draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0)))
+        zs = st.floats(-3.0, 3.0)
+    return k, draw(zs), draw(st.lists(st.tuples(zs, st.integers(0, 2)), min_size=1, max_size=3))
+
+
+@settings(max_examples=100)
+@given(read=_tilted_reads(), order=st.integers(0, 2))
+def test_sample_memo_hit_returns_the_bits_of_a_miss(read, order):
+    # a transform read from a sample memo that other tilts and orders filled
+    # has the bits of the same read from empty memos
+    k, z, others = read
+    _clear_memos()
+    fresh = k.transform_deriv(z, order)
+    _clear_memos()
+    for w, n in others:
+        k.transform_deriv(w, n)
+    kernels._tilted_piece.cache_clear()
+    assert k.transform_deriv(z, order).hex() == fresh.hex()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Constant(Kernel):
+    """A density equal to t everywhere, which reaches each of _weighted's guards."""
+    t: float
+
+    def pdf(self, s):
+        return self.t
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 5e-324, 2.5e-310, math.inf, -math.inf, math.nan,
+                               -math.nan, -0.3, 0.3, 1e300], ids=repr)
+def test_sample_memo_agrees_with_weighted(t):
+    # a miss (the first z) and hits (the others) give _weighted's bits, the
+    # overflow at z = 3 and s = 400 and the underflow at s = -400 among them
+    k = _Constant(t)
+    kernels._log_density.cache_clear()
+    for z in (0.5, -2.0, 3.0):
+        g = kernels._tilted(k, z)
+        for s in (-400.0, -1.0, 0.0, 0.5, 400.0):
+            assert _bits(g(s)) == _bits(kernels._weighted(t, z, s)), (z, s)
+    assert len(kernels._log_density(k)) == 5
+
+
+def test_sample_memo_clears_at_its_cap(monkeypatch):
+    # with room for 100 abscissas, the memo of a kernel whose reads visit
+    # more empties itself, holds at most 100, and every read keeps its bits
+    k = ExpPoly(1.0, 3.0, 1.0)
+    reads = [(z, n) for z in (0.3, -0.6, 0.9) for n in (0, 1, 2)]
+    _clear_memos()
+    want = [k.transform_deriv(z, n).hex() for z, n in reads]
+    visited = len(kernels._log_density(k))
+    monkeypatch.setattr(kernels, "_SAMPLE_CAP", 100)
+    _clear_memos()
+    got, sizes = [], []
+    for z, n in reads:
+        got.append(k.transform_deriv(z, n).hex())
+        sizes.append(len(kernels._log_density(k)))
+    assert visited > 300
+    assert got == want
+    assert 0 < max(sizes) <= 100
 
 
 def _reference_cdf(k, x):

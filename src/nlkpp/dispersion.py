@@ -369,13 +369,11 @@ def left_rate(pair: KernelPair, params: Params, c: float) -> float:
     cap = min(pair.a_plus.sigma_left, pair.a_minus.sigma_left if kn else math.inf)
     # g(0) = -(kappa_plus - m) < 0 and g is convex (Q2): one crossing. The root
     # is about (rho_bar - kappa_plus)/c, below the ladder's first sample past c
-    # of about 1e6: the scan starts at 0, and a root below the ladder is
-    # polished to a relative tolerance, down to the smallest float
+    # of about 1e6: the scan starts at 0, and the root is polished to a
+    # relative tolerance, down to the smallest float
     lo, hi = _first_sign_change(g, [0.0] + _strip_grid(cap), "left-rate-bracket",
                                 "the left linearization", _STRIDE)
-    if lo == 0.0:
-        return brentq(g, lo, hi, xtol=math.ulp(0.0), rtol=1e-12)
-    return brentq(g, lo, hi, xtol=1e-14)
+    return brentq(g, lo, hi, xtol=math.ulp(0.0), rtol=1e-14)
 
 
 def mu_star(q: float, params: Params) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import NonConvergence, UsageError, require_finite
 from .kernels import KernelPair, Params, theta
+from .laplace import _fit_line
 from .profile import WaveProfile, _convolvers
 
 _BURN_IN = 0.30
@@ -73,17 +74,10 @@ def _crossing(x, u, level):
 
 
 def _fit_speed(times, positions):
-    t = np.asarray(times, float)
-    x = np.asarray(positions, float)
-    tm = t - t.mean()
-    denom = float(tm @ tm)
-    slope = float(tm @ x) / denom
-    icpt = float(x.mean() - slope * t.mean())
-    r = x - (icpt + slope * t)
-    if len(t) > 2:
-        se = math.sqrt(float(r @ r) / (len(t) - 2) / denom)
-    else:
-        se = 0.0
+    """Least-squares slope of the positions (float arrays, ten or more
+    points) on the times, and the band of two standard errors about it."""
+    _, slope, rss, stt = _fit_line(times, positions)
+    se = math.sqrt(rss / (times.size - 2) / stt)
     return slope, (slope - 2.0 * se, slope + 2.0 * se)
 
 

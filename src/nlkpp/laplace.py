@@ -94,14 +94,25 @@ def _weighted_sums(y, s, log_w, lam):
 
 
 def _fit(x, y):
-    """(c, b, r) of the least-squares fit y = c + b log x - r x, from the
-    normal equations of the centered columns, solved in closed form."""
+    """(c, b, r) of the least-squares fit y = c + b log x - r x (the tail
+    fits here and the profile's), centered normal equations in closed form."""
     u, v = np.log(x), -x
     du, dv, dy = u - u.mean(), v - v.mean(), y - y.mean()
     suu, svv, suv = (du * du).sum(), (dv * dv).sum(), (du * dv).sum()
     suy, svy, det = (du * dy).sum(), (dv * dy).sum(), suu * svv - suv * suv
     b, r = (svv * suy - suv * svy) / det, (suu * svy - suv * suy) / det
     return float(y.mean() - b * u.mean() - r * v.mean()), float(b), float(r)
+
+
+def _fit_line(u, y):
+    """(c, b, rss, suu) of the least-squares line y = c + b u, solved as in
+    _fit; rss sums the squared residuals, so a close fit keeps its digits,
+    and sqrt(rss / (n - 2) / suu) is the slope's standard error."""
+    du, dy = u - u.mean(), y - y.mean()
+    suu = float((du * du).sum())
+    b = float((du * dy).sum()) / suu
+    r = dy - b * du
+    return float(y.mean() - b * u.mean()), b, float((r * r).sum()), suu
 
 
 def _tail(s, y):

@@ -41,6 +41,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from .dispersion import _checked, characteristic_deriv, left_rate, minimal_speed, speed_to_abscissa
 from .errors import AssumptionFailure, NonConvergence, UsageError, require_finite
 from .kernels import KernelPair, Params, theta
+from .laplace import _fit, _fit_line
 
 _RIGHT_EFOLD = 34.0     # e-foldings of right tail; ~40 hits the float64 floor
 _LEFT_EFOLD = 26.0
@@ -670,9 +671,9 @@ def residual(profile: WaveProfile, pair: KernelPair, params: Params) -> float:
 def tail_asymptotics(profile: WaveProfile) -> TailFit:
     """Fit D s^{j-1} e^{-lambda_c s} to the right tail.
 
-    j and D come from regressing log psi + lambda_c s on log s (the rate is
-    pinned to the dispersion value); the reported rate is re-estimated by a
-    joint [1, log s, s] fit as an independent consistency check. The window
+    j and D come from the line of log psi + lambda_c s on log s (the rate
+    pinned to the dispersion value), the reported rate from the free-rate
+    fit as an independent check, both in laplace's closed forms. The window
     keeps psi between the floor _FIT_FLOOR and the tail's top, _BULK_FLOOR
     theta, below which the linear tail dominates, and drops the last 10% of
     the grid, where the closure ansatz contaminates the values.
@@ -686,16 +687,11 @@ def tail_asymptotics(profile: WaveProfile) -> TailFit:
         raise NonConvergence("tail-underresolved",
                              f"only {int(mask.sum())} usable tail points; "
                              "need at least 50 above the floor")
-    ss, pp = g[mask], v[mask]
-    y = np.log(pp) + profile.lambda_c * ss
-    X = np.column_stack([np.ones_like(ss), np.log(ss)])
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = float(np.sqrt(np.mean((X @ coef - y) ** 2)))
-    X2 = np.column_stack([np.ones_like(ss), np.log(ss), ss])
-    coef2, *_ = np.linalg.lstsq(X2, np.log(pp), rcond=None)
-    return TailFit(rate=float(-coef2[2]), j_estimate=float(coef[1] + 1.0),
-                   D_estimate=float(np.exp(coef[0])),
-                   fit_window=(float(ss[0]), float(ss[-1])), fit_residual=resid)
+    ss, log_psi = g[mask], np.log(v[mask])
+    c, b, rss, _ = _fit_line(np.log(ss), log_psi + profile.lambda_c * ss)
+    return TailFit(rate=_fit(ss, log_psi)[2], j_estimate=b + 1.0, D_estimate=float(np.exp(c)),
+                   fit_window=(float(ss[0]), float(ss[-1])),
+                   fit_residual=math.sqrt(rss / ss.size))
 
 
 def _tail_prefactor(profile: WaveProfile, pair: KernelPair, params: Params) -> float:

@@ -115,6 +115,19 @@ def test_front_speed_reported_with_window():
     assert run.speed == sp
 
 
+def test_front_speed_matches_polyfit():
+    # the slope and its band of two standard errors, against a LAPACK
+    # least-squares line over the same post-burn-in snapshots
+    run = _run(step_data(0.0, theta(LK1)), dt=0.01, horizon=12.0,
+               domain=(-25.0, 25.0))
+    keep = run.times >= run.burn_in * run.times[-1]
+    (slope, _), cov = np.polyfit(run.times[keep], run.front_positions[keep], 1, cov=True)
+    se = np.sqrt(cov[0, 0])
+    got = (front_speed(run), *run.speed_window)
+    ref = (slope, slope - 2.0 * se, slope + 2.0 * se)
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, ref)), (got, ref)
+
+
 def test_front_speed_needs_enough_snapshots():
     run = _run(step_data(0.0, theta(LK1)), dt=0.02, horizon=1.0,
                snapshot_dt=0.5)

@@ -6,8 +6,8 @@ functools cache of the package is bounded, no call in the package passes a
 report on, the profile solver reads kernel spectra through the dispersion
 layer only, and a profile solve leaves scipy.signal unloaded. README's
 cache list names the package's functools caches, the package calls
-QUADPACK from kernels._quad alone, and laplace.py imports nothing from
-scipy and calls nothing in numpy.linalg."""
+QUADPACK from kernels._quad alone, laplace.py imports nothing from
+scipy, and the package reaches numpy.linalg for norm alone."""
 
 import ast
 import dataclasses
@@ -308,12 +308,16 @@ def test_linalg_uses_finds_every_form():
     assert linalg_uses(source) == ["lstsq", "numpy.linalg", "solve"]
 
 
-def test_laplace_makes_no_linalg_call():
-    """The tail fits solve their centered normal equations in numpy
-    arithmetic: a LAPACK least-squares call raises a process's peak
-    memory by about a megabyte for a 40-by-3 system."""
-    (laplace,) = [p for p in PACKAGE if p.name == "laplace.py"]
-    assert linalg_uses(laplace.read_text()) == []
+def test_package_reaches_numpy_linalg_for_norm_only():
+    """Every least-squares fit in the package solves its centered normal
+    equations in numpy arithmetic, through laplace._fit and _fit_line: a
+    LAPACK least-squares call raises a process's peak memory by about a
+    megabyte for a 40-by-3 system. The one linalg name left is norm, the
+    unit-norm check of kernels.project_to_direction; laplace.py reaches
+    none."""
+    uses = {p.name: linalg_uses(p.read_text()) for p in PACKAGE}
+    assert uses["laplace.py"] == []
+    assert {n for found in uses.values() for n in found} == {"norm"}
 
 
 def report_slots(sources):

@@ -496,6 +496,32 @@ def test_second_unit_d_shift_is_a_no_op(name, factor):
         assert np.array_equal(twice.grid, once.grid), j
 
 
+def _lapack_tail_fit(prof, window):
+    """(rate, j, D, rms residual) of tail_asymptotics' two fits over the same
+    window, by LAPACK least squares on the design matrices: the line
+    [1, log s] of log psi + lambda_c s, and [1, log s, s] of log psi."""
+    g = prof.grid
+    inside = (g >= window[0]) & (g <= window[1])
+    ss, log_psi = g[inside], np.log(prof.values[inside])
+    y = log_psi + prof.lambda_c * ss
+    line = np.column_stack([np.ones_like(ss), np.log(ss)])
+    (c, b), *_ = np.linalg.lstsq(line, y, rcond=None)
+    free = np.column_stack([np.ones_like(ss), np.log(ss), ss])
+    (_, _, r), *_ = np.linalg.lstsq(free, log_psi, rcond=None)
+    return -r, b + 1.0, np.exp(c), np.sqrt(np.mean((line @ (c, b) - y) ** 2))
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.2, 2.0])
+@pytest.mark.parametrize("name", list(UNIT_D_PAIRS))
+def test_tail_fit_matches_lapack_least_squares(name, factor):
+    pair, params = UNIT_D_PAIRS[name]
+    prof = solve_profile(pair, params, factor * minimal_speed(pair, params).c_star)
+    fit = tail_asymptotics(prof)
+    got = (fit.rate, fit.j_estimate, fit.D_estimate, fit.fit_residual)
+    ref = _lapack_tail_fit(prof, fit.fit_window)
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, ref)), (got, ref)
+
+
 def test_kernel_the_grid_misses_refused():
     # the nodes of step 0.02 nearest [0.001, 0.004] are 0 and 0.02: all weights vanish
     narrow = KernelPair(Uniform(0.001, 0.004), Uniform(0.001, 0.004))

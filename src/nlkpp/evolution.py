@@ -158,8 +158,9 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
         if kn:
             du -= kn * u * conv_minus.with_pads(u, resp_minus)
         # the zero state is exponentially unstable (rate kappa_plus - m),
-        # so FFT roundoff ahead of the front must not survive in either sign
-        u = np.maximum(u + dt * du, 0.0)
+        # so FFT roundoff ahead of the front must not survive in either sign:
+        # the flush zeroes negative values and -0.0 along with tiny ones
+        u = u + dt * du
         u[u < _FLUSH_FLOOR * th] = 0.0
         if k % snap_every == 0 or k == n_steps:
             record(k * dt)

@@ -306,7 +306,8 @@ class Kernel:
 
 class EvenKernel(Kernel):
     """Base for densities with a(-s) = a(s): the left abscissa is the right
-    one, reflection is the identity and the first moment vanishes."""
+    one, reflection is the identity, the first moment vanishes and the first
+    absolute moment is twice the half-line's."""
 
     @property
     def sigma_left(self) -> float:
@@ -317,6 +318,9 @@ class EvenKernel(Kernel):
 
     def moment_first(self) -> float:
         return 0.0
+
+    def moment_first_abs(self) -> float:
+        return 2.0 * _quad(lambda s: self.pdf(s) * s, 0.0, math.inf)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .dispersion import _checked, characteristic_deriv, left_rate, minimal_speed, speed_to_abscissa
@@ -676,10 +675,13 @@ def tail_asymptotics(profile: WaveProfile) -> TailFit:
     fit as an independent check, both in laplace's closed forms. The window
     keeps psi between the floor _FIT_FLOOR and the tail's top, _BULK_FLOOR
     theta, below which the linear tail dominates, and drops the last 10% of
-    the grid, where the closure ansatz contaminates the values.
+    the grid, where the closure ansatz contaminates the values. An increasing
+    profile is fitted through its reflection, its window mirrored back.
     """
     if profile.orientation == "increasing":
-        return tail_asymptotics(profile.reflect())
+        fit = tail_asymptotics(profile.reflect())
+        lo, hi = fit.fit_window
+        return replace(fit, fit_window=(-hi, -lo))
     g, v = profile.grid, np.asarray(profile.values, float)
     s_max = g[0] + 0.9 * (g[-1] - g[0])
     mask = (v > _FIT_FLOOR) & (v < _BULK_FLOOR * profile.theta) & (g > 0.0) & (g <= s_max)
@@ -753,24 +755,15 @@ def normalize_shift(profile: WaveProfile, mode: str,
 
 
 def compare_up_to_shift(p1: WaveProfile, p2: WaveProfile) -> float:
-    """Minimal sup-distance between the two profiles over relative shifts,
-    measured on the part of p1's grid that p2 covers after shifting."""
+    """Sup-distance at the theta/2 alignment: on the points of p1's grid that
+    p2 covers when shifted by q = crossing(p2) - crossing(p1). It bounds the
+    minimum over shifts from above; on different grids, by interpolation error."""
     if abs(p1.speed - p2.speed) > 1e-9 * max(1.0, abs(p1.speed)):
         raise UsageError(f"profiles have different speeds: "
                          f"{p1.speed!r} vs {p2.speed!r}")
     if p1.orientation != p2.orientation:
         raise UsageError("profiles have different orientations")
     level = 0.5 * min(p1.theta, p2.theta)
-    q0 = p2.crossing(level) - p1.crossing(level)
-
-    def dist(q):
-        lo = max(p1.grid[0], p2.grid[0] - q)
-        hi = min(p1.grid[-1], p2.grid[-1] - q)
-        if hi <= lo:
-            return float(max(p1.theta, p2.theta))
-        m = (p1.grid >= lo) & (p1.grid <= hi)
-        return float(np.abs(p1.values[m] - p2.interp(p1.grid[m] + q)).max())
-
-    res = minimize_scalar(dist, bounds=(q0 - 2.0, q0 + 2.0), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(min(res.fun, dist(q0)))
+    q = p2.crossing(level) - p1.crossing(level)
+    m = (p1.grid >= p2.grid[0] - q) & (p1.grid <= p2.grid[-1] - q)
+    return float(np.abs(p1.values[m] - p2.interp(p1.grid[m] + q)).max())

@@ -565,7 +565,8 @@ def test_exp_poly_root_solves_sample_each_abscissa_once(monkeypatch):
     # minimal_speed and one speed_to_abscissa on ExpPoly(1, 3, 1) from empty
     # caches: the tilted reads call pdf once at each of the 1,170 abscissas
     # QUADPACK visits, whatever the tilt and order, and the Q6 moment calls
-    # it at 270 of them through its own quadrature; the root solve at
+    # it at 135 of them through its own quadrature over the half-line s > 0
+    # (the even kernel's other half is the same integral); the root solve at
     # 1.5 c* visits none that are new. Without the sample memo the two made
     # 8,790 and 10,710 calls
     calls = []
@@ -581,9 +582,9 @@ def test_exp_poly_root_solves_sample_each_abscissa_once(monkeypatch):
         cache.cache_clear()
     k = ExpPoly(1.0, 3.0, 1.0)
     rep = minimal_speed(k, LK1)
-    assert (len(calls), len(set(calls))) == (1440, 1170)
+    assert (len(calls), len(set(calls))) == (1305, 1170)
     speed_to_abscissa(k, LK1, 1.5 * rep.c_star)
-    assert len(calls) == 1440
+    assert len(calls) == 1305
 
 
 def test_class_w_certificate_evaluates_h_once(h_calls):

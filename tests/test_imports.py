@@ -4,10 +4,11 @@ kernel family restates a transform, its evenness or its file format, no
 package module reads the environment or imports inside a function, every
 functools cache of the package is bounded, no call in the package passes a
 report on, the profile solver reads kernel spectra through the dispersion
-layer only, and a profile solve leaves scipy.signal unloaded. README's
-cache list names the package's functools caches, the package calls
-QUADPACK from kernels._quad alone, laplace.py imports nothing from
-scipy, and the package reaches numpy.linalg for norm alone."""
+layer only and imports nothing from scipy.optimize, and a profile solve
+leaves scipy.signal unloaded. README's cache list names the package's
+functools caches, the package calls QUADPACK from kernels._quad alone,
+laplace.py imports nothing from scipy, and the package reaches
+numpy.linalg for norm alone."""
 
 import ast
 import dataclasses
@@ -394,6 +395,15 @@ def test_profile_reads_spectra_through_dispersion():
     solves them, and the profile solver asks it for them."""
     (profile,) = [p for p in PACKAGE if p.name == "profile.py"]
     assert spectral_reads(profile.read_text()) == []
+
+
+def test_profile_imports_nothing_from_scipy_optimize():
+    """compare_up_to_shift reads the theta/2 alignment instead of searching
+    over shifts, and the boundary rates come from dispersion, so the
+    profile layer runs no minimizer or root finder of its own."""
+    (profile,) = [p for p in PACKAGE if p.name == "profile.py"]
+    assert [m for m in scipy_imports(profile.read_text())
+            if m.split(".")[:2] == ["scipy", "optimize"]] == []
 
 
 def test_profile_solve_leaves_scipy_signal_unloaded():

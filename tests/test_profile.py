@@ -40,6 +40,11 @@ def prof_4(rep):
     return solve_profile(PAIR, LK1, 4.0, report=rep)
 
 
+@pytest.fixture(scope="module")
+def prof_minus_4():
+    return solve_profile(PAIR, LK1, -4.0)
+
+
 def _strictly_decreasing(prof, floor=1e-12):
     v = prof.values
     live = v[:-1] > floor
@@ -416,6 +421,42 @@ def test_compare_rejects_speed_mismatch(prof_4, prof_critical):
         compare_up_to_shift(prof_4, prof_critical)
 
 
+def _aligned_distance(p1, p2):
+    """sup |p1 - p2(. + q)| over the points of p1's grid that the shift q
+    keeps inside p2's grid, q aligning the two theta/2 crossings."""
+    level = 0.5 * min(p1.theta, p2.theta)
+    q = p2.crossing(level) - p1.crossing(level)
+    x = p1.grid + q
+    inside = (x >= p2.grid[0]) & (x <= p2.grid[-1])
+    return float(np.max(np.abs(p1.values[inside] - np.interp(x[inside], p2.grid, p2.values))))
+
+
+@pytest.mark.parametrize("case", ["anchor", "leftward", "finer-grid"])
+def test_compare_reads_the_half_theta_alignment(case, prof_4, prof_minus_4):
+    # a second anchor, a pair of increasing profiles, and a grid of half the
+    # step, on which the alignment bounds the best shift's distance from
+    # above by the coarser grid's interpolation error
+    if case == "anchor":
+        p1, p2 = prof_4, solve_profile(PAIR, LK1, 4.0, anchor=3.0)
+    elif case == "leftward":
+        p1, p2 = prof_minus_4, solve_profile(PAIR, LK1, -4.0, anchor=5.0)
+        assert p2.orientation == "increasing"
+    else:
+        p1, p2 = prof_4, solve_profile(PAIR, LK1, 4.0, grid=GridSpec(h=0.5 * prof_4.h))
+    dist = compare_up_to_shift(p1, p2)
+    assert dist == _aligned_distance(p1, p2)
+    assert dist <= 1e-5
+
+
+def test_compare_reads_only_the_overlap(prof_4):
+    # a window of the profile: past its ends, interpolation would hold the
+    # window's end values, far from theta and 0
+    keep = np.abs(prof_4.grid) <= 5.0
+    window = replace(prof_4, grid=prof_4.grid[keep], values=prof_4.values[keep])
+    assert compare_up_to_shift(prof_4, window) == 0.0
+    assert compare_up_to_shift(window, prof_4) == 0.0
+
+
 def test_half_theta_idempotent(prof_4):
     again = normalize_shift(prof_4, "half-theta-at-origin")
     assert np.array_equal(again.values, prof_4.values)
@@ -530,13 +571,13 @@ def test_kernel_the_grid_misses_refused():
         solve_profile(narrow, LK1, c, grid=GridSpec(h=0.02))
 
 
-def test_unit_d_on_a_leftward_wave(prof_4):
+def test_unit_d_on_a_leftward_wave(prof_4, prof_minus_4):
     # the transform identity reads a decreasing profile, so a leftward wave
     # is normalized through its reflection: its theta/2 crossing mirrors
     # that of the wave at c = 4
     half = theta(LK1) / 2.0
     right = normalize_shift(prof_4, "unit-D", pair=PAIR, params=LK1)
-    left = normalize_shift(solve_profile(PAIR, LK1, -4.0), "unit-D", pair=PAIR, params=LK1)
+    left = normalize_shift(prof_minus_4, "unit-D", pair=PAIR, params=LK1)
     assert left.orientation == "increasing"
     assert abs(left.crossing(half) + right.crossing(half)) <= 1e-9
 
@@ -567,8 +608,8 @@ def test_unknown_shift_mode(prof_4):
 # ---------------------------------------------------------------------------
 # reflection / negative speeds
 
-def test_negative_speed_is_mirror(prof_4):
-    mirrored = solve_profile(PAIR, LK1, -4.0)
+def test_negative_speed_is_mirror(prof_4, prof_minus_4):
+    mirrored = prof_minus_4
     assert mirrored.orientation == "increasing"
     assert mirrored.speed == -4.0
     assert np.allclose(mirrored.values, prof_4.values[::-1], atol=1e-12)
@@ -601,6 +642,19 @@ def test_report_of_another_problem_refused_by_the_solve(c):
     foreign = minimal_speed(KernelPair(Gaussian(1.0), Gaussian(1.0)), LK1)
     with pytest.raises(UsageError, match="report="):
         solve_profile(PAIR, LK1, c, report=foreign)
+
+
+def test_tail_window_of_a_leftward_wave(prof_4, prof_minus_4):
+    # an increasing profile is fitted through its reflection, and the window
+    # is reported on its own grid, where the tail lies at s < 0
+    right = tail_asymptotics(prof_4).fit_window
+    left = tail_asymptotics(prof_minus_4).fit_window
+    assert abs(left[0] + right[1]) <= 1e-9 and abs(left[1] + right[0]) <= 1e-9
+    g = prof_minus_4.grid
+    inside = (g >= left[0]) & (g <= left[1])
+    assert int(inside.sum()) >= 50
+    assert np.all(prof_minus_4.values[inside] < 1e-3 * theta(LK1))
+
 
 def test_reflect_round_trip(prof_4):
     back = prof_4.reflect().reflect()

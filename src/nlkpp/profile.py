@@ -6,11 +6,13 @@ The profile equation
 
 is solved on a uniform grid: a warm start of 40 monotone integrating-factor
 sweeps from the supersolution min{theta, theta e^{-lambda_c (s-s0)}} (longer
-runs drift along the shift family at high speed), each a bidiagonal solve
-factored once per solve, one recentering, then rounds of one Newton-Krylov
-routine on two row windows, the other rows frozen: the bulk
-(psi >= 1e-3 theta), preconditioned by the Jacobian's tridiagonal band
-through the sweeps' LAPACK band solver, then the tail in tilted
+runs drift along the shift family at high speed), each one convolution on
+pad responses computed once per solve and one BLAS bidiagonal back
+substitution, one recentering, then rounds of one Newton-Krylov routine on
+two row windows, the other rows frozen: the bulk (psi >= 1e-3 theta),
+preconditioned by a LAPACK-factored tridiagonal band that agrees with the
+Jacobian on constants and linear functions (the kernels' mass on its
+diagonal, their first moments off it), then the tail in tilted
 coordinates psi = E v with an amplitude-deflated bordered system (the
 shift family makes the plain Jacobian near-singular), preconditioned by
 the circulant of the tilted Jacobian's stencil, applied by FFT. Boundary
@@ -34,6 +36,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import LinAlgError
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, lgmres
 
@@ -360,16 +363,34 @@ class _Workspace:
 
         return diag, jmv
 
-    def band(self, diag):
-        """Tridiagonal part of the Jacobian for the rows of diag, as rows
-        (upper, main, lower diagonal) of a (3, n) array, the upper one
-        starting and the lower one ending with an unused cell: the centered
-        difference plus the three central kernel weights."""
-        w, K, kp, lo = self.conv_plus.w, self.K, self.kp, self.c / (2 * self.h)
-        ab = np.zeros((3, len(diag)))
-        ab[0, 1:] = lo + kp * w[K - 1]
-        ab[1, :] = diag + kp * w[K]
-        ab[2, :-1] = -lo + kp * w[K + 1]
+    def band(self, diag, p=None):
+        """Tridiagonal preconditioner for the bulk rows of diag, p being psi
+        on them (read with nonlocal competition only), as rows (upper, main,
+        lower diagonal) of a (3, n) array, the upper one starting and the
+        lower one ending with an unused cell. On rows more than K cells from
+        the window's ends it agrees with the Jacobian on constants and on
+        linear functions: the centered difference and the three central a+
+        weights, the rest of the a+ mass and the a- term's -kn p mass on the
+        main diagonal, and the first moments of those weights off the band
+        split evenly over the two off-diagonals, the a- one scaled row by
+        row by p. An even kernel has no first moment."""
+        K, kp, a = self.K, self.kp, self.c / (2 * self.h)
+        w = self.conv_plus.w
+        off = np.arange(K, -K - 1, -1)      # w[j] weighs u[i + K - j]
+        far = w.copy()
+        far[K - 1:K + 2] = 0.0
+        tilt = 0.5 * kp * (off * far).sum()
+        ab = np.empty((3, len(diag)))
+        ab[0] = a + kp * w[K - 1] + tilt    # column i+1 holds row i's entry
+        ab[1] = diag + kp * (far.sum() + w[K])
+        ab[2] = -a + kp * w[K + 1] - tilt   # column i-1 holds row i's entry
+        if self.kn:
+            wm = self.conv_minus.w
+            ab[1] -= self.kn * wm.sum() * p
+            tilt_m = 0.5 * self.kn * (off * wm).sum() * p
+            ab[0, 1:] -= tilt_m[:-1]
+            ab[2, :-1] += tilt_m[1:]
+        ab[0, 0] = ab[2, -1] = 0.0
         return ab
 
     def tilted_symbol(self, nfft):
@@ -433,9 +454,14 @@ def _sweep_phase(ws: _Workspace, psi):
     """Warm start: a fixed number of monotone integrating-factor sweeps,
     each applying (rho - c d/ds)^{-1} to N[psi] = (rho - m) psi + kp conv+
     - kl psi^2 - kn psi conv-, integrating from +inf where the resolvent
-    decays. Iterates stay pointwise ordered. Across cells a sweep is the
-    recursion y[i] = x[i] + alpha y[i+1], the upper-bidiagonal system
-    [1, -alpha]: it is factored once and each sweep is a back substitution."""
+    decays. Iterates stay pointwise ordered. A sweep convolves the N + K
+    cells [psi, right pad] through Convolver.with_pads, on the responses of
+    both states of each pad, computed once: the left pad is psi[0] times
+    ones, or theta (1 - e) + psi[0] e with e = d lpad / d psi0 where it is
+    front-like; past the N + K cells the right pad goes on as its last cell
+    times ones, or times the decay ansatz. Across cells a sweep is the
+    recursion y[i] = x[i] + alpha y[i+1], a unit upper-bidiagonal back
+    substitution (BLAS dtbsv)."""
     c, rho, h = ws.c, ws.rho, ws.h
     N, K, th = ws.N, ws.K, ws.th
     alpha = math.exp(-rho * h / c)
@@ -443,26 +469,43 @@ def _sweep_phase(ws: _Workspace, psi):
     I0 = (1 - alpha) / beta
     I1 = (1 - alpha) / (h * beta * beta) - alpha / beta
     b0, b1 = (I0 - I1) / c, I1 / c
-    ab = np.zeros((3, N + K))
-    ab[0, 1:], ab[1] = -alpha, 1.0
-    integrate = _band_solver(ab)
+    ab = np.zeros((2, N + K), order="F")    # dtbsv's band layout; the unit diagonal is not read
+    ab[0, 1:] = -alpha
+    ones = np.ones(K)
+    lfront = ws.dlpad(0.5 * th)     # e: psi0 = theta/2 is front-like
+    rdecay = ws.tailg(ws.s[-1] + K * h, K)   # rpad's cells K..2K-1 over its cell K-1
+
+    def padded(conv):
+        (l1, r1), (le, rd) = conv.pad_responses(ones, ones), conv.pad_responses(lfront, rdecay)
+        lead = th * (l1 - le)
+
+        def rows(vals, front, decays):
+            out = conv.with_pads(vals, (le if front else l1, rd if decays else r1))
+            if front:
+                out[:K] += lead
+            return out
+        return rows
+
+    conv_plus = padded(ws.conv_plus)
+    conv_minus = padded(ws.conv_minus) if ws.kn else None
     for _ in range(_SWEEPS):
-        ext = ws.build_ext(psi)
         vals = np.concatenate([psi, ws.rpad(psi[-1], K)])
-        narr = (rho - ws.m) * vals + ws.kp * ws.conv_plus(ext) - ws.kl * vals * vals
+        state = ws._left_front(psi[0]), psi[-1] <= 0.5 * th
+        narr = (rho - ws.m) * vals + ws.kp * conv_plus(vals, *state) - ws.kl * vals * vals
         if ws.kn:
-            narr -= ws.kn * vals * ws.conv_minus(ext)
+            narr -= ws.kn * vals * conv_minus(vals, *state)
         x = np.empty(N + K)
         x[-1] = vals[-1]
         x[:-1] = b0 * narr[:-1] + b1 * narr[1:]
-        psi = np.clip(integrate(x)[:N], 0.0, th)
+        psi = np.clip(dtbsv(1, ab, x, diag=1, overwrite_x=1)[:N], 0.0, th)
     return psi
 
 
 def _band_solver(ab):
-    """x -> the solution of the tridiagonal system ab (band() layout) with
-    right-hand side x. ab is LU-factored once, with partial pivoting, so
-    each solve is one forward and one back substitution."""
+    """x -> the solution of the bulk Newton phase's tridiagonal system ab
+    (band() layout) with right-hand side x. ab is LU-factored once, with
+    partial pivoting, so each solve is one forward and one back
+    substitution."""
     dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info > 0:
         raise LinAlgError("singular matrix")
@@ -547,10 +590,11 @@ def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
                 return np.concatenate([x1 - t * x2, [t]])
             jop, mop, rhs = jaug, maug, np.concatenate([-g, [0.0]])
         else:
-            jop, mop, rhs = jmv, _band_solver(ws.band(diag)), -g
+            jop, mop, rhs = jmv, _band_solver(ws.band(diag, v)), -g
         m = len(rhs)
-        sol, _ = lgmres(LinearOperator((m, m), matvec=jop), rhs,
-                        M=LinearOperator((m, m), matvec=mop),
+        # a dtype spares each operator scipy's probe, one product on int8 zeros
+        sol, _ = lgmres(LinearOperator((m, m), matvec=jop, dtype=float), rhs,
+                        M=LinearOperator((m, m), matvec=mop, dtype=float),
                         rtol=1e-3, atol=0.0, inner_m=30, maxiter=maxiter)
         nxt = _line_search(gres, v, sol[:n] + sol[n] if border else sol, gn, cap)
         if nxt is None:
@@ -621,6 +665,7 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
         raise UsageError(f"the warm start does not cross theta/2 on {short('right')}")
     psi = ws.recenter(psi)
 
+    best = (math.inf, psi)
     for rounds in range(1, _NEWTON_ROUNDS + 1):
         # each phase cuts at the current psi: the tail's cut follows the bulk step
         psi, _ = _newton(ws, psi, 0, ws.bulk_end(psi), 1e-9, 25, 4)
@@ -628,9 +673,12 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
         if lo < ws.N:
             psi, _ = _newton(ws, psi, lo, ws.N, _TAIL_TOL, 15, 6)
         rr = float(np.abs(ws.residual_vec(psi)).max())
+        if rr < best[0]:    # the rounds need not decrease the whole-grid residual
+            best = (rr, psi)
         # no tail rows: a right span that ends in the bulk is refused by name
         if rr < _TAIL_TOL or lo == ws.N:
             break
+    rr, psi = best
     psi = ws.graft(np.clip(psi, 0.0, th))
     res = float(np.abs(ws.residual_vec(psi)).max())
     if res > tol:

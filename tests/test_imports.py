@@ -409,7 +409,7 @@ def test_profile_imports_nothing_from_scipy_optimize():
 def test_profile_solve_leaves_scipy_signal_unloaded():
     """A fresh interpreter that imports nlkpp and solves one coarse profile
     (the benchmark's warm-up grid) never loads scipy.signal: the warm-start
-    sweeps integrate with the solver's own band solver."""
+    sweeps integrate by a BLAS bidiagonal back substitution."""
     child = (
         "import sys\n"
         "import nlkpp\n"

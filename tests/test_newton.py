@@ -1,4 +1,4 @@
-"""Tail Newton phase: the circulant preconditioner and what it costs."""
+"""Newton phases: the bulk band and the tail circulant, and what they cost."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from nlkpp.dispersion import minimal_speed
 from nlkpp.errors import NonConvergence, UsageError
-from nlkpp.kernels import Gaussian, KernelPair, Laplace, Params
+from nlkpp.kernels import Gaussian, KernelPair, Laplace, Params, Uniform
 from nlkpp.profile import (GridSpec, _make_workspace, _Workspace, solve_profile,
                            tail_asymptotics)
 
@@ -68,6 +68,101 @@ def test_tail_phase_jacobian_products(rep, monkeypatch, speed, head):
     prof = solve_profile(PAIR, LK1, c, report=rep)
     assert prof.residual_sup <= 1e-6
     assert 0 < count[0] <= 0.7 * head
+
+
+UNIFORM = KernelPair(Uniform(-0.5, 2.0), Uniform(-0.5, 2.0))
+GAUSS_KN = (KernelPair(Gaussian(1.0), Gaussian(0.5)), Params(2.0, 1.0, 0.5, 0.5))
+
+
+def _count_bulk_products(monkeypatch):
+    linearize, count = _Workspace.linearize, [0]
+
+    def counted(self, psi, lo=0, hi=None):
+        diag, jmv = linearize(self, psi, lo=lo, hi=hi)
+        if lo > 0:
+            return diag, jmv
+
+        def bulk_jmv(u):
+            count[0] += 1
+            return jmv(u)
+        return diag, bulk_jmv
+
+    monkeypatch.setattr(_Workspace, "linearize", counted)
+    return count
+
+
+@pytest.mark.parametrize("pair,factor,c,head", [
+    (PAIR, 1.0, None, 144), (PAIR, None, 4.0, 51), (UNIFORM, 2.0, None, 67)],
+    ids=["reference-c_star", "reference-c=4", "uniform-2c_star"])
+def test_bulk_phase_jacobian_products(monkeypatch, pair, factor, c, head):
+    # Jacobian products of the bulk phase over a whole solve; head is the
+    # count with the band of the three central weights alone. The band
+    # that carries the kernel's mass and first moment must save at least
+    # 25% of them. Uniform(-0.5, 2) is skewed: without the first-moment
+    # term its count stays near 23
+    rep = minimal_speed(pair, LK1)
+    count = _count_bulk_products(monkeypatch)
+    prof = solve_profile(pair, LK1, factor * rep.c_star if c is None else c, report=rep)
+    assert prof.residual_sup <= 1e-6
+    assert 0 < count[0] <= 0.75 * head
+
+
+def _band_times(ab, u):
+    """The tridiagonal array ab (band() layout) applied to u."""
+    out = ab[1] * u
+    out[:-1] += ab[0, 1:] * u[1:]
+    out[1:] += ab[2, :-1] * u[:-1]
+    return out
+
+
+@pytest.mark.parametrize("pair,params,c", [
+    (PAIR, LK1, 4.0), (*GAUSS_KN, 2.6), (UNIFORM, LK1, 6.0),
+    (UNIFORM, GAUSS_KN[1], 6.0)],
+    ids=["reference", "gaussian-nonlocal", "uniform", "uniform-nonlocal"])
+def test_band_matches_the_jacobian_on_constants_and_lines(pair, params, c):
+    # on bulk rows more than K cells from the window's ends, the band and
+    # the Jacobian agree on constants (row sums) and on s - s_i at row i;
+    # the nonlocal term makes both depend on the row, and the skewed kernel
+    # gives each term a first moment
+    ws = _make_workspace(pair, params, c, GridSpec())
+    s, K = ws.s, ws.K
+    psi = ws.th / (1.0 + np.exp(2.0 * s))
+    hi = ws.bulk_end(psi)
+    p = psi[:hi]
+    diag, jmv = ws.linearize(psi, hi=hi)
+    ab = ws.band(diag, p)
+    assert hi > 2 * K + 50
+    rows = np.arange(K + 1, hi - K - 1)
+    ref, got = jmv(np.ones(hi))[rows], _band_times(ab, np.ones(hi))[rows]
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    picks = np.linspace(K + 1, hi - K - 2, 7).astype(int)
+    ref, got = [], []
+    for i in picks:
+        # the row reads u on |j - i| <= K only, so the line is cut there
+        u = np.where(np.abs(np.arange(hi) - i) <= K, s[:hi] - s[i], 0.0)
+        ref.append(jmv(u)[i])
+        got.append(_band_times(ab, u)[i])
+    ref, got = np.array(ref), np.array(got)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_krylov_operators_see_only_float64(monkeypatch):
+    # every Jacobian product and preconditioner solve of a solve, bulk and
+    # tail, receives float64 vectors: an operator built without a dtype is
+    # probed by scipy with int8 zeros, one wasted product each
+    import nlkpp.profile
+    real, seen = nlkpp.profile.LinearOperator, []
+
+    def recording(shape, matvec, **kwargs):
+        def mv(x):
+            seen.append(np.asarray(x).dtype)
+            return matvec(x)
+        return real(shape, matvec=mv, **kwargs)
+
+    monkeypatch.setattr(nlkpp.profile, "LinearOperator", recording)
+    prof = solve_profile(PAIR, LK1, 4.0)
+    assert prof.residual_sup <= 1e-6
+    assert len(seen) > 50 and set(seen) == {np.dtype(np.float64)}
 
 
 def test_right_span_short_of_the_tail_is_a_toolkit_error():
@@ -157,3 +252,15 @@ def test_weak_growth_gaussian_converges():
     assert prof.residual_sup <= 1e-6
     assert np.all(np.diff(prof.values) < 0.0)
     assert abs(tail_asymptotics(prof).rate / prof.lambda_c - 1.0) <= 1e-2
+
+
+def test_weak_growth_laplace_keeps_its_best_round():
+    # kappa_plus = 1.05 m at c*, on N = 45,859 points (about 3 s on two
+    # shared vCPUs): the second round ends at 2.02e-7 of residual, a hair
+    # above the rounds' stop, and the three after it end between 5.3e-6
+    # and 9.2e-6, so the solve returns the second round's iterate
+    pair, params = KernelPair(Laplace(1.0), Laplace(1.0)), Params(1.05, 1.0, 1.0, 0.0)
+    rep = minimal_speed(pair, params)
+    prof = solve_profile(pair, params, rep.c_star, report=rep)
+    assert len(prof.grid) == 45_859
+    assert prof.residual_sup <= 1e-6

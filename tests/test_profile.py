@@ -276,6 +276,47 @@ def test_sweeps_decrease_pointwise(monkeypatch):
     assert np.max(seen[0] - seen[-1]) > 1e-2
 
 
+def _full_ext_sweep(ws, psi):
+    """One sweep written out on the whole padded vector: build_ext, the
+    plain FFT convolution of it, and the recursion y[i] = x[i] + alpha
+    y[i+1] as a banded solve."""
+    from scipy.linalg import solve_banded
+    c, rho, h, N, K = ws.c, ws.rho, ws.h, ws.N, ws.K
+    alpha, beta = np.exp(-rho * h / c), rho / c
+    I0 = (1 - alpha) / beta
+    I1 = (1 - alpha) / (h * beta * beta) - alpha / beta
+    ext = ws.build_ext(psi)
+    vals = np.concatenate([psi, ws.rpad(psi[-1], K)])
+    narr = (rho - ws.m) * vals + ws.kp * ws.conv_plus(ext) - ws.kl * vals * vals
+    if ws.kn:
+        narr -= ws.kn * vals * ws.conv_minus(ext)
+    x = np.append((I0 - I1) / c * narr[:-1] + I1 / c * narr[1:], vals[-1])
+    ab = np.zeros((2, N + K))
+    ab[0, 1:], ab[1] = -alpha, 1.0
+    return np.clip(solve_banded((0, 1), ab, x)[:N], 0.0, ws.th)
+
+
+@pytest.mark.parametrize("left", ["front", "constant"])
+@pytest.mark.parametrize("right", ["decaying", "constant"])
+@pytest.mark.parametrize("pair,params", [(PAIR, LK1), (KN_PAIR, KN_PARAMS)],
+                         ids=["reference", "nonlocal"])
+def test_sweep_on_pad_responses_matches_full_ext(monkeypatch, pair, params, left, right):
+    # a sweep convolves [psi, right pad] on the responses of each pad's two
+    # states; the left pad is affine in psi[0] where it is front-like. At
+    # c = 40 the recursion carries the right pad's continuation, the last K
+    # rows, over the kernel's reach (e^{-rho R / c} ~ 5%) into psi's rows
+    ws = _make_workspace(pair, params, 40.0, GridSpec(l_left=30.0, l_right=60.0, h=0.05))
+    th = ws.th
+    top = 0.8 * th if left == "front" else th
+    end = 0.3 * th if right == "decaying" else 0.7 * th
+    psi = end + (top - end) / (1.0 + np.exp(ws.s))
+    psi[0], psi[-1] = top, end
+    assert ws._left_front(psi[0]) == (left == "front")
+    monkeypatch.setattr("nlkpp.profile._SWEEPS", 1)
+    ref = _full_ext_sweep(ws, psi)
+    assert np.abs(_sweep_phase(ws, psi) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 # ---------------------------------------------------------------------------
 # the Newton linearization
 

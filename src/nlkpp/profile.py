@@ -6,8 +6,8 @@ The profile equation
 
 is solved on a uniform grid: a warm start of 40 monotone integrating-factor
 sweeps from the supersolution min{theta, theta e^{-lambda_c (s-s0)}} (longer
-runs drift along the shift family at high speed), each one convolution on
-pad responses computed once per solve and one BLAS bidiagonal back
+runs drift along the shift family at high speed), each one convolution of
+the padded vector the residual reads and one BLAS bidiagonal back
 substitution, one recentering, then rounds of one Newton-Krylov routine on
 two row windows, the other rows frozen: the bulk (psi >= 1e-3 theta),
 preconditioned by a LAPACK-factored tridiagonal band that agrees with the
@@ -101,7 +101,7 @@ class WaveProfile:
 
     @property
     def h(self) -> float:
-        return float(self.grid[1] - self.grid[0])
+        return float((self.grid[-1] - self.grid[0]) / (len(self.grid) - 1))
 
     @property
     def orientation(self) -> str:
@@ -318,7 +318,8 @@ class _Workspace:
         return psi_last * self.tailg(self.s[-1], n)
 
     def build_ext(self, psi):
-        return np.concatenate([self.lpad(psi[0]), psi, self.rpad(psi[-1], 2 * self.K)])
+        """[lpad K, psi, rpad K + 1]: the rows the residual reads and the panel's first cell."""
+        return np.concatenate([self.lpad(psi[0]), psi, self.rpad(psi[-1], self.K + 1)])
 
     # -- residual ----------------------------------------------------------
 
@@ -454,14 +455,11 @@ def _sweep_phase(ws: _Workspace, psi):
     """Warm start: a fixed number of monotone integrating-factor sweeps,
     each applying (rho - c d/ds)^{-1} to N[psi] = (rho - m) psi + kp conv+
     - kl psi^2 - kn psi conv-, integrating from +inf where the resolvent
-    decays. Iterates stay pointwise ordered. A sweep convolves the N + K
-    cells [psi, right pad] through Convolver.with_pads, on the responses of
-    both states of each pad, computed once: the left pad is psi[0] times
-    ones, or theta (1 - e) + psi[0] e with e = d lpad / d psi0 where it is
-    front-like; past the N + K cells the right pad goes on as its last cell
-    times ones, or times the decay ansatz. Across cells a sweep is the
-    recursion y[i] = x[i] + alpha y[i+1], a unit upper-bidiagonal back
-    substitution (BLAS dtbsv)."""
+    decays. Iterates stay pointwise ordered. A sweep convolves build_ext(psi),
+    the vector the residual reads, through the plain FFT, on the grid rows
+    and the right panel's first cell; across the grid rows it is the
+    recursion y[i] = x[i] + alpha y[i+1] closed by y[N] = that cell, a unit
+    upper-bidiagonal back substitution (BLAS dtbsv)."""
     c, rho, h = ws.c, ws.rho, ws.h
     N, K, th = ws.N, ws.K, ws.th
     alpha = math.exp(-rho * h / c)
@@ -469,35 +467,17 @@ def _sweep_phase(ws: _Workspace, psi):
     I0 = (1 - alpha) / beta
     I1 = (1 - alpha) / (h * beta * beta) - alpha / beta
     b0, b1 = (I0 - I1) / c, I1 / c
-    ab = np.zeros((2, N + K), order="F")    # dtbsv's band layout; the unit diagonal is not read
+    ab = np.zeros((2, N), order="F")    # dtbsv's band layout; the unit diagonal is not read
     ab[0, 1:] = -alpha
-    ones = np.ones(K)
-    lfront = ws.dlpad(0.5 * th)     # e: psi0 = theta/2 is front-like
-    rdecay = ws.tailg(ws.s[-1] + K * h, K)   # rpad's cells K..2K-1 over its cell K-1
-
-    def padded(conv):
-        (l1, r1), (le, rd) = conv.pad_responses(ones, ones), conv.pad_responses(lfront, rdecay)
-        lead = th * (l1 - le)
-
-        def rows(vals, front, decays):
-            out = conv.with_pads(vals, (le if front else l1, rd if decays else r1))
-            if front:
-                out[:K] += lead
-            return out
-        return rows
-
-    conv_plus = padded(ws.conv_plus)
-    conv_minus = padded(ws.conv_minus) if ws.kn else None
     for _ in range(_SWEEPS):
-        vals = np.concatenate([psi, ws.rpad(psi[-1], K)])
-        state = ws._left_front(psi[0]), psi[-1] <= 0.5 * th
-        narr = (rho - ws.m) * vals + ws.kp * conv_plus(vals, *state) - ws.kl * vals * vals
+        ext = ws.build_ext(psi)
+        vals = ext[K:K + N + 1]
+        narr = (rho - ws.m) * vals + ws.kp * ws.conv_plus(ext) - ws.kl * vals * vals
         if ws.kn:
-            narr -= ws.kn * vals * conv_minus(vals, *state)
-        x = np.empty(N + K)
-        x[-1] = vals[-1]
-        x[:-1] = b0 * narr[:-1] + b1 * narr[1:]
-        psi = np.clip(dtbsv(1, ab, x, diag=1, overwrite_x=1)[:N], 0.0, th)
+            narr -= ws.kn * vals * ws.conv_minus(ext)
+        x = b0 * narr[:-1] + b1 * narr[1:]
+        x[-1] += alpha * vals[-1]
+        psi = np.clip(dtbsv(1, ab, x, diag=1, overwrite_x=1), 0.0, th)
     return psi
 
 

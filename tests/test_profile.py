@@ -74,9 +74,9 @@ def test_convolver_matches_fftconvolve_and_direct_rows():
 
 
 def test_fft_lengths_fit_the_rows_read(monkeypatch):
-    # every transform is sized by the rows its caller reads: none reaches
-    # the linear length of the widest input, the sweeps' N + 3K cells, and
-    # the Newton phases' windows use shorter ones
+    # every transform is sized by the rows its caller reads: none passes
+    # next_fast_len(N + 3K), above the longest input (the N + 2K + 1 cells
+    # of build_ext), and the Newton phases' windows use shorter ones
     import nlkpp.profile
     from scipy.fft import next_fast_len
     ws = _make_workspace(PAIR, LK1, 4.0, GridSpec())
@@ -276,24 +276,33 @@ def test_sweeps_decrease_pointwise(monkeypatch):
     assert np.max(seen[0] - seen[-1]) > 1e-2
 
 
-def _full_ext_sweep(ws, psi):
-    """One sweep written out on the whole padded vector: build_ext, the
-    plain FFT convolution of it, and the recursion y[i] = x[i] + alpha
-    y[i+1] as a banded solve."""
+def _long_double_sweep(ws, psi, left, right):
+    """One sweep written out: the panels theta - (theta - psi[0]) e^{lambda_left ds}
+    or psi[0] on the left and psi[-1] times the decay ansatz or psi[-1] on
+    the right, K + 1 cells, the rows of the grid and of that first right
+    cell summed in long double, and the recursion y[i] = x[i] + alpha
+    y[i+1] closed by y[N] = the first right cell, as a banded solve."""
     from scipy.linalg import solve_banded
-    c, rho, h, N, K = ws.c, ws.rho, ws.h, ws.N, ws.K
+    c, rho, h, N, K, th = ws.c, ws.rho, ws.h, ws.N, ws.K, ws.th
     alpha, beta = np.exp(-rho * h / c), rho / c
     I0 = (1 - alpha) / beta
     I1 = (1 - alpha) / (h * beta * beta) - alpha / beta
-    ext = ws.build_ext(psi)
-    vals = np.concatenate([psi, ws.rpad(psi[-1], K)])
-    narr = (rho - ws.m) * vals + ws.kp * ws.conv_plus(ext) - ws.kl * vals * vals
+    if left == "front":
+        lpanel = th - (th - psi[0]) * np.exp(ws.lam_left * h * np.arange(-K, 0))
+    else:
+        lpanel = np.full(K, psi[0])
+    rshape = ws.tailg(ws.s[-1], K + 1) if right == "decaying" else np.ones(K + 1)
+    ext = np.concatenate([lpanel, psi, psi[-1] * rshape])
+    vals = ext[K:K + N + 1]
+    narr = (rho - ws.m) * vals + ws.kp * _long_double_rows(ext, ws.conv_plus.w, 0, N + 1) \
+        - ws.kl * vals * vals
     if ws.kn:
-        narr -= ws.kn * vals * ws.conv_minus(ext)
-    x = np.append((I0 - I1) / c * narr[:-1] + I1 / c * narr[1:], vals[-1])
-    ab = np.zeros((2, N + K))
+        narr -= ws.kn * vals * _long_double_rows(ext, ws.conv_minus.w, 0, N + 1)
+    x = (I0 - I1) / c * narr[:-1] + I1 / c * narr[1:]
+    x[-1] += alpha * vals[-1]
+    ab = np.zeros((2, N))
     ab[0, 1:], ab[1] = -alpha, 1.0
-    return np.clip(solve_banded((0, 1), ab, x)[:N], 0.0, ws.th)
+    return np.clip(solve_banded((0, 1), ab, x), 0.0, th)
 
 
 @pytest.mark.parametrize("left", ["front", "constant"])
@@ -301,10 +310,10 @@ def _full_ext_sweep(ws, psi):
 @pytest.mark.parametrize("pair,params", [(PAIR, LK1), (KN_PAIR, KN_PARAMS)],
                          ids=["reference", "nonlocal"])
 def test_sweep_on_pad_responses_matches_full_ext(monkeypatch, pair, params, left, right):
-    # a sweep convolves [psi, right pad] on the responses of each pad's two
-    # states; the left pad is affine in psi[0] where it is front-like. At
-    # c = 40 the recursion carries the right pad's continuation, the last K
-    # rows, over the kernel's reach (e^{-rho R / c} ~ 5%) into psi's rows
+    # one sweep against the padded sum written out in the test; the left
+    # panel is affine in psi[0] where it is front-like. At c = 40 the
+    # recursion carries its closure, the right panel's first cell, over the
+    # kernel's reach (e^{-rho R / c} ~ 5%) into psi's rows
     ws = _make_workspace(pair, params, 40.0, GridSpec(l_left=30.0, l_right=60.0, h=0.05))
     th = ws.th
     top = 0.8 * th if left == "front" else th
@@ -313,8 +322,39 @@ def test_sweep_on_pad_responses_matches_full_ext(monkeypatch, pair, params, left
     psi[0], psi[-1] = top, end
     assert ws._left_front(psi[0]) == (left == "front")
     monkeypatch.setattr("nlkpp.profile._SWEEPS", 1)
-    ref = _full_ext_sweep(ws, psi)
+    ref = _long_double_sweep(ws, psi, left, right)
     assert np.abs(_sweep_phase(ws, psi) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_sweep_runs_at_one_fft_length(monkeypatch):
+    # a sweep convolves the vector the residual reads, N + 2K + 1 cells,
+    # and nothing else: no transform of its own panels
+    import nlkpp.profile
+    from scipy.fft import next_fast_len
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec())
+    psi = ws.th * np.exp(-ws.lam_c * np.maximum(ws.s, 0.0))
+    lengths, rfft = set(), nlkpp.profile.rfft
+
+    def recording_rfft(x, n=None, *args, **kwargs):
+        lengths.add(n)
+        return rfft(x, n, *args, **kwargs)
+
+    monkeypatch.setattr(nlkpp.profile, "rfft", recording_rfft)
+    monkeypatch.setattr("nlkpp.profile._SWEEPS", 1)
+    _sweep_phase(ws, psi)
+    assert lengths == {next_fast_len(ws.N + 2 * ws.K + 1, True)}
+
+
+@pytest.mark.parametrize("pair,params", [(PAIR, LK1), (KN_PAIR, KN_PARAMS)],
+                         ids=["reference", "nonlocal"])
+@pytest.mark.parametrize("state", ["zero", "theta"])
+def test_sweep_keeps_the_stationary_states(monkeypatch, pair, params, state):
+    # psi = 0 and psi = theta are fixed points of a sweep, bit for bit: the
+    # panels continue them as constants, and the recursion's closure is theta
+    ws = _make_workspace(pair, params, 4.0, GridSpec())
+    psi = np.full(ws.N, 0.0 if state == "zero" else ws.th)
+    monkeypatch.setattr("nlkpp.profile._SWEEPS", 1)
+    assert np.array_equal(_sweep_phase(ws, psi), psi)
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +803,15 @@ def test_grid_overrides():
     assert abs(prof.h - 0.02) < 1e-9
     span = prof.grid[-1] - prof.grid[0]
     assert abs(span - 100.0) < 1.0
+
+
+def test_grid_step_reads_the_whole_span(prof_4, prof_minus_4):
+    # the step of the default grid is 0.01 exactly, whatever offset the
+    # grid carries: grid[1] - grid[0] keeps that offset's rounding
+    assert prof_4.h == 0.01
+    assert prof_minus_4.h == prof_4.h
+    for q in (0.3, -1.7, 12.345):
+        assert prof_4.shifted(q).h == prof_4.h
 
 
 @pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])

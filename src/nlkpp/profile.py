@@ -52,7 +52,7 @@ _BULK_FLOOR = 1e-3      # psi/theta below this is the tail: the Newton split,
 # Largest tilt exponent in one deep-row segment: half the float64 exponent
 # range, so neither the tilt nor its inverse overflows or goes subnormal.
 _TILT_SPAN = 0.5 * math.log(np.finfo(float).max)
-_SPECTRA = 2            # weight spectra a Convolver keeps, one per FFT length
+_SPECTRA = 3            # weight spectra a Convolver keeps, one per (FFT length, tilt)
 _RIGHT_GRAFT = 3e-13
 _LEFT_GRAFT = 1e-6      # theta - V e^{lambda_left s} drops O(V^2/theta), ~1e-12 theta here
 _SWEEPS = 40            # warm start; much past 80 the iterate drifts at high speed
@@ -169,9 +169,7 @@ class Convolver:
     the first K rows only) and r_R (the last K) once, and with_pads adds
     them on those rows. Zero pads need a circular FFT of length
     next_fast_len(n + K) only: the wrapped entries land on the first K,
-    which precede every row read. The weights' spectra are kept for the
-    last _SPECTRA lengths used, which covers the two lengths a Newton
-    phase alternates between.
+    which precede every row read.
 
     An FFT convolution carries an absolute error near eps*max|ext|, which
     swamps rows far down a decaying tail. Where the caller knows the decay
@@ -179,13 +177,13 @@ class Convolver:
     ext is multiplied by e^{lam s} and the weights by e^{lam y}, so every
     term of row i's sum carries the same factor e^{lam s_i}, taken out
     again afterwards. The error floor then sits at the scale of the tilted
-    tail instead of at max|ext|. The tilted weights' FFT is kept like the
-    plain one.
+    tail instead of at max|ext|. One cache keeps the spectra of the last
+    _SPECTRA (FFT length, tilt) pairs used, the plain weights being tilt 0:
+    a Newton phase alternates between a plain window length, its pad-free
+    product length and a tilted segment length.
     """
 
-    def __init__(self, kernel, h: float, K: int | None = None):
-        if K is None:
-            K = _half_width(kernel, h)
+    def __init__(self, kernel, h: float, K: int):
         w = h * np.asarray(kernel.pdf(np.arange(-K, K + 1) * h), dtype=float)
         tot = w.sum()
         if not tot > 0:
@@ -193,15 +191,17 @@ class Convolver:
                              f"within {kernel.support_radius():.6g} of 0) to zero weights")
         w *= kernel.mass / tot
         self.w, self.K, self.h = w, K, h
-        self._specs = {}        # FFT length -> spectrum of w, oldest first
-        self._tilt_key, self._tilt_spec = None, None
+        self._specs = {}        # (FFT length, lh) -> spectrum of w e^{lh k}, oldest first
 
-    def _spectrum(self, nfft):
-        spec = self._specs.get(nfft)
+    def _spectrum(self, nfft, lh=0.0):
+        """The weights tilted by e^{lh k}, k = -K..K, transformed at length
+        nfft; lh = 0 is the plain spectrum, w e^0 being w bit for bit."""
+        spec = self._specs.get((nfft, lh))
         if spec is None:
             if len(self._specs) == _SPECTRA:
                 del self._specs[next(iter(self._specs))]
-            spec = self._specs[nfft] = rfft(self.w, nfft)
+            tilt = np.exp(lh * np.arange(-self.K, self.K + 1))
+            spec = self._specs[nfft, lh] = rfft(self.w * tilt, nfft)
         return spec
 
     def __call__(self, ext, n: int | None = None, i_deep: int | None = None,
@@ -216,14 +216,12 @@ class Convolver:
             lh = rate * self.h
             rows = min(len(out) - i_deep, max(1, int(_TILT_SPAN / lh) - self.K))
             nfft = next_fast_len(rows + L - 1, True)
-            if self._tilt_key != (nfft, lh):
-                tilt = np.exp(lh * (np.arange(L) - self.K))
-                self._tilt_key, self._tilt_spec = (nfft, lh), rfft(self.w * tilt, nfft)
+            spec = self._spectrum(nfft, lh)
             for a in range(i_deep, len(out), rows):
                 b = min(a + rows, len(out))
                 seg = ext[a:b + L - 1]
                 v = seg * np.exp(lh * (np.arange(len(seg)) - self.K))
-                full = irfft(rfft(v, nfft) * self._tilt_spec, nfft)
+                full = irfft(rfft(v, nfft) * spec, nfft)
                 out[a:b] = np.exp(-lh * np.arange(b - a)) * full[L - 1:L - 1 + b - a]
         return out
 
@@ -274,7 +272,9 @@ def _convolvers(pair, params, h):
 
 
 class _Workspace:
-    """Grid, weights, and the residual operator for one (pair, params, c)."""
+    """Grid, weights, and the residual operator for one (pair, params, c),
+    with the panels' shapes stated once per grid: lshape = e^{lambda_left ds}
+    on the K cells left of it, rshape the decay ansatz on the K + 1 right of it."""
 
     def __init__(self, pair, params, c, th, lam_c, j, lam_left, s, h):
         self.c, self.th, self.lam_c, self.j = c, th, lam_c, j
@@ -284,7 +284,9 @@ class _Workspace:
         self.rho = params.m + 2 * self.kl * th + self.kn * th
         self.s, self.h, self.N = s, h, len(s)
         self.conv_plus, self.conv_minus = _convolvers(pair, params, h)
-        self.K = self.conv_plus.K
+        self.K = K = self.conv_plus.K
+        self.lshape = np.exp(-lam_left * h * np.arange(K, 0, -1))
+        self.rshape = self.tailg(s[-1], K + 1)
 
     # -- analytic boundary panels ------------------------------------------
 
@@ -295,31 +297,19 @@ class _Workspace:
             g = g * (anchor_s + t) / anchor_s
         return g
 
-    def _left_front(self, psi0):
-        """False where the left panel is constant: psi0 >= theta, or no front
-        near the left edge (psi0 < theta/2, e.g. the psi = 0 state)."""
-        return 0.0 < self.th - psi0 <= 0.5 * self.th
-
-    def lpad(self, psi0):
-        """The K cells left of the grid: theta - (theta - psi0) e^{lambda_left ds}."""
-        if not self._left_front(psi0):
-            return np.full(self.K, psi0)
-        return self.th - (self.th - psi0) * self.dlpad(psi0)
-
-    def dlpad(self, psi0):
-        """d lpad / d psi0: e^{lambda_left ds}, ds = -Kh .. -h."""
-        if not self._left_front(psi0):
-            return np.ones(self.K)
-        return np.exp(-self.lam_left * self.h * np.arange(self.K, 0, -1))
-
-    def rpad(self, psi_last, n):
-        if psi_last > 0.5 * self.th:
-            return np.full(n, psi_last)
-        return psi_last * self.tailg(self.s[-1], n)
+    def pad_shapes(self, psi):
+        """(dl, dr): the panels' derivatives by psi[0] and psi[-1]. A front-like
+        end takes its shape (0 < theta - psi[0] <= theta/2 on the left,
+        psi[-1] <= theta/2 on the right); any other end is constant: ones."""
+        dl = self.lshape if 0.0 < self.th - psi[0] <= 0.5 * self.th else np.ones(self.K)
+        dr = self.rshape if psi[-1] <= 0.5 * self.th else np.ones(self.K + 1)
+        return dl, dr
 
     def build_ext(self, psi):
-        """[lpad K, psi, rpad K + 1]: the rows the residual reads and the panel's first cell."""
-        return np.concatenate([self.lpad(psi[0]), psi, self.rpad(psi[-1], self.K + 1)])
+        """[theta - (theta - psi[0]) dl, psi, psi[-1] dr], (dl, dr) = pad_shapes(psi):
+        the K cells each side the residual reads and the right panel's first cell."""
+        dl, dr = self.pad_shapes(psi)
+        return np.concatenate([self.th - (self.th - psi[0]) * dl, psi, psi[-1] * dr])
 
     # -- residual ----------------------------------------------------------
 
@@ -339,17 +329,19 @@ class _Workspace:
     def linearize(self, psi, lo=0, hi=None):
         """Jacobian of residual_vec's rows lo..hi-1 at psi along directions
         u that vanish off those rows: its diagonal and u -> J u. u is padded
-        like build_ext, by u[0] times d lpad / d psi[0] if lo = 0 and u[-1]
-        times the decay ansatz if hi = N, and by zeros otherwise; the pads
-        enter through their responses, computed once here."""
+        by the panels' derivatives, u[0] dl if lo = 0 and u[-1] dr if hi = N
+        with (dl, dr) = pad_shapes(psi), the branch build_ext reads, and by
+        zeros otherwise; the pads enter through their responses, computed
+        once here."""
         N, K = self.N, self.K
         hi = N if hi is None else hi
         n, p = hi - lo, psi[lo:hi]
         diag = -self.m - 2 * self.kl * p
         if self.kn:
             diag = diag - self.kn * self.conv_minus(self.build_ext(psi)[lo:hi + 2 * K], n)
-        lcol = self.dlpad(psi[0]) if lo == 0 else np.zeros(K)
-        rcol = self.tailg(self.s[-1], K) if hi == N else np.zeros(K)
+        dl, dr = self.pad_shapes(psi)
+        lcol = dl if lo == 0 else np.zeros(K)
+        rcol = dr[:K] if hi == N else np.zeros(K)
         resp_plus = self.conv_plus.pad_responses(lcol, rcol)
         resp_minus = self.conv_minus.pad_responses(lcol, rcol) if self.kn else None
 
@@ -596,7 +588,10 @@ def _make_workspace(pair, params, c, spec):
         raise UsageError(f"the grid needs {n} points, above the limit of {_MAX_GRID_POINTS}; "
                          f"give a larger h or shorter spans")
     s = -Ll + h * np.arange(n)
-    return _Workspace(pair, params, c, theta(params), lam_c, j, lam_left, s, h)
+    ws = _Workspace(pair, params, c, theta(params), lam_c, j, lam_left, s, h)
+    if ws.K < 2:    # the bulk band and the tail border need more rows than that
+        raise UsageError(f"grid step h={h!r} spans the kernels in fewer than two cells each side")
+    return ws
 
 
 def solve_profile(pair: KernelPair, params: Params, c: float,
@@ -678,21 +673,24 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
 
 
 def residual(profile: WaveProfile, pair: KernelPair, params: Params) -> float:
-    """Sup-norm of the profile equation over the grid, with the analytic
+    """Sup-norm of the profile equation over the grid, with the solver's own
     boundary panels (theta-side expansion left, decay ansatz right; constant
     continuation when an end is not front-like, so the stationary states
     psi = 0 and psi = theta evaluate to zero residual)."""
     if profile.orientation == "increasing":
         return residual(profile.reflect(), pair.reflected(), params)
-    th = theta(params)
-    lam_left = math.nan
-    v0 = th - profile.values[0]
-    if 0.0 < v0 <= 0.5 * th:
-        lam_left = left_rate(pair, params, profile.speed)
-    ws = _Workspace(pair, params, profile.speed, th, profile.lambda_c,
-                    profile.multiplicity, lam_left, profile.grid, profile.h)
-    psi = np.asarray(profile.values, dtype=float)
+    ws, psi = _profile_workspace(profile, pair, params)
     return float(np.abs(ws.residual_vec(psi)).max())
+
+
+def _profile_workspace(profile, pair, params):
+    """(workspace on a decreasing profile's grid, its values); lambda_left is
+    solved only where the left end is front-like, the one branch that reads it."""
+    th, psi = theta(params), np.asarray(profile.values, dtype=float)
+    front = 0.0 < th - psi[0] <= 0.5 * th
+    lam_left = left_rate(pair, params, profile.speed) if front else math.nan
+    return _Workspace(pair, params, profile.speed, th, profile.lambda_c, profile.multiplicity,
+                      lam_left, profile.grid, profile.h), psi
 
 
 def tail_asymptotics(profile: WaveProfile) -> TailFit:
@@ -727,15 +725,12 @@ def tail_asymptotics(profile: WaveProfile) -> TailFit:
 def _tail_prefactor(profile: WaveProfile, pair: KernelPair, params: Params) -> float:
     """D from the transform identity: the nonlinear term's transform at
     lambda_c divided by the leading coefficient of the characteristic root."""
-    g = profile.grid
-    psi = np.asarray(profile.values, float)
-    th, lam = profile.theta, profile.lambda_c
-    kl, kn = params.kappa_local, params.kappa_nonlocal
+    g, psi = profile.grid, np.asarray(profile.values, float)
+    th, lam, kl, kn = profile.theta, profile.lambda_c, params.kappa_local, params.kappa_nonlocal
     f = kl * psi * psi
-    if kn:
-        conv = Convolver(pair.a_minus, profile.h)
-        ext = np.concatenate([np.full(conv.K, th), psi, np.zeros(conv.K)])
-        f = f + kn * psi * conv(ext)
+    if kn:      # a- * psi on the padded vector the residual reads
+        ws, _ = _profile_workspace(profile, pair, params)
+        f = f + kn * psi * ws.conv_minus(ws.build_ext(psi), ws.N)
     integrand = f * np.exp(lam * g)
     val = float(np.trapezoid(integrand, g))
     # the grid misses (-inf, s_0]; there f -> (kl+kn) theta^2, so close it
@@ -794,4 +789,6 @@ def compare_up_to_shift(p1: WaveProfile, p2: WaveProfile) -> float:
     level = 0.5 * min(p1.theta, p2.theta)
     q = p2.crossing(level) - p1.crossing(level)
     m = (p1.grid >= p2.grid[0] - q) & (p1.grid <= p2.grid[-1] - q)
+    if not m.any():
+        raise UsageError("no point of the first profile's grid lies in the second's shifted span")
     return float(np.abs(p1.values[m] - p2.interp(p1.grid[m] + q)).max())

@@ -254,6 +254,17 @@ def test_profile_two_point_grid_exit_1(kernel_file, capsys):
     assert "l_right is too short" in doc["error"]["message"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["profile", "uniqueness"])
+@pytest.mark.parametrize("h", ["40", "45", "50"])
+def test_coarse_grid_step_answers_with_one_document(kernel_file, capsys, command, h):
+    # the Laplace(1) kernel spans one cell each side at these steps: solving
+    # there hands LAPACK a two-row band, or the tail border a vanishing sum
+    code, doc = run_cli(capsys, command, "--kernel", kernel_file, "--c", "4", "--grid-h", h)
+    assert code in (1, 3)
+    assert "result" not in doc and doc["error"]["type"] in ("UsageError", "NonConvergence")
+
+
 @pytest.mark.parametrize("times", [
     ["--dt", "nan", "--horizon", "1"], ["--dt", "0.05", "--horizon", "nan"],
     ["--dt", "0.05", "--horizon", "inf"],

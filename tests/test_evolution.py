@@ -230,7 +230,7 @@ def test_front_leaving_domain_detected():
 def test_step_after_widening_matches_padded_convolution(pair, params):
     # one step from the widened state, redone with the panels convolved as
     # part of the padded vector: the responses must serve the longer grid
-    from nlkpp.profile import Convolver
+    from nlkpp.profile import Convolver, _half_width
     dt, th = 0.01, theta(params)
     run = _run(step_data(0.0, th), dt=dt, horizon=6.0, domain=(-8.0, 8.0),
                snapshot_dt=dt, pair=pair, params=params)
@@ -238,7 +238,7 @@ def test_step_after_widening_matches_padded_convolution(pair, params):
     k = int(np.argmax(lens[1:] > lens[:-1]))
     assert lens[k + 1] > lens[k]
     u = np.concatenate([run.snapshots[k], np.zeros(lens[k + 1] - lens[k])])
-    conv_plus = Convolver(pair.a_plus, run.h)
+    conv_plus = Convolver(pair.a_plus, run.h, _half_width(pair.a_plus, run.h))
     K = conv_plus.K
     ext = np.concatenate([np.full(K, u[0]), u, np.full(K, u[-1])])
     kp, m, kl, kn = params.kappa_plus, params.m, params.kappa_local, params.kappa_nonlocal

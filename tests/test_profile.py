@@ -13,9 +13,9 @@ from nlkpp.errors import (AssumptionFailure, NonConvergence, NoWave,
 from nlkpp.kernels import (ExpPoly, Gaussian, KernelPair, Laplace, Params,
                            Truncated, Uniform, theta)
 from nlkpp.profile import (_LEFT_EFOLD, _RIGHT_EFOLD, _TAIL_TOL, Convolver, GridSpec,
-                           WaveProfile, _band_solver, _make_workspace, _newton, _sweep_phase,
-                           compare_up_to_shift, normalize_shift, residual, solve_profile,
-                           tail_asymptotics)
+                           WaveProfile, _band_solver, _half_width, _make_workspace, _newton,
+                           _sweep_phase, compare_up_to_shift, normalize_shift, residual,
+                           solve_profile, tail_asymptotics)
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 PAIR = KernelPair(Laplace(1.0), Laplace(1.0))
@@ -56,7 +56,7 @@ def _strictly_decreasing(prof, floor=1e-12):
 
 def test_convolver_matches_fftconvolve_and_direct_rows():
     from scipy.signal import fftconvolve
-    conv = Convolver(Laplace(1.0), 0.05)
+    conv = Convolver(Laplace(1.0), 0.05, _half_width(Laplace(1.0), 0.05))
     w = conv.w
     assert abs(w.sum() - 1.0) < 1e-14
     for n in (3000, 5000, 3000):   # the spectrum is recomputed per FFT length
@@ -111,8 +111,8 @@ def test_pad_responses_match_long_double_sum(shapes, n_over_k):
     K, th = ws.K, ws.th
     if shapes == "constant":       # the time stepper's panels
         lshape = rshape = np.ones(K)
-    else:                          # the Jacobian's: d lpad / d psi0, decay ansatz
-        lshape, rshape = ws.dlpad(0.8 * th), ws.tailg(ws.s[-1], K)
+    else:                          # the Jacobian's: the panels' front-like shapes
+        lshape, rshape = ws.lshape, ws.tailg(ws.s[-1], K)
         assert np.ptp(lshape) > 0.5 and np.ptp(rshape) > 0.5
     n = int(n_over_k * K)
     u = th * np.random.default_rng(7).uniform(0.2, 1.0, n)
@@ -151,7 +151,7 @@ def test_deep_rows_match_long_double_sum(rep, factor):
 def test_deep_rows_on_skewed_kernels(lo, hi):
     # pins the direction of the tilt: weights tilted the wrong way miss
     # by 45% and 82% on these kernels
-    conv = Convolver(Uniform(lo, hi), 0.05)
+    conv = Convolver(Uniform(lo, hi), 0.05, _half_width(Uniform(lo, hi), 0.05))
     n = 4000
     ext = np.exp(-0.02 * np.arange(n + 2 * conv.K))
     out = conv(ext, n, i_deep=n // 2, rate=0.02 / 0.05)[n // 2:]
@@ -320,7 +320,7 @@ def test_sweep_on_pad_responses_matches_full_ext(monkeypatch, pair, params, left
     end = 0.3 * th if right == "decaying" else 0.7 * th
     psi = end + (top - end) / (1.0 + np.exp(ws.s))
     psi[0], psi[-1] = top, end
-    assert ws._left_front(psi[0]) == (left == "front")
+    assert (ws.pad_shapes(psi)[0] is ws.lshape) == (left == "front")
     monkeypatch.setattr("nlkpp.profile._SWEEPS", 1)
     ref = _long_double_sweep(ws, psi, left, right)
     assert np.abs(_sweep_phase(ws, psi) - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -377,19 +377,49 @@ def test_linearize_matches_finite_difference_at_left_panel():
 
 def test_linearize_matches_finite_difference_at_right_panel():
     # the tail window reaches the right end, so a direction with u[-1] != 0
-    # moves the last K rows through the decay ansatz of the right panel
+    # moves the last K rows through the decay ansatz of the right panel;
+    # on the flat states 0.7 theta and 0.95 theta, over the whole window,
+    # the right panel is constant and the left one front-like
     ws = _make_workspace(PAIR, LK1, 4.0, GridSpec(l_left=30.0, l_right=60.0, h=0.01))
     th, s = ws.th, ws.s
     psi = np.minimum(th, th * np.exp(-ws.lam_c * s))
     i_cut = int(np.searchsorted(-psi, -1e-3 * th))
     u = np.zeros(ws.N)
     u[i_cut:] = np.exp(-0.05 * np.abs(s[i_cut:]))
-    _diag, jmv = ws.linearize(psi, lo=i_cut)
-    eps = 1e-7
-    fd = (ws.residual_vec(psi + eps * u, lo=i_cut)
-          - ws.residual_vec(psi - eps * u, lo=i_cut)) / (2 * eps)
-    rows = slice(-2 * ws.K, None)
-    assert np.abs(jmv(u[i_cut:])[rows] - fd[rows]).max() <= 1e-5 * np.abs(fd[rows]).max()
+    cases = [(psi, i_cut, u)] + [(np.full(ws.N, f * th), 0, np.exp(-0.05 * np.abs(s)))
+                                 for f in (0.7, 0.95)]
+    eps, rows = 1e-7, slice(-2 * ws.K, None)
+    for psi, lo, u in cases:
+        _diag, jmv = ws.linearize(psi, lo=lo)
+        fd = (ws.residual_vec(psi + eps * u, lo=lo)
+              - ws.residual_vec(psi - eps * u, lo=lo)) / (2 * eps)
+        assert np.abs(jmv(u[lo:])[rows] - fd[rows]).max() <= 1e-5 * np.abs(fd[rows]).max()
+
+
+@pytest.mark.parametrize("level", [0.0, 0.3, 0.5, 0.7, 0.95, 1.0])
+def test_panels_read_one_branch_per_end(monkeypatch, level):
+    # build_ext and linearize take each end's branch from pad_shapes: the
+    # shape where that end is front-like, a constant panel elsewhere, and
+    # each panel is affine in its end value
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec(l_left=30.0, l_right=60.0, h=0.01))
+    th, K, N = ws.th, ws.K, ws.N
+    psi = np.full(N, level * th)
+    left_front, right_front = 0.0 < th - psi[0] <= 0.5 * th, psi[-1] <= 0.5 * th
+    read, pad_shapes = [], ws.pad_shapes
+
+    def recording(p):
+        dl, dr = pad_shapes(p)
+        read.append((dl is ws.lshape, dr is ws.rshape))
+        return dl, dr
+
+    monkeypatch.setattr(ws, "pad_shapes", recording)
+    ext = ws.build_ext(psi)
+    ws.linearize(psi)
+    assert read == [(left_front, right_front)] * 2
+    dl = ws.lshape if left_front else np.ones(K)
+    dr = ws.rshape if right_front else np.ones(K + 1)
+    assert np.array_equal(ext[:K], th - (th - psi[0]) * dl)
+    assert np.array_equal(ext[K + N:], psi[-1] * dr)
 
 
 def test_factored_band_solves_like_solve_banded(prof_4):
@@ -536,6 +566,15 @@ def test_compare_reads_only_the_overlap(prof_4):
     window = replace(prof_4, grid=prof_4.grid[keep], values=prof_4.values[keep])
     assert compare_up_to_shift(prof_4, window) == 0.0
     assert compare_up_to_shift(window, prof_4) == 0.0
+
+
+def test_compare_refuses_disjoint_spans():
+    # after the shift that aligns the theta/2 crossings (q = 0.3), p2 spans
+    # [-0.1, 0.1], between p1's two grid points
+    p1 = WaveProfile(np.array([-1.0, 1.0]), np.array([1.0, 0.0]), 4.0, 1.0, 1, 1.0, 0.0)
+    p2 = replace(p1, grid=np.array([0.2, 0.4]))
+    with pytest.raises(UsageError, match="shifted span"):
+        compare_up_to_shift(p1, p2)
 
 
 def test_half_theta_idempotent(prof_4):

@@ -251,6 +251,8 @@ def _cmd_uniqueness(args, manifest):
     delta = args.anchor_delta
     p1 = solve_profile(pair, params, args.c, grid=_grid_spec(args))
     p2 = solve_profile(pair, params, args.c, grid=_grid_spec(args), anchor=delta)
+    for prof in (p1, p2):   # a tail the grid does not resolve is refused, as by profile
+        tail_asymptotics(prof)
     dist = compare_up_to_shift(p1, p2)
     return {"speed": args.c, "anchors": [0.0, delta],
             "residuals": [p1.residual_sup, p2.residual_sup],

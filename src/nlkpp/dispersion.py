@@ -17,7 +17,7 @@ At -inf, theta - psi decays like e^{lambda_left s}, lambda_left the
 smallest positive root of the linearization at theta,
 
     c y + kappa_plus A+(-y) - rho_bar - kappa_nonlocal theta A-(-y),
-    rho_bar = m + 2 kappa_local theta + kappa_nonlocal theta.
+    rho_bar = m + 2 kappa_local theta + kappa_nonlocal theta (kernels.rho_bar).
 
 lambda_star, lambda_left and mu_star are bracketed by one sign-change scan.
 H increases (H' = kappa_plus lam A''(lam) > 0) and the left linearization
@@ -39,7 +39,8 @@ from dataclasses import asdict, astuple, dataclass
 from scipy.optimize import brentq
 
 from .errors import NonConvergence, NoWave, ToolkitError, UsageError, require_finite
-from .kernels import ENDPOINT_RTOL, ExpPoly, Kernel, KernelPair, Params, check_assumptions, theta
+from .kernels import (ENDPOINT_RTOL, ExpPoly, Kernel, KernelPair, Params, check_assumptions,
+                      rho_bar, theta)
 
 _TIE_BAND = 1e-9            # |m - T(sigma)| below this counts as the equality case
 _CSTAR_BAND = 1e-9          # |c - c_star| below this (relative) counts as minimal speed
@@ -356,12 +357,11 @@ def abscissa_to_speed(kernel, params: Params, sigma: float,
 def left_rate(pair: KernelPair, params: Params, c: float) -> float:
     """Rate lambda_left at which theta - psi decays at -inf: the smallest
     positive root of the linearization at theta (module docstring)."""
-    th = theta(params)
+    th, rb = theta(params), rho_bar(params)
     kp, kn = params.kappa_plus, params.kappa_nonlocal
-    rho_bar = params.m + 2 * params.kappa_local * th + kn * th
 
     def g(y):   # +inf where a transform diverges
-        val = c * y + kp * pair.a_plus.transform(-y) - rho_bar
+        val = c * y + kp * pair.a_plus.transform(-y) - rb
         if kn:
             val -= kn * th * pair.a_minus.transform(-y)
         return val if math.isfinite(val) else math.inf

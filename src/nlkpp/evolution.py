@@ -2,7 +2,8 @@
 speed measurement.
 
 The update is first-order in time; the dt guard
-dt (kappa_plus + m + 2 kl theta + kn theta) <= 0.5 keeps the step map
+dt (kappa_plus + rho_bar) <= 0.5, rho_bar = m + 2 kl theta + kn theta
+(kernels.rho_bar), keeps the step map
 order-preserving on [0, theta], which is what the comparison-based checks
 rely on. Convolutions extend the state by constant panels on both sides,
 K cells of u[0] on the left and of u[-1] on the right. A panel adds its
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, UsageError, require_finite
-from .kernels import KernelPair, Params, theta
+from .kernels import KernelPair, Params, rho_bar, theta
 from .laplace import _fit_line
 from .profile import WaveProfile, _convolvers
 
@@ -120,7 +121,7 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
     require_finite("horizon", horizon, "positive")
     if snapshot_dt is not None:
         require_finite("snapshot_dt", snapshot_dt, "positive")
-    guard = dt * (kp + m + 2 * kl * th + kn * th)
+    guard = dt * (kp + rho_bar(params))
     if guard > 0.5:
         raise UsageError(f"dt too large: dt*(kp+m+2*kl*th+kn*th) = {guard:.3f} > 0.5")
     require_finite("grid step h", h, "positive")

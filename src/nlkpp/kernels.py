@@ -207,6 +207,15 @@ def theta(params: Params) -> float:
     return (params.kappa_plus - params.m) / params.kappa
 
 
+def rho_bar(params: Params) -> float:
+    """m + 2 kappa_local theta + kappa_nonlocal theta: the local decay rate of
+    the reaction linearized at theta, the constant of the left linearization,
+    the warm-start sweeps' integrating factor and, plus kappa_plus, the time
+    stepper's dt bound."""
+    th = theta(params)
+    return params.m + 2 * params.kappa_local * th + params.kappa_nonlocal * th
+
+
 class Kernel:
     """Base for 1D probability densities with Laplace-transform access.
 

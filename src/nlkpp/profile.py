@@ -6,20 +6,20 @@ The profile equation
 
 is solved on a uniform grid: a warm start of 40 monotone integrating-factor
 sweeps from the supersolution min{theta, theta e^{-lambda_c (s-s0)}} (longer
-runs drift along the shift family at high speed), each one convolution of
-the padded vector the residual reads and one BLAS bidiagonal back
-substitution, one recentering, then rounds of one Newton-Krylov routine on
-two row windows, the other rows frozen: the bulk (psi >= 1e-3 theta),
-preconditioned by a LAPACK-factored tridiagonal band that agrees with the
-Jacobian on constants and linear functions (the kernels' mass on its
-diagonal, their first moments off it), then the tail in tilted
-coordinates psi = E v with an amplitude-deflated bordered system (the
-shift family makes the plain Jacobian near-singular), preconditioned by
-the circulant of the tilted Jacobian's stencil, applied by FFT. Boundary
-panels always come from the analytic expansions: theta minus one
-exponential on the left, at the rate lambda_left that the dispersion layer
-solves from the linearization at theta, the D s^{j-1} e^{-lambda_c s}
-ansatz on the right; the converged profile is grafted onto them once.
+runs drift along the shift family at high speed), each one convolution of the
+padded vector the residual reads and one BLAS bidiagonal back substitution,
+one recentering, then up to five rounds, while they lower the residual, of one
+Newton-Krylov routine on two row windows, the other rows frozen: the bulk
+(psi >= 1e-3 theta), preconditioned by a LAPACK-factored tridiagonal band that
+agrees with the Jacobian on constants and linear functions (the kernels' mass
+on its diagonal, their first moments off it), then the tail in tilted
+coordinates psi = E v with an amplitude-deflated bordered system (the shift
+family makes the plain Jacobian near-singular), preconditioned by the
+circulant of the tilted Jacobian's stencil, applied by FFT. Boundary panels
+always come from the analytic expansions: theta minus one exponential on the
+left, at the rate lambda_left that the dispersion layer solves from the
+linearization at theta, the D s^{j-1} e^{-lambda_c s} ansatz on the right;
+the converged profile is grafted onto them once.
 
 Orientation: speeds are positive for fronts invading to the right. A
 negative speed is read as the mirrored problem (solve the reflected pair
@@ -42,7 +42,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .dispersion import _checked, characteristic_deriv, left_rate, minimal_speed, speed_to_abscissa
 from .errors import AssumptionFailure, NonConvergence, UsageError, require_finite
-from .kernels import KernelPair, Params, theta
+from .kernels import KernelPair, Params, rho_bar, theta
 from .laplace import _fit, _fit_line
 
 _RIGHT_EFOLD = 34.0     # e-foldings of right tail; ~40 hits the float64 floor
@@ -281,7 +281,7 @@ class _Workspace:
         self.lam_left = lam_left
         self.kp, self.m = params.kappa_plus, params.m
         self.kl, self.kn = params.kappa_local, params.kappa_nonlocal
-        self.rho = params.m + 2 * self.kl * th + self.kn * th
+        self.rho = rho_bar(params)
         self.s, self.h, self.N = s, h, len(s)
         self.conv_plus, self.conv_minus = _convolvers(pair, params, h)
         self.K = K = self.conv_plus.K
@@ -487,25 +487,10 @@ def _band_solver(ab):
     return solve
 
 
-def _line_search(resid, x, dlt, fn, hi):
-    """Backtracking on the sup norm of resid, iterates clipped to [0, hi]:
-    the first step of 1, 1/2, ..., 2^-12 that decreases it by 5% of the
-    step, else the last if it decreases it at all. None when none helps."""
-    step = 1.0
-    for bt in range(13):
-        cand = np.clip(x + step * dlt, 0.0, hi)
-        rc = resid(cand)
-        rn = np.abs(rc).max()
-        if rn < fn * (1.0 - 0.05 * step) or (bt == 12 and rn < fn):
-            return cand, rc
-        step *= 0.5
-    return None
-
-
 def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
-    """Damped Jacobian-free Newton-Krylov on rows lo..hi-1, the others
-    frozen; returns psi and the sup norm of the window's residual, divided
-    by E on the tail.
+    """Jacobian-free Newton-Krylov on rows lo..hi-1, the others frozen, taking
+    whole steps, clipped to [0, theta] (>= 0 on the tail), while they lower the
+    window's sup residual, over E on the tail; returns psi and that residual.
 
     The bulk window (lo = 0) works on psi, preconditioned by the band. The
     tail works in coordinates psi = E v, E the decay ansatz anchored at
@@ -568,10 +553,11 @@ def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
         sol, _ = lgmres(LinearOperator((m, m), matvec=jop, dtype=float), rhs,
                         M=LinearOperator((m, m), matvec=mop, dtype=float),
                         rtol=1e-3, atol=0.0, inner_m=30, maxiter=maxiter)
-        nxt = _line_search(gres, v, sol[:n] + sol[n] if border else sol, gn, cap)
-        if nxt is None:
+        cand = np.clip(v + (sol[:n] + sol[n] if border else sol), 0.0, cap)
+        gc = gres(cand)
+        if not np.abs(gc).max() < gn:
             break
-        v, g = nxt
+        v, g = cand, gc
     return full(v), float(np.abs(g).max())
 
 
@@ -640,20 +626,20 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
         raise UsageError(f"the warm start does not cross theta/2 on {short('right')}")
     psi = ws.recenter(psi)
 
-    best = (math.inf, psi)
+    rr = math.inf
     for rounds in range(1, _NEWTON_ROUNDS + 1):
         # each phase cuts at the current psi: the tail's cut follows the bulk step
-        psi, _ = _newton(ws, psi, 0, ws.bulk_end(psi), 1e-9, 25, 4)
-        lo = ws.bulk_end(psi)
+        nxt, _ = _newton(ws, psi, 0, ws.bulk_end(psi), 1e-9, 25, 4)
+        lo = ws.bulk_end(nxt)
         if lo < ws.N:
-            psi, _ = _newton(ws, psi, lo, ws.N, _TAIL_TOL, 15, 6)
-        rr = float(np.abs(ws.residual_vec(psi)).max())
-        if rr < best[0]:    # the rounds need not decrease the whole-grid residual
-            best = (rr, psi)
+            nxt, _ = _newton(ws, nxt, lo, ws.N, _TAIL_TOL, 15, 6)
+        rn = float(np.abs(ws.residual_vec(nxt)).max())
+        if not rn < rr:     # a round that does not help is dropped and ends the loop
+            break
+        psi, rr = nxt, rn
         # no tail rows: a right span that ends in the bulk is refused by name
         if rr < _TAIL_TOL or lo == ws.N:
             break
-    rr, psi = best
     psi = ws.graft(np.clip(psi, 0.0, th))
     res = float(np.abs(ws.residual_vec(psi)).max())
     if res > tol:

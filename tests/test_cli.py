@@ -265,6 +265,18 @@ def test_coarse_grid_step_answers_with_one_document(kernel_file, capsys, command
     assert "result" not in doc and doc["error"]["type"] in ("UsageError", "NonConvergence")
 
 
+@pytest.mark.parametrize("command", ["profile", "uniqueness"])
+@pytest.mark.parametrize("h,label", [("20", "tail-underresolved"), ("30", "iteration-stalled")])
+def test_coarse_grid_step_is_refused_by_both_commands(kernel_file, capsys, command, h, label):
+    # the kernels span two cells each side: at h = 20 the solves converge
+    # on 12 points and leave 2 tail points to fit, which uniqueness checks
+    # as profile does; at h = 30 (9 points) the tail phase's first whole
+    # Newton step does not lower its three rows' residual, and both stall
+    code, doc = run_cli(capsys, command, "--kernel", kernel_file, "--c", "4", "--grid-h", h)
+    assert code == 3
+    assert "result" not in doc and doc["error"]["label"] == label
+
+
 @pytest.mark.parametrize("times", [
     ["--dt", "nan", "--horizon", "1"], ["--dt", "0.05", "--horizon", "nan"],
     ["--dt", "0.05", "--horizon", "inf"],

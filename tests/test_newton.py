@@ -165,12 +165,23 @@ def test_krylov_operators_see_only_float64(monkeypatch):
     assert len(seen) > 50 and set(seen) == {np.dtype(np.float64)}
 
 
-def test_right_span_short_of_the_tail_is_a_toolkit_error():
+def test_right_span_short_of_the_tail_is_a_toolkit_error(monkeypatch):
     # at c = 4 psi reaches 1e-3 theta near s = 23, so a right span of 20
     # leaves the tail window empty: the bulk rows are solved alone, and the
-    # residual check, not an empty reduction, decides
+    # residual check, not an empty reduction, decides. The bulk phase's
+    # first whole step does not lower its residual, which ends the phase,
+    # so the refusal comes after at most two Jacobians (25 when the step
+    # was backtracked)
+    linearize, count = _Workspace.linearize, [0]
+
+    def counted(self, psi, lo=0, hi=None):
+        count[0] += 1
+        return linearize(self, psi, lo=lo, hi=hi)
+
+    monkeypatch.setattr(_Workspace, "linearize", counted)
     with pytest.raises(NonConvergence, match="residual"):
         solve_profile(PAIR, LK1, 4.0, grid=GridSpec(l_right=20.0))
+    assert 0 < count[0] <= 2
 
 
 @pytest.mark.parametrize("grid,tol,message", [
@@ -186,18 +197,25 @@ def test_span_short_of_the_crossing_names_the_grid(grid, tol, message):
         solve_profile(PAIR, LK1, 4.0, grid=grid, tol=tol)
 
 
+def _record_newton(monkeypatch):
+    """A list that gets (lo, hi, tol, window residual) of every Newton call."""
+    import nlkpp.profile
+    newton, calls = nlkpp.profile._newton, []
+
+    def counted(ws, psi, lo, hi, tol, *args):
+        out, res = newton(ws, psi, lo, hi, tol, *args)
+        calls.append((lo, hi, tol, res))
+        return out, res
+
+    monkeypatch.setattr(nlkpp.profile, "_newton", counted)
+    return calls
+
+
 def test_right_span_in_the_bulk_runs_one_round(monkeypatch):
     # at c = 4 a right span of 20 still ends in the bulk after the bulk
     # phase; another round would only repeat that phase, so the solve is
     # refused after one Newton call, and the message names the short span
-    import nlkpp.profile
-    newton, calls = nlkpp.profile._newton, []
-
-    def counted(*args):
-        calls.append(args[2:4])
-        return newton(*args)
-
-    monkeypatch.setattr(nlkpp.profile, "_newton", counted)
+    calls = _record_newton(monkeypatch)
     with pytest.raises(NonConvergence, match="after correction round 1; .*l_right is too short"):
         solve_profile(PAIR, LK1, 4.0, grid=GridSpec(l_right=20.0))
     assert len(calls) == 1
@@ -207,14 +225,7 @@ def test_right_span_in_the_bulk_runs_one_round(monkeypatch):
 def test_reference_solves_need_few_rounds(rep, monkeypatch, factor, rounds):
     # a round is one bulk and one tail Newton call; at the double root c*
     # the tail takes three rounds to settle, above it one does
-    import nlkpp.profile
-    newton, calls = nlkpp.profile._newton, []
-
-    def counted(*args):
-        calls.append(args[2:4])
-        return newton(*args)
-
-    monkeypatch.setattr(nlkpp.profile, "_newton", counted)
+    calls = _record_newton(monkeypatch)
     prof = solve_profile(PAIR, LK1, factor * rep.c_star, report=rep)
     assert prof.residual_sup <= 1e-6
     assert 0 < len(calls) <= 2 * rounds, calls
@@ -254,13 +265,32 @@ def test_weak_growth_gaussian_converges():
     assert abs(tail_asymptotics(prof).rate / prof.lambda_c - 1.0) <= 1e-2
 
 
-def test_weak_growth_laplace_keeps_its_best_round():
-    # kappa_plus = 1.05 m at c*, on N = 45,859 points (about 3 s on two
+def test_weak_growth_laplace_keeps_its_best_round(monkeypatch):
+    # kappa_plus = 1.05 m at c*, on N = 45,859 points (about 2 s on two
     # shared vCPUs): the second round ends at 2.02e-7 of residual, a hair
-    # above the rounds' stop, and the three after it end between 5.3e-6
-    # and 9.2e-6, so the solve returns the second round's iterate
+    # above the rounds' stop, and the third ends at 9.2e-6; a round that
+    # does not lower the residual ends the loop and is dropped, so the
+    # solve stops after three rounds (six Newton calls) with the second
+    # round's iterate
+    calls = _record_newton(monkeypatch)
     pair, params = KernelPair(Laplace(1.0), Laplace(1.0)), Params(1.05, 1.0, 1.0, 0.0)
     rep = minimal_speed(pair, params)
     prof = solve_profile(pair, params, rep.c_star, report=rep)
     assert len(prof.grid) == 45_859
     assert prof.residual_sup <= 1e-6
+    assert len(calls) == 6, calls
+
+
+@pytest.mark.parametrize("pair,params,factor,c", [
+    (PAIR, LK1, 1.0, None), (PAIR, LK1, None, 4.0), (PAIR, LK1, 2.0, None),
+    (*GAUSS_KN, 1.0, None)],
+    ids=["reference-c_star", "reference-c=4", "reference-2c_star", "gaussian-nonlocal-c_star"])
+def test_newton_phases_reach_their_tol(monkeypatch, pair, params, factor, c):
+    # on these solves every Newton phase ends below its tol: its whole
+    # steps keep lowering the window's residual, so ending a phase at the
+    # first step that does not costs them nothing
+    calls = _record_newton(monkeypatch)
+    rep = minimal_speed(pair, params)
+    prof = solve_profile(pair, params, factor * rep.c_star if c is None else c, report=rep)
+    assert prof.residual_sup <= 1e-6
+    assert calls and all(res < tol for _, _, tol, res in calls), calls

@@ -259,31 +259,33 @@ def _cmd_uniqueness(args, manifest):
             "aligned_distance": dist}, {}
 
 
-def _initial_condition(args, pair, params):
+def _initial_condition(args, params, manifest):
+    """The --u0 datum; a profile CSV is an input, refused at any bad row but a header."""
     th = theta(params)
     shape = args.u0
     if shape == "step":
         return step_data(args.u0_x0, th)
     if shape.startswith("profile-csv:"):
         path = shape.split(":", 1)[1]
-        rows = []
+        manifest["inputs"].append(path)
         try:
             with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    parts = line.split(",")
-                    try:
-                        rows.append((float(parts[0]), float(parts[1])))
-                    except (IndexError, ValueError):
-                        continue  # header row
+                lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1)]
         except OSError as exc:
             raise UsageError(f"cannot read profile CSV {path}: {exc}") from exc
+        lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
+        rows = []
+        for k, (lineno, line) in enumerate(lines):
+            try:
+                s, psi = (float(v) for v in line.split(","))
+                rows.append((s, psi))
+            except ValueError:
+                if k > 0:       # the first line may be a header
+                    raise UsageError(f"profile CSV {path}, line {lineno}: "
+                                     f"{line!r} is not an s,psi row") from None
         if len(rows) < 2:
             raise UsageError(f"profile CSV {path} has no (s, psi) rows")
-        grid = np.array([r[0] for r in rows])
-        vals = np.array([r[1] for r in rows])
+        grid, vals = np.array(rows).T
         if not np.all(np.diff(grid) > 0.0):   # np.interp needs increasing nodes
             raise UsageError(f"profile CSV {path}: the s column must increase strictly")
 
@@ -310,7 +312,7 @@ def _cmd_evolve(args, manifest):
     pair, params = _resolve_problem(args, manifest)
     if args.dt is None or args.horizon is None:
         raise UsageError("evolve needs --dt and --horizon")
-    u0 = _initial_condition(args, pair, params)
+    u0 = _initial_condition(args, params, manifest)
     try:
         lo, hi = (float(v) for v in args.domain.split(","))
     except ValueError as exc:
@@ -320,19 +322,14 @@ def _cmd_evolve(args, manifest):
     result = run.summary()
     csvs = {}
     if args.csv:
-        rows = [("t", "front_position")] + [
-            (float(t), float(p)) for t, p in zip(run.times, run.front_positions)]
-        csvs["front.csv"] = rows
-        if args.snapshots:
-            n = len(run.grid)
-            head = ["x"] + [f"t={t:.10g}" for t in run.times]
-            body = []
-            for i in range(n):
-                row = [float(run.grid[i])]
-                for snap in run.snapshots:
-                    row.append(float(snap[i]) if i < len(snap) else 0.0)
-                body.append(tuple(row))
-            csvs["snapshots.csv"] = [tuple(head)] + body
+        csvs["front.csv"] = [("t", "front_position"),
+                             *zip(run.times.tolist(), run.front_positions.tolist())]
+        if args.snapshots:      # a snapshot taken before a widening reads 0 past its end
+            table = np.zeros((len(run.grid), len(run.snapshots)))
+            for j, snap in enumerate(run.snapshots):
+                table[:len(snap), j] = snap
+            csvs["snapshots.csv"] = [("x", *(f"t={t:.10g}" for t in run.times))] + [
+                (x, *row) for x, row in zip(run.grid.tolist(), table.tolist())]
     return result, csvs
 
 

@@ -5,16 +5,19 @@ The update is first-order in time; the dt guard
 dt (kappa_plus + rho_bar) <= 0.5, rho_bar = m + 2 kl theta + kn theta
 (kernels.rho_bar), keeps the step map
 order-preserving on [0, theta], which is what the comparison-based checks
-rely on. Convolutions extend the state by constant panels on both sides,
-K cells of u[0] on the left and of u[-1] on the right. A panel adds its
-end value times a fixed response to the K rows next to its edge: row by
-row, the sum of the weights that reach past the edge. So the state is
-convolved padded with zeros, and the two responses, computed once per
-run, are added on those rows. With the panels every row's weights sum to
-the kernel mass, so the two spatially constant states are fixed points:
-zero exactly, since every term vanishes, and theta up to the few-ulp
-roundoff of the convolution, which dt scales below half an ulp of theta
-in the tested cases, so that it rounds away.
+rely on. The profile solver's Convolver serves a+ and, with nonlocal
+competition, a- from one forward FFT of the state per step. It extends the
+state by constant panels on both sides, K cells of u[0] on the left and of
+u[-1] on the right. A panel adds its end value times a fixed response to
+the K rows next to its edge: row by row, the sum of the weights that reach
+past the edge. So the state is convolved padded with zeros, and the
+responses, computed once per run, are added on those rows. With the panels
+every row's weights sum to the kernel mass, so the two spatially constant
+states are fixed points: zero exactly, since every term vanishes, and
+theta up to the few-ulp roundoff of the convolution, which dt scales below
+half an ulp of theta in the tested cases, so that it rounds away. A grid
+of more points than the profile solver allows is refused by name, on the
+domain given and when the grid widens after the front.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .errors import NonConvergence, UsageError, require_finite
 from .kernels import KernelPair, Params, rho_bar, theta
 from .laplace import _fit_line
-from .profile import WaveProfile, _convolvers
+from .profile import WaveProfile, _convolver, _grid_points
 
 _BURN_IN = 0.30
 _WIDEN_TRIGGER = 0.20   # front inside the last 20% of the grid grows it
@@ -137,14 +140,12 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
     snap_every = max(1, int(round(snap_dt / dt)))
     lvl = 0.5 * th
 
-    x = domain[0] + h * np.arange(int(round((domain[1] - domain[0]) / h)) + 1)
+    x = domain[0] + h * np.arange(
+        _grid_points((domain[1] - domain[0]) / h, "give a larger h or a shorter domain"))
     u = _initial_state(u0, x, th)
-    conv_plus, conv_minus = _convolvers(pair, params, h)
-    K = conv_plus.K
+    conv = _convolver(pair, params, h)
     # the responses do not depend on the grid length, so widening keeps them
-    panel = np.ones(K)
-    resp_plus = conv_plus.pad_responses(panel, panel)
-    resp_minus = conv_minus.pad_responses(panel, panel) if kn else None
+    resp = conv.pad_responses(np.ones(conv.K), np.ones(conv.K))
 
     times, snaps, fronts = [], [], []
 
@@ -155,9 +156,10 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
 
     record(0.0)
     for k in range(1, n_steps + 1):
-        du = kp * conv_plus.with_pads(u, resp_plus) - m * u - kl * u * u
+        cu = conv.with_pads(u, resp)
+        du = kp * cu[0] - m * u - kl * u * u
         if kn:
-            du -= kn * u * conv_minus.with_pads(u, resp_minus)
+            du -= kn * u * cu[1]
         # the zero state is exponentially unstable (rate kappa_plus - m),
         # so FFT roundoff ahead of the front must not survive in either sign:
         # the flush zeroes negative values and -0.0 along with tiny ones
@@ -165,12 +167,12 @@ def evolve(pair: KernelPair, params: Params, u0, dt: float, horizon: float,
         u[u < _FLUSH_FLOOR * th] = 0.0
         if k % snap_every == 0 or k == n_steps:
             record(k * dt)
-            if widen and math.isfinite(fronts[-1]):
-                span = x[-1] - x[0]
-                if fronts[-1] > x[-1] - _WIDEN_TRIGGER * span:
-                    n_add = int(round(_WIDEN_FACTOR * len(x)))
-                    x = np.concatenate([x, x[-1] + h * np.arange(1, n_add + 1)])
-                    u = np.concatenate([u, np.zeros(n_add)])
+            # a nan crossing (none on the grid) compares false
+            if widen and fronts[-1] > x[-1] - _WIDEN_TRIGGER * (x[-1] - x[0]):
+                n_add = int(round(_WIDEN_FACTOR * len(x)))
+                _grid_points(len(x) + n_add - 1, f"widening it at t = {k * dt:.6g}")
+                x = np.concatenate([x, x[-1] + h * np.arange(1, n_add + 1)])
+                u = np.concatenate([u, np.zeros(n_add)])
 
     run = EvolutionRun(grid=x, h=h, dt=dt, theta=th, times=np.asarray(times),
                        snapshots=snaps, front_positions=np.asarray(fronts),

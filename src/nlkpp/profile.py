@@ -143,19 +143,15 @@ class TailFit:
         return {**asdict(self), "fit_window": list(self.fit_window)}
 
 
-def _half_width(kernel, h: float) -> int:
-    """Grid cells beyond which the kernel is below 1e-17 of its peak."""
-    return int(np.ceil(kernel.support_radius(1e-17) / h))
-
-
 class Convolver:
-    """Convolution with one kernel on a uniform grid of step h.
-
-    The weights are h*a(kh) on [-K, K], rescaled to the exact kernel mass
-    so constants are reproduced without discretization error (a step whose
-    nodes all miss the support leaves none: a UsageError). A call takes a
-    vector already padded by K cells on the left (and at least K on the
-    right) and returns the 'valid' part of the convolution, cut to n rows;
+    """Convolution with a problem's kernels, a+ and, with nonlocal
+    competition, a-, on a uniform grid of step h: a row of weights h*a(kh)
+    on [-K, K] each, K the widest kernel's reach to 1e-17 of its peak,
+    rescaled to its exact mass so constants are reproduced without
+    discretization error (a step whose nodes all miss a support leaves
+    none: a UsageError). A call takes a vector already padded by K cells on
+    the left (and at least K on the right) and returns the 'valid' part of
+    its convolution with each kernel, cut to n rows, from one forward FFT;
     the padding is left to the caller because each caller's boundary panel
     is different physics. The FFT is circular, of length
     next_fast_len(len(ext)): the entries of the linear convolution past
@@ -173,29 +169,32 @@ class Convolver:
 
     An FFT convolution carries an absolute error near eps*max|ext|, which
     swamps rows far down a decaying tail. Where the caller knows the decay
-    rate lam of the tail, those rows are convolved in tilted coordinates:
-    ext is multiplied by e^{lam s} and the weights by e^{lam y}, so every
-    term of row i's sum carries the same factor e^{lam s_i}, taken out
-    again afterwards. The error floor then sits at the scale of the tilted
-    tail instead of at max|ext|. One cache keeps the spectra of the last
-    _SPECTRA (FFT length, tilt) pairs used, the plain weights being tilt 0:
-    a Newton phase alternates between a plain window length, its pad-free
-    product length and a tilted segment length.
+    rate lam of the tail, a+'s rows there are convolved in tilted
+    coordinates: ext is multiplied by e^{lam s} and the weights by e^{lam y},
+    so every term of row i's sum carries the same factor e^{lam s_i}, taken
+    out again afterwards. The error floor then sits at the scale of the
+    tilted tail instead of at max|ext|. One cache keeps the spectra of the
+    last _SPECTRA (FFT length, tilt) pairs used, the plain weights being
+    tilt 0: a Newton phase alternates between a plain window length, its
+    pad-free product length and a tilted segment length.
     """
 
-    def __init__(self, kernel, h: float, K: int):
-        w = h * np.asarray(kernel.pdf(np.arange(-K, K + 1) * h), dtype=float)
-        tot = w.sum()
-        if not tot > 0:
-            raise UsageError(f"grid step h={h!r} samples the {kernel.family} kernel (support "
-                             f"within {kernel.support_radius():.6g} of 0) to zero weights")
-        w *= kernel.mass / tot
-        self.w, self.K, self.h = w, K, h
-        self._specs = {}        # (FFT length, lh) -> spectrum of w e^{lh k}, oldest first
+    def __init__(self, kernels, h: float):
+        K = max(int(np.ceil(k.support_radius(1e-17) / h)) for k in kernels)
+        y = np.arange(-K, K + 1) * h
+        self.w = h * np.array([kernel.pdf(y) for kernel in kernels], dtype=float)
+        for w, kernel in zip(self.w, kernels):
+            tot = w.sum()
+            if not tot > 0:
+                raise UsageError(f"grid step h={h!r} samples the {kernel.family} kernel (support "
+                                 f"within {kernel.support_radius():.6g} of 0) to zero weights")
+            w *= kernel.mass / tot
+        self.K, self.h = K, h
+        self._specs = {}        # (FFT length, lh) -> spectra of w e^{lh k}, oldest first
 
     def _spectrum(self, nfft, lh=0.0):
-        """The weights tilted by e^{lh k}, k = -K..K, transformed at length
-        nfft; lh = 0 is the plain spectrum, w e^0 being w bit for bit."""
+        """The weight rows tilted by e^{lh k}, k = -K..K, transformed at
+        length nfft; lh = 0 is the plain spectrum, w e^0 being w bit for bit."""
         spec = self._specs.get((nfft, lh))
         if spec is None:
             if len(self._specs) == _SPECTRA:
@@ -206,47 +205,48 @@ class Convolver:
 
     def __call__(self, ext, n: int | None = None, i_deep: int | None = None,
                  rate: float | None = None):
-        """Rows from i_deep on, where ext decays like e^{-rate s}, come from
-        a tilted FFT over segments of at most _TILT_SPAN e-foldings each;
-        the rows before them from the plain FFT of the whole vector."""
-        L = len(self.w)
+        """a+'s rows from i_deep on, where ext decays like e^{-rate s}, come
+        from a tilted FFT over segments of at most _TILT_SPAN e-foldings
+        each; all other rows from the plain FFT of the whole vector."""
+        L = self.w.shape[1]
         nfft = next_fast_len(len(ext), True)
-        out = irfft(rfft(ext, nfft) * self._spectrum(nfft), nfft)[L - 1:len(ext)][:n]
-        if i_deep is not None and i_deep < len(out):
+        out = irfft(rfft(ext, nfft) * self._spectrum(nfft), nfft)[:, L - 1:len(ext)][:, :n]
+        n = out.shape[1]
+        if i_deep is not None and i_deep < n:
             lh = rate * self.h
-            rows = min(len(out) - i_deep, max(1, int(_TILT_SPAN / lh) - self.K))
+            rows = min(n - i_deep, max(1, int(_TILT_SPAN / lh) - self.K))
             nfft = next_fast_len(rows + L - 1, True)
-            spec = self._spectrum(nfft, lh)
-            for a in range(i_deep, len(out), rows):
-                b = min(a + rows, len(out))
-                seg = ext[a:b + L - 1]
-                v = seg * np.exp(lh * (np.arange(len(seg)) - self.K))
+            spec = self._spectrum(nfft, lh)[0]
+            for a in range(i_deep, n, rows):
+                b = min(a + rows, n)
+                v = ext[a:b + L - 1] * np.exp(lh * (np.arange(b - a + L - 1) - self.K))
                 full = irfft(rfft(v, nfft) * spec, nfft)
-                out[a:b] = np.exp(-lh * np.arange(b - a)) * full[L - 1:L - 1 + b - a]
+                out[0, a:b] = np.exp(-lh * np.arange(b - a)) * full[L - 1:L - 1 + b - a]
         return out
 
     def pad_responses(self, lshape, rshape):
-        """(r_L, r_R): what the pads lshape and rshape, K cells each, of
-        [lshape, u, rshape] add to the first K and the last K rows. Row i
-        reads lshape through the weights w[K+i+1:], and row n-K+i reads
+        """(r_L, r_R), a row per kernel: what the pads lshape and rshape, K
+        cells each, of [lshape, u, rshape] add to the first and last K rows.
+        Row i reads lshape through the weights w[K+i+1:], and row n-K+i reads
         rshape through w[:i+1], so each is a product of a pad with one half
         of the weights, from a circular FFT of length 2K - 1 or more."""
         K = self.K
         nfft = next_fast_len(2 * K - 1, True)
-        return (irfft(rfft(lshape, nfft) * rfft(self.w[K + 1:], nfft), nfft)[K - 1:2 * K - 1],
-                irfft(rfft(rshape, nfft) * rfft(self.w[:K], nfft), nfft)[:K])
+        r_l = irfft(rfft(lshape, nfft) * rfft(self.w[:, K + 1:], nfft), nfft)
+        r_r = irfft(rfft(rshape, nfft) * rfft(self.w[:, :K], nfft), nfft)
+        return r_l[:, K - 1:2 * K - 1], r_r[:, :K]
 
     def with_pads(self, u, responses):
-        """Rows of the convolution of [u[0] lshape, u, u[-1] rshape], given
-        responses = pad_responses(lshape, rshape): u padded with zeros,
-        plus the responses scaled by the end values on the edge rows."""
+        """Rows of the convolution of [u[0] lshape, u, u[-1] rshape], a row
+        per kernel, given responses = pad_responses(lshape, rshape): u padded
+        with zeros, plus the responses scaled by the end values on the edges."""
         n, K = len(u), self.K
         nfft = next_fast_len(n + K, True)
-        out = irfft(rfft(u, nfft) * self._spectrum(nfft), nfft)[K:K + n]
+        out = irfft(rfft(u, nfft) * self._spectrum(nfft), nfft)[:, K:K + n]
         rl, rr = responses
         m = min(K, n)
-        out[:m] += u[0] * rl[:m]
-        out[n - m:] += u[-1] * rr[K - m:]
+        out[:, :m] += u[0] * rl[:, :m]
+        out[:, n - m:] += u[-1] * rr[:, K - m:]
         return out
 
 
@@ -259,22 +259,18 @@ def _require_probability(pair):
                              "kernels; truncated kernels belong to the truncation lab")
 
 
-def _convolvers(pair, params, h):
-    """(a_plus, a_minus) convolutions on step h for the solver and the time
-    stepper alike, at one half-width K, the wider kernel's, so no weights
-    are cut; a_minus is built only with nonlocal competition."""
+def _convolver(pair, params, h):
+    """The problem's convolution on step h, for the solver and the time
+    stepper alike: a_plus, and a_minus only with nonlocal competition."""
     _require_probability(pair)
-    K = _half_width(pair.a_plus, h)
-    if params.kappa_nonlocal:
-        K = max(K, _half_width(pair.a_minus, h))
-        return Convolver(pair.a_plus, h, K), Convolver(pair.a_minus, h, K)
-    return Convolver(pair.a_plus, h, K), None
+    return Convolver((pair.a_plus, pair.a_minus) if params.kappa_nonlocal else (pair.a_plus,), h)
 
 
 class _Workspace:
     """Grid, weights, and the residual operator for one (pair, params, c),
     with the panels' shapes stated once per grid: lshape = e^{lambda_left ds}
-    on the K cells left of it, rshape the decay ansatz on the K + 1 right of it."""
+    on the K cells left of it, rshape the decay ansatz on the K + 1 right of it;
+    conv is the problem's Convolver, its rows a+ and, with competition, a-."""
 
     def __init__(self, pair, params, c, th, lam_c, j, lam_left, s, h):
         self.c, self.th, self.lam_c, self.j = c, th, lam_c, j
@@ -283,8 +279,8 @@ class _Workspace:
         self.kl, self.kn = params.kappa_local, params.kappa_nonlocal
         self.rho = rho_bar(params)
         self.s, self.h, self.N = s, h, len(s)
-        self.conv_plus, self.conv_minus = _convolvers(pair, params, h)
-        self.K = K = self.conv_plus.K
+        self.conv = _convolver(pair, params, h)
+        self.K = K = self.conv.K
         self.lshape = np.exp(-lam_left * h * np.arange(K, 0, -1))
         self.rshape = self.tailg(s[-1], K + 1)
 
@@ -319,11 +315,11 @@ class _Workspace:
         psi's bulk_end convolve in tilted coordinates."""
         K, hi = self.K, self.N if hi is None else hi
         n, p, ext = hi - lo, psi[lo:hi], self.build_ext(psi)[lo:hi + 2 * K]
-        convp = self.conv_plus(ext, n, max(self.bulk_end(psi) - lo, 0), self.lam_c)
+        conv = self.conv(ext, n, max(self.bulk_end(psi) - lo, 0), self.lam_c)
         dpsi = (ext[K + 1:K + n + 1] - ext[K - 1:K + n - 1]) / (2 * self.h)
-        r = self.c * dpsi + self.kp * convp - self.m * p - self.kl * p * p
+        r = self.c * dpsi + self.kp * conv[0] - self.m * p - self.kl * p * p
         if self.kn:
-            r -= self.kn * p * self.conv_minus(ext, n)
+            r -= self.kn * p * conv[1]
         return r
 
     def linearize(self, psi, lo=0, hi=None):
@@ -338,20 +334,20 @@ class _Workspace:
         n, p = hi - lo, psi[lo:hi]
         diag = -self.m - 2 * self.kl * p
         if self.kn:
-            diag = diag - self.kn * self.conv_minus(self.build_ext(psi)[lo:hi + 2 * K], n)
+            diag = diag - self.kn * self.conv(self.build_ext(psi)[lo:hi + 2 * K], n)[1]
         dl, dr = self.pad_shapes(psi)
         lcol = dl if lo == 0 else np.zeros(K)
         rcol = dr[:K] if hi == N else np.zeros(K)
-        resp_plus = self.conv_plus.pad_responses(lcol, rcol)
-        resp_minus = self.conv_minus.pad_responses(lcol, rcol) if self.kn else None
+        resp = self.conv.pad_responses(lcol, rcol)
 
         def jmv(u):
             # the centered difference reads one pad cell on each side
             g = np.concatenate(([u[0] * lcol[-1]], u, [u[-1] * rcol[0]]))
             du = (g[2:] - g[:-2]) / (2 * self.h)
-            out = self.c * du + self.kp * self.conv_plus.with_pads(u, resp_plus) + diag * u
+            conv = self.conv.with_pads(u, resp)
+            out = self.c * du + self.kp * conv[0] + diag * u
             if self.kn:
-                out -= self.kn * p * self.conv_minus.with_pads(u, resp_minus)
+                out -= self.kn * p * conv[1]
             return out
 
         return diag, jmv
@@ -368,7 +364,7 @@ class _Workspace:
         split evenly over the two off-diagonals, the a- one scaled row by
         row by p. An even kernel has no first moment."""
         K, kp, a = self.K, self.kp, self.c / (2 * self.h)
-        w = self.conv_plus.w
+        w = self.conv.w[0]
         off = np.arange(K, -K - 1, -1)      # w[j] weighs u[i + K - j]
         far = w.copy()
         far[K - 1:K + 2] = 0.0
@@ -378,9 +374,8 @@ class _Workspace:
         ab[1] = diag + kp * (far.sum() + w[K])
         ab[2] = -a + kp * w[K + 1] - tilt   # column i-1 holds row i's entry
         if self.kn:
-            wm = self.conv_minus.w
-            ab[1] -= self.kn * wm.sum() * p
-            tilt_m = 0.5 * self.kn * (off * wm).sum() * p
+            ab[1] -= self.kn * self.conv.w[1].sum() * p
+            tilt_m = 0.5 * self.kn * (off * self.conv.w[1]).sum() * p
             ab[0, 1:] -= tilt_m[:-1]
             ab[2, :-1] += tilt_m[1:]
         ab[0, 0] = ab[2, -1] = 0.0
@@ -397,7 +392,7 @@ class _Workspace:
         product, and keeps the kernel's whole reach where 2K + 1 > nfft."""
         K, lh, a = self.K, self.lam_c * self.h, self.c / (2 * self.h)
         k = np.arange(-K, K + 1)
-        col = np.bincount(k % nfft, self.kp * self.conv_plus.w * np.exp(lh * k), nfft)
+        col = np.bincount(k % nfft, self.kp * self.conv.w[0] * np.exp(lh * k), nfft)
         col[1] -= a * math.exp(lh)
         col[-1] += a * math.exp(-lh)
         return rfft(col, nfft)
@@ -464,9 +459,10 @@ def _sweep_phase(ws: _Workspace, psi):
     for _ in range(_SWEEPS):
         ext = ws.build_ext(psi)
         vals = ext[K:K + N + 1]
-        narr = (rho - ws.m) * vals + ws.kp * ws.conv_plus(ext) - ws.kl * vals * vals
+        conv = ws.conv(ext)
+        narr = (rho - ws.m) * vals + ws.kp * conv[0] - ws.kl * vals * vals
         if ws.kn:
-            narr -= ws.kn * vals * ws.conv_minus(ext)
+            narr -= ws.kn * vals * conv[1]
         x = b0 * narr[:-1] + b1 * narr[1:]
         x[-1] += alpha * vals[-1]
         psi = np.clip(dtbsv(1, ab, x, diag=1, overwrite_x=1), 0.0, th)
@@ -561,6 +557,15 @@ def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
     return full(v), float(np.abs(g).max())
 
 
+def _grid_points(cells, hint):
+    """cells + 1, refused above _MAX_GRID_POINTS; cells is inf if a span overflows."""
+    n = int(round(cells)) + 1 if math.isfinite(cells) else math.inf
+    if n > _MAX_GRID_POINTS:
+        raise UsageError(f"the grid needs {n} points, above the limit of "
+                         f"{_MAX_GRID_POINTS}; {hint}")
+    return n
+
+
 def _make_workspace(pair, params, c, spec):
     root = speed_to_abscissa(pair, params, c)
     lam_c, j = root.lambda_c, root.multiplicity
@@ -568,12 +573,7 @@ def _make_workspace(pair, params, c, spec):
     h = spec.h if spec.h is not None else min(0.01, 1.0 / (20.0 * lam_c))
     Ll = spec.l_left if spec.l_left is not None else _LEFT_EFOLD / lam_left
     Lr = spec.l_right if spec.l_right is not None else _RIGHT_EFOLD / lam_c
-    cells = (Ll + Lr) / h   # inf where a default span overflows, past c of about 1e307
-    n = int(round(cells)) + 1 if math.isfinite(cells) else math.inf
-    if n > _MAX_GRID_POINTS:
-        raise UsageError(f"the grid needs {n} points, above the limit of {_MAX_GRID_POINTS}; "
-                         f"give a larger h or shorter spans")
-    s = -Ll + h * np.arange(n)
+    s = -Ll + h * np.arange(_grid_points((Ll + Lr) / h, "give a larger h or shorter spans"))
     ws = _Workspace(pair, params, c, theta(params), lam_c, j, lam_left, s, h)
     if ws.K < 2:    # the bulk band and the tail border need more rows than that
         raise UsageError(f"grid step h={h!r} spans the kernels in fewer than two cells each side")
@@ -626,7 +626,7 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
         raise UsageError(f"the warm start does not cross theta/2 on {short('right')}")
     psi = ws.recenter(psi)
 
-    rr = math.inf
+    rr, kept = math.inf, 0
     for rounds in range(1, _NEWTON_ROUNDS + 1):
         # each phase cuts at the current psi: the tail's cut follows the bulk step
         nxt, _ = _newton(ws, psi, 0, ws.bulk_end(psi), 1e-9, 25, 4)
@@ -636,7 +636,7 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
         rn = float(np.abs(ws.residual_vec(nxt)).max())
         if not rn < rr:     # a round that does not help is dropped and ends the loop
             break
-        psi, rr = nxt, rn
+        psi, rr, kept = nxt, rn, rounds
         # no tail rows: a right span that ends in the bulk is refused by name
         if rr < _TAIL_TOL or lo == ws.N:
             break
@@ -646,7 +646,7 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
         raise NonConvergence(
             "iteration-stalled",
             f"residual {res:.3e} above tolerance {tol:.1e} after correction round "
-            f"{rounds}" + (f"; {short('right')} to reach the tail" if lo == ws.N else ""),
+            f"{kept}" + (f"; {short('right')} to reach the tail" if lo == ws.N else ""),
             {"residual": res, "pre_graft_residual": rr,
              "grid_points": ws.N, "h": ws.h})
     if not psi[-1] < 0.5 * th < psi[0]:
@@ -716,7 +716,7 @@ def _tail_prefactor(profile: WaveProfile, pair: KernelPair, params: Params) -> f
     f = kl * psi * psi
     if kn:      # a- * psi on the padded vector the residual reads
         ws, _ = _profile_workspace(profile, pair, params)
-        f = f + kn * psi * ws.conv_minus(ws.build_ext(psi), ws.N)
+        f = f + kn * psi * ws.conv(ws.build_ext(psi), ws.N)[1]
     integrand = f * np.exp(lam * g)
     val = float(np.trapezoid(integrand, g))
     # the grid misses (-inf, s_0]; there f -> (kl+kn) theta^2, so close it

@@ -681,6 +681,49 @@ def test_evolve_refuses_a_profile_csv_whose_s_does_not_increase(kernel_file, cap
     assert str(down) in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("bad", ["-10.2,0.99x", "4.8;0.1", "s,psi", "1.0,0.5,0.2"])
+def test_evolve_refuses_a_bad_profile_csv_row_by_line(kernel_file, capsys, tmp_path, bad):
+    # only the first row that is not a comment may be a header; a later row
+    # that is not two numbers is refused, not skipped, and the path is an input
+    s = np.linspace(-5.0, 5.0, 21)
+    rows = [f"{x},{1.0 / (1.0 + np.exp(x))}" for x in s.tolist()]
+    rows.insert(12, bad)
+    csv = tmp_path / "bad.csv"
+    csv.write_text("# manifest: profile.json\ns,psi\n" + "\n".join(rows) + "\n")
+    code, doc = run_cli(capsys, "evolve", "--kernel", kernel_file, "--domain", "-10,10",
+                        "--grid-h", "0.05", "--dt", "0.01", "--horizon", "0.5",
+                        "--u0", f"profile-csv:{csv}")
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert f"{csv}, line 15: {bad!r}" in doc["error"]["message"]
+    assert doc["manifest"]["inputs"] == [kernel_file, str(csv)]
+
+
+def test_evolve_records_the_profile_csv_among_its_inputs(kernel_file, capsys, tmp_path):
+    s = np.linspace(-5.0, 5.0, 21)
+    csv = tmp_path / "ok.csv"
+    csv.write_text("\n".join(f"{x},{1.0 / (1.0 + np.exp(x))}" for x in s.tolist()) + "\n")
+    argv = ["evolve", "--kernel", kernel_file, "--domain", "-10,10", "--grid-h", "0.05",
+            "--dt", "0.01", "--horizon", "0.5"]
+    code, doc = run_cli(capsys, *argv, "--u0", f"profile-csv:{csv}")
+    assert code == 0
+    assert doc["manifest"]["inputs"] == [kernel_file, str(csv)]
+    missing = str(tmp_path / "missing.csv")
+    code, doc = run_cli(capsys, *argv, "--u0", f"profile-csv:{missing}")
+    assert code == 1
+    assert doc["manifest"]["inputs"] == [kernel_file, missing]
+
+
+@pytest.mark.parametrize("domain", ["-1e300,1e300", "-1e308,1e308"])
+def test_evolve_refuses_an_oversized_grid_by_name(kernel_file, capsys, domain):
+    # 1e302 cells at h = 0.02; the second span overflows to inf
+    code, doc = run_cli(capsys, "evolve", "--kernel", kernel_file, f"--domain={domain}",
+                        "--dt", "0.01", "--horizon", "0.5")
+    assert code == 1
+    assert doc["error"]["type"] == "UsageError"
+    assert "above the limit of 2000000" in doc["error"]["message"]
+
+
 def test_evolve_exp_datum_snapshots_csv(kernel_file, capsys, tmp_path):
     out = str(tmp_path / "ev")
     code, doc = run_cli(capsys, "evolve", "--kernel", kernel_file, "--u0", "exp:0.5",

@@ -230,7 +230,7 @@ def test_front_leaving_domain_detected():
 def test_step_after_widening_matches_padded_convolution(pair, params):
     # one step from the widened state, redone with the panels convolved as
     # part of the padded vector: the responses must serve the longer grid
-    from nlkpp.profile import Convolver, _half_width
+    from nlkpp.profile import Convolver
     dt, th = 0.01, theta(params)
     run = _run(step_data(0.0, th), dt=dt, horizon=6.0, domain=(-8.0, 8.0),
                snapshot_dt=dt, pair=pair, params=params)
@@ -238,16 +238,23 @@ def test_step_after_widening_matches_padded_convolution(pair, params):
     k = int(np.argmax(lens[1:] > lens[:-1]))
     assert lens[k + 1] > lens[k]
     u = np.concatenate([run.snapshots[k], np.zeros(lens[k + 1] - lens[k])])
-    conv_plus = Convolver(pair.a_plus, run.h, _half_width(pair.a_plus, run.h))
-    K = conv_plus.K
+    conv = Convolver((pair.a_plus, pair.a_minus), run.h)
+    K = conv.K
     ext = np.concatenate([np.full(K, u[0]), u, np.full(K, u[-1])])
     kp, m, kl, kn = params.kappa_plus, params.m, params.kappa_local, params.kappa_nonlocal
-    du = kp * conv_plus(ext) - m * u - kl * u * u
-    if kn:
-        du -= kn * u * Convolver(pair.a_minus, run.h, K)(ext)
+    cu = conv(ext)
+    du = kp * cu[0] - m * u - kl * u * u - kn * u * cu[1]
     nxt = np.maximum(u + dt * du, 0.0)
     nxt[nxt < 3e-15 * th] = 0.0
     assert np.abs(run.snapshots[k + 1] - nxt).max() <= 1e-15 * th
+
+
+def test_widening_past_the_grid_limit_refused_by_name(monkeypatch):
+    # 321 points fit under a limit of 400; the first widening asks for 481
+    monkeypatch.setattr("nlkpp.profile._MAX_GRID_POINTS", 400)
+    with pytest.raises(UsageError, match=r"needs 481 points, above the limit of 400; "
+                                         r"widening it at t = "):
+        _run(step_data(0.0, theta(LK1)), dt=0.01, horizon=10.0, domain=(-8.0, 8.0))
 
 
 def test_domain_widening_follows_front():

@@ -279,6 +279,11 @@ def test_weak_growth_laplace_keeps_its_best_round(monkeypatch):
     assert len(prof.grid) == 45_859
     assert prof.residual_sup <= 1e-6
     assert len(calls) == 6, calls
+    # below round 2's residual the solve is refused, naming the round whose
+    # iterate it returns, not the dropped third
+    with pytest.raises(NonConvergence, match="after correction round 2$") as err:
+        solve_profile(pair, params, rep.c_star, tol=1e-7, report=rep)
+    assert err.value.diagnostics["residual"] == prof.residual_sup
 
 
 @pytest.mark.parametrize("pair,params,factor,c", [

@@ -13,7 +13,7 @@ from nlkpp.errors import (AssumptionFailure, NonConvergence, NoWave,
 from nlkpp.kernels import (ExpPoly, Gaussian, KernelPair, Laplace, Params,
                            Truncated, Uniform, theta)
 from nlkpp.profile import (_LEFT_EFOLD, _RIGHT_EFOLD, _TAIL_TOL, Convolver, GridSpec,
-                           WaveProfile, _band_solver, _half_width, _make_workspace, _newton,
+                           WaveProfile, _band_solver, _make_workspace, _newton,
                            _sweep_phase, compare_up_to_shift, normalize_shift, residual,
                            solve_profile, tail_asymptotics)
 
@@ -56,21 +56,21 @@ def _strictly_decreasing(prof, floor=1e-12):
 
 def test_convolver_matches_fftconvolve_and_direct_rows():
     from scipy.signal import fftconvolve
-    conv = Convolver(Laplace(1.0), 0.05, _half_width(Laplace(1.0), 0.05))
-    w = conv.w
+    conv = Convolver((Laplace(1.0),), 0.05)
+    w = conv.w[0]
     assert abs(w.sum() - 1.0) < 1e-14
     for n in (3000, 5000, 3000):   # the spectrum is recomputed per FFT length
         ext = np.exp(-0.02 * np.arange(n + 2 * conv.K))
         # the circular FFT stays within fftconvolve's own roundoff bound
         exact = _long_double_rows(ext, w, 0, n)
         bound = 4 * np.finfo(float).eps * np.abs(ext).max()
-        assert np.abs(conv(ext, n) - exact).max() <= bound
+        assert np.abs(conv(ext, n)[0] - exact).max() <= bound
         assert np.abs(fftconvolve(ext, w, mode="valid")[:n] - exact).max() <= bound
         i_deep = n // 2
         direct = np.convolve(ext, w, "valid")[:n]
-        out = conv(ext, n, i_deep=i_deep, rate=0.02 / 0.05)
+        out = conv(ext, n, i_deep=i_deep, rate=0.02 / 0.05)[0]
         assert np.allclose(out[i_deep:], direct[i_deep:], rtol=1e-12, atol=0.0)
-        assert np.array_equal(out[:i_deep], conv(ext, n)[:i_deep])
+        assert np.array_equal(out[:i_deep], conv(ext, n)[0, :i_deep])
 
 
 def test_fft_lengths_fit_the_rows_read(monkeypatch):
@@ -101,6 +101,33 @@ def test_fft_lengths_fit_the_rows_read(monkeypatch):
         assert set(lengths) == {next_fast_len(hi - lo + ws.K, True)}
 
 
+def test_competition_transforms_each_vector_once(monkeypatch):
+    # a+ and a- share one forward FFT of the vector they convolve: the
+    # residual's padded vector, N + 2K cells, and a Jacobian product's
+    # direction, N cells, are each transformed once; counting by input
+    # length leaves out the weight spectra (2K + 1 cells) and the tilted
+    # tail segments (shorter than N)
+    import nlkpp.profile
+    ws = _make_workspace(KN_PAIR, KN_PARAMS, 4.0, GridSpec(l_left=30.0, l_right=60.0, h=0.05))
+    K, N = ws.K, ws.N
+    assert ws.conv.w.shape == (2, 2 * K + 1)
+    psi = ws.th / (1.0 + np.exp(ws.s))
+    assert 0 < ws.bulk_end(psi) < N
+    lengths, rfft = [], nlkpp.profile.rfft
+
+    def recording_rfft(x, n=None, *args, **kwargs):
+        lengths.append(np.shape(x)[-1])
+        return rfft(x, n, *args, **kwargs)
+
+    monkeypatch.setattr(nlkpp.profile, "rfft", recording_rfft)
+    ws.residual_vec(psi)
+    assert lengths.count(N + 2 * K) == 1
+    responses = ws.conv.pad_responses(ws.lshape, ws.rshape[:K])
+    lengths.clear()
+    assert ws.conv.with_pads(psi, responses).shape == (2, N)
+    assert lengths.count(N) == 1
+
+
 @pytest.mark.parametrize("n_over_k", [0.3, 1.0, 1.02, 6.0],
                          ids=["n<K", "n=K", "n~K", "n>>K"])
 @pytest.mark.parametrize("shapes", ["constant", "linearization"])
@@ -117,9 +144,9 @@ def test_pad_responses_match_long_double_sum(shapes, n_over_k):
     n = int(n_over_k * K)
     u = th * np.random.default_rng(7).uniform(0.2, 1.0, n)
     ext = np.concatenate([u[0] * lshape, u, u[-1] * rshape])
-    conv = ws.conv_plus
-    out = conv.with_pads(u, conv.pad_responses(lshape, rshape))
-    exact = _long_double_rows(ext, conv.w, 0, n)
+    conv = ws.conv
+    out = conv.with_pads(u, conv.pad_responses(lshape, rshape))[0]
+    exact = _long_double_rows(ext, conv.w[0], 0, n)
     assert np.abs(out - exact).max() <= 4 * np.finfo(float).eps * np.abs(ext).max()
 
 
@@ -142,8 +169,8 @@ def test_deep_rows_match_long_double_sum(rep, factor):
     ws = _make_workspace(PAIR, LK1, c, GridSpec())
     ext = ws.build_ext(prof.values)
     i_cut = ws.bulk_end(prof.values)
-    out = ws.conv_plus(ext, ws.N, i_cut, ws.lam_c)[i_cut:]
-    exact = _long_double_rows(ext, ws.conv_plus.w, i_cut, ws.N)
+    out = ws.conv(ext, ws.N, i_cut, ws.lam_c)[0, i_cut:]
+    exact = _long_double_rows(ext, ws.conv.w[0], i_cut, ws.N)
     assert np.abs((out - exact) / exact).max() <= DEEP_RTOL
 
 
@@ -151,11 +178,11 @@ def test_deep_rows_match_long_double_sum(rep, factor):
 def test_deep_rows_on_skewed_kernels(lo, hi):
     # pins the direction of the tilt: weights tilted the wrong way miss
     # by 45% and 82% on these kernels
-    conv = Convolver(Uniform(lo, hi), 0.05, _half_width(Uniform(lo, hi), 0.05))
+    conv = Convolver((Uniform(lo, hi),), 0.05)
     n = 4000
     ext = np.exp(-0.02 * np.arange(n + 2 * conv.K))
-    out = conv(ext, n, i_deep=n // 2, rate=0.02 / 0.05)[n // 2:]
-    exact = _long_double_rows(ext, conv.w, n // 2, n)
+    out = conv(ext, n, i_deep=n // 2, rate=0.02 / 0.05)[0, n // 2:]
+    exact = _long_double_rows(ext, conv.w[0], n // 2, n)
     assert np.abs((out - exact) / exact).max() <= DEEP_RTOL
 
 
@@ -294,10 +321,10 @@ def _long_double_sweep(ws, psi, left, right):
     rshape = ws.tailg(ws.s[-1], K + 1) if right == "decaying" else np.ones(K + 1)
     ext = np.concatenate([lpanel, psi, psi[-1] * rshape])
     vals = ext[K:K + N + 1]
-    narr = (rho - ws.m) * vals + ws.kp * _long_double_rows(ext, ws.conv_plus.w, 0, N + 1) \
+    narr = (rho - ws.m) * vals + ws.kp * _long_double_rows(ext, ws.conv.w[0], 0, N + 1) \
         - ws.kl * vals * vals
     if ws.kn:
-        narr -= ws.kn * vals * _long_double_rows(ext, ws.conv_minus.w, 0, N + 1)
+        narr -= ws.kn * vals * _long_double_rows(ext, ws.conv.w[1], 0, N + 1)
     x = (I0 - I1) / c * narr[:-1] + I1 / c * narr[1:]
     x[-1] += alpha * vals[-1]
     ab = np.zeros((2, N))

@@ -8,8 +8,11 @@ is solved on a uniform grid: a warm start of 40 monotone integrating-factor
 sweeps from the supersolution min{theta, theta e^{-lambda_c (s-s0)}} (longer
 runs drift along the shift family at high speed), each one convolution of the
 padded vector the residual reads and one BLAS bidiagonal back substitution,
-one recentering, then up to five rounds, while they lower the residual, of one
-Newton-Krylov routine on two row windows, the other rows frozen: the bulk
+the first 36 on every 4th node of the grid (every 2nd, or every node, where
+a coarser step would leave the kernels under two cells each side or miss a
+support), interpolated linearly onto it for the last 4, then one recentering,
+then up to five rounds, while they lower the residual, of one Newton-Krylov
+routine on two row windows, the other rows frozen: the bulk
 (psi >= 1e-3 theta), preconditioned by a LAPACK-factored tridiagonal band that
 agrees with the Jacobian on constants and linear functions (the kernels' mass
 on its diagonal, their first moments off it), then the tail in tilted
@@ -56,6 +59,8 @@ _SPECTRA = 3            # weight spectra a Convolver keeps, one per (FFT length,
 _RIGHT_GRAFT = 3e-13
 _LEFT_GRAFT = 1e-6      # theta - V e^{lambda_left s} drops O(V^2/theta), ~1e-12 theta here
 _SWEEPS = 40            # warm start; much past 80 the iterate drifts at high speed
+_FINE_SWEEPS = 4        # the warm start's last sweeps, on the solve grid
+_COARSEN = 4            # the other sweeps run on every _COARSEN-th node
 _NEWTON_ROUNDS = 5
 _TAIL_TOL = 2e-7        # tail Newton's scaled residual, and a round's stopping residual
 _FIT_FLOOR = 1e-12      # tail fit: psi above this, clear of the float64 roundoff
@@ -64,7 +69,9 @@ _FIT_FLOOR = 1e-12      # tail fit: psi above this, clear of the float64 roundof
 # so each rounding moves the result by less than one ulp of h, and the grid
 # relabeling by half an ulp more. A half-theta shift below this many ulps
 # of h is roundoff of crossing() itself, not a displacement of the profile.
-# Unit-D reads a D this many ulps from 1 as 1 by the same rule.
+# Unit-D makes no shift log(D)/lambda_c of at most this many ulps of the
+# grid's largest |s|, below the rounding of its coordinates: D read back
+# after one shift carries the FFT roundoff of the tail times e^{lambda_c s}.
 _ROUNDOFF_ULPS = 8
 # Grid points a solve may allocate: 16 MB per array, 31 times the largest
 # grid the test suite builds (63,580 points, Uniform(-0.5, 2) at 3 c*)
@@ -438,15 +445,15 @@ class _Workspace:
         return out
 
 
-def _sweep_phase(ws: _Workspace, psi):
-    """Warm start: a fixed number of monotone integrating-factor sweeps,
-    each applying (rho - c d/ds)^{-1} to N[psi] = (rho - m) psi + kp conv+
-    - kl psi^2 - kn psi conv-, integrating from +inf where the resolvent
-    decays. Iterates stay pointwise ordered. A sweep convolves build_ext(psi),
-    the vector the residual reads, through the plain FFT, on the grid rows
-    and the right panel's first cell; across the grid rows it is the
-    recursion y[i] = x[i] + alpha y[i+1] closed by y[N] = that cell, a unit
-    upper-bidiagonal back substitution (BLAS dtbsv)."""
+def _sweep_phase(ws: _Workspace, psi, sweeps: int | None = None):
+    """sweeps (None: _SWEEPS) monotone integrating-factor sweeps on ws's
+    grid, each applying (rho - c d/ds)^{-1} to N[psi] = (rho - m) psi + kp
+    conv+ - kl psi^2 - kn psi conv-, integrating from +inf where the
+    resolvent decays. Iterates stay pointwise ordered. A sweep convolves
+    build_ext(psi), the vector the residual reads, through the plain FFT, on
+    the grid rows and the right panel's first cell; across the grid rows it
+    is the recursion y[i] = x[i] + alpha y[i+1] closed by y[N] = that cell,
+    a unit upper-bidiagonal back substitution (BLAS dtbsv)."""
     c, rho, h = ws.c, ws.rho, ws.h
     N, K, th = ws.N, ws.K, ws.th
     alpha = math.exp(-rho * h / c)
@@ -456,7 +463,7 @@ def _sweep_phase(ws: _Workspace, psi):
     b0, b1 = (I0 - I1) / c, I1 / c
     ab = np.zeros((2, N), order="F")    # dtbsv's band layout; the unit diagonal is not read
     ab[0, 1:] = -alpha
-    for _ in range(_SWEEPS):
+    for _ in range(_SWEEPS if sweeps is None else sweeps):
         ext = ws.build_ext(psi)
         vals = ext[K:K + N + 1]
         conv = ws.conv(ext)
@@ -467,6 +474,26 @@ def _sweep_phase(ws: _Workspace, psi):
         x[-1] += alpha * vals[-1]
         psi = np.clip(dtbsv(1, ab, x, diag=1, overwrite_x=1), 0.0, th)
     return psi
+
+
+def _warm_start(pair, params, ws: _Workspace, psi):
+    """_SWEEPS sweeps from psi, all but the last _FINE_SWEEPS of them on the
+    coarse grid ws.s[::F], step F h, whose result is interpolated linearly
+    onto ws's grid. F is the largest of _COARSEN and 2 at which the coarse
+    grid keeps two points and the kernels two cells each side with nonzero
+    weights, else 1: the coarse workspace is then ws, and the warm start all
+    _SWEEPS sweeps on ws's grid, bit for bit."""
+    F, wc = 1, ws
+    for f in (_COARSEN, 2):
+        if min(ws.N, ws.K) > f:     # ceil(N/f) >= 2 points, ceil(R/fh) >= 2 cells
+            try:
+                F, wc = f, _Workspace(pair, params, ws.c, ws.th, ws.lam_c, ws.j,
+                                      ws.lam_left, ws.s[::f], f * ws.h)
+                break
+            except UsageError:      # step f h misses a narrow support
+                pass
+    psi = np.interp(ws.s, wc.s, _sweep_phase(wc, psi[::F], _SWEEPS - _FINE_SWEEPS))
+    return _sweep_phase(ws, psi, _FINE_SWEEPS)
 
 
 def _band_solver(ab):
@@ -619,7 +646,7 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
         return f"the grid [{a:.6g}, {b:.6g}]: l_{side} is too short"
 
     psi = th * np.exp(-ws.lam_c * np.maximum(ws.s - anchor, 0.0))
-    psi = _sweep_phase(ws, psi)
+    psi = _warm_start(pair, params, ws, psi)
     # the origin is at a cell below N, so only a shift to the right can keep
     # no row of the warm start: psi stays above theta/2 on the whole grid
     if ws.cell_shift(psi) >= ws.N:
@@ -741,8 +768,8 @@ def normalize_shift(profile: WaveProfile, mode: str,
 
     Unit-D reads D from the transform identity, so it needs the kernel
     pair and the parameters; an increasing profile goes through its
-    reflection. A D within the roundoff of 1 is not shifted, so a second
-    unit-D shift is a no-op.
+    reflection. A shift within _ROUNDOFF_ULPS ulps of the grid's largest |s|
+    is not made, so a second unit-D shift is a no-op.
     """
     if mode == "half-theta-at-origin":
         out = profile.shifted(0.0)
@@ -757,9 +784,10 @@ def normalize_shift(profile: WaveProfile, mode: str,
             raise UsageError("unit-D normalization needs the kernel pair and parameters")
         if profile.orientation == "increasing":
             return normalize_shift(profile.reflect(), mode, pair.reflected(), params).reflect()
-        D = _tail_prefactor(profile, pair, params)
-        q = 0.0 if abs(D - 1.0) <= _ROUNDOFF_ULPS * np.finfo(float).eps else math.log(D)
-        return replace(profile.shifted(q / profile.lambda_c), shift_mode=mode)
+        q = math.log(_tail_prefactor(profile, pair, params)) / profile.lambda_c
+        if abs(q) <= _ROUNDOFF_ULPS * np.spacing(np.abs(profile.grid).max()):
+            q = 0.0
+        return replace(profile.shifted(q), shift_mode=mode)
     raise UsageError(f"unknown shift mode {mode!r}")
 
 

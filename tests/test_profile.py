@@ -13,9 +13,10 @@ from nlkpp.errors import (AssumptionFailure, NonConvergence, NoWave,
 from nlkpp.kernels import (ExpPoly, Gaussian, KernelPair, Laplace, Params,
                            Truncated, Uniform, theta)
 from nlkpp.profile import (_LEFT_EFOLD, _RIGHT_EFOLD, _TAIL_TOL, Convolver, GridSpec,
-                           WaveProfile, _band_solver, _make_workspace, _newton,
-                           _sweep_phase, compare_up_to_shift, normalize_shift, residual,
-                           solve_profile, tail_asymptotics)
+                           WaveProfile, _band_solver, _convolver, _make_workspace, _newton,
+                           _sweep_phase, _tail_prefactor, _warm_start, _Workspace,
+                           compare_up_to_shift, normalize_shift, residual, solve_profile,
+                           tail_asymptotics)
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
 PAIR = KernelPair(Laplace(1.0), Laplace(1.0))
@@ -384,6 +385,58 @@ def test_sweep_keeps_the_stationary_states(monkeypatch, pair, params, state):
     assert np.array_equal(_sweep_phase(ws, psi), psi)
 
 
+def _warm_start_lengths(monkeypatch, pair, params, ws):
+    """Counter of the vector lengths the warm start from the supersolution
+    transforms; the weight spectra, 2-D, are left out."""
+    import collections
+
+    import nlkpp.profile
+    from scipy.fft import next_fast_len
+    lengths, rfft = collections.Counter(), nlkpp.profile.rfft
+
+    def recording_rfft(x, n=None, *args, **kwargs):
+        if np.ndim(x) == 1:
+            assert n == next_fast_len(len(x), True)
+            lengths[len(x)] += 1
+        return rfft(x, n, *args, **kwargs)
+
+    monkeypatch.setattr(nlkpp.profile, "rfft", recording_rfft)
+    _warm_start(pair, params, ws, ws.th * np.exp(-ws.lam_c * np.maximum(ws.s, 0.0)))
+    return lengths
+
+
+def test_warm_start_sweeps_every_fourth_node_first(monkeypatch):
+    # at c = 4, 36 sweeps on every 4th node, each one transform of the
+    # coarse grid's N_c + 2K_c + 1 cells, then 4 on the solve grid
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec())
+    n_c, k_c = len(ws.s[::4]), _convolver(PAIR, LK1, 4 * ws.h).K
+    assert k_c < ws.K and n_c < ws.N
+    lengths = _warm_start_lengths(monkeypatch, PAIR, LK1, ws)
+    assert lengths == {n_c + 2 * k_c + 1: 36, ws.N + 2 * ws.K + 1: 4}
+
+
+def test_warm_start_coarsens_less_where_the_step_misses_a_support(monkeypatch):
+    # the nodes of step 0.04 miss [0.05, 0.07], so the coarse sweeps run on
+    # every 2nd node, whose step 0.02 hits 0.06
+    narrow = KernelPair(Uniform(0.05, 0.07), Uniform(0.05, 0.07))
+    c = 1.5 * minimal_speed(narrow, LK1).c_star
+    ws = _make_workspace(narrow, LK1, c, GridSpec(h=0.01))
+    with pytest.raises(UsageError, match="zero weights"):
+        _convolver(narrow, LK1, 0.04)
+    n_c, k_c = len(ws.s[::2]), _convolver(narrow, LK1, 0.02).K
+    lengths = _warm_start_lengths(monkeypatch, narrow, LK1, ws)
+    assert lengths == {n_c + 2 * k_c + 1: 36, ws.N + 2 * ws.K + 1: 4}
+
+
+def test_warm_start_without_a_coarse_grid_is_the_fine_sweeps():
+    # at h = 20 the kernels span two cells each side, so no coarser step
+    # keeps two: the warm start is _SWEEPS sweeps on the solve grid, bit for bit
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec(h=20.0))
+    assert ws.K == 2
+    psi = ws.th * np.exp(-ws.lam_c * np.maximum(ws.s, 0.0))
+    assert np.array_equal(_warm_start(PAIR, LK1, ws, psi), _sweep_phase(ws, psi))
+
+
 # ---------------------------------------------------------------------------
 # the Newton linearization
 
@@ -484,6 +537,27 @@ def test_newton_freezes_rows_outside_its_window(phase):
     assert np.array_equal(out[frozen], start[frozen])
     assert not np.array_equal(out, start)
     assert res < tol
+
+
+def test_coarse_warm_start_keeps_the_krylov_products(monkeypatch):
+    # Newton from the coarse-grid warm start at c = 4 makes about as many
+    # Jacobian products as from 40 sweeps on the solve grid: 31 bulk and
+    # 46 tail ones there, within 10% of their sum here
+    counts = {"bulk": 0, "tail": 0}
+    linearize = _Workspace.linearize
+
+    def counting(self, psi, lo=0, hi=None):
+        diag, jmv = linearize(self, psi, lo=lo, hi=hi)
+
+        def counted(u):
+            counts["bulk" if lo == 0 else "tail"] += 1
+            return jmv(u)
+        return diag, counted
+
+    monkeypatch.setattr(_Workspace, "linearize", counting)
+    solve_profile(PAIR, LK1, 4.0)
+    assert counts["bulk"] > 0 and counts["tail"] > 0
+    assert counts["bulk"] + counts["tail"] <= 1.1 * (31 + 46)
 
 
 def test_singular_band_raises():
@@ -682,6 +756,21 @@ def test_second_unit_d_shift_is_a_no_op(name, factor):
         once = normalize_shift(scaled, "unit-D", pair=pair, params=params)
         twice = normalize_shift(once, "unit-D", pair=pair, params=params)
         assert np.array_equal(twice.grid, once.grid), j
+
+
+@pytest.mark.parametrize("ulps", [10, 20])
+def test_unit_d_makes_no_shift_below_the_grid_rounding(prof_4, ulps):
+    # scaling the unit-D profile by 1 + ulps eps moves D by about twice as
+    # many ulps from 1, as the FFT roundoff of the tail can: log(D)/lambda_c
+    # would still move the grid's bits, but lies below 8 ulps of its largest |s|
+    eps = np.finfo(float).eps
+    once = normalize_shift(prof_4, "unit-D", pair=PAIR, params=LK1)
+    scaled = replace(once, values=(1.0 + ulps * eps) * once.values)
+    q = np.log(_tail_prefactor(scaled, PAIR, LK1)) / once.lambda_c
+    assert abs(q) * once.lambda_c > 8 * eps
+    assert not np.array_equal(once.shifted(q).grid, once.grid)
+    again = normalize_shift(scaled, "unit-D", pair=PAIR, params=LK1)
+    assert np.array_equal(again.grid, once.grid)
 
 
 def _lapack_tail_fit(prof, window):

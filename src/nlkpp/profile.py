@@ -12,7 +12,9 @@ the first 36 on every 4th node of the grid (every 2nd, or every node, where
 a coarser step would leave the kernels under two cells each side or miss a
 support), interpolated linearly onto it for the last 4, then one recentering,
 then up to five rounds, while they lower the residual, of one Newton-Krylov
-routine on two row windows, the other rows frozen: the bulk
+routine on the rows above the right graft (psi >= 3e-13 theta after the
+recentering; the decay ansatz replaces the rows below, and is the rounds'
+right panel), in two row windows, the other rows frozen: the bulk
 (psi >= 1e-3 theta), preconditioned by a LAPACK-factored tridiagonal band that
 agrees with the Jacobian on constants and linear functions (the kernels' mass
 on its diagonal, their first moments off it), then the tail in tilted
@@ -22,7 +24,8 @@ circulant of the tilted Jacobian's stencil, applied by FFT. Boundary panels
 always come from the analytic expansions: theta minus one exponential on the
 left, at the rate lambda_left that the dispersion layer solves from the
 linearization at theta, the D s^{j-1} e^{-lambda_c s} ansatz on the right;
-the converged profile is grafted onto them once.
+the converged profile is grafted onto them once, the rows past the rounds'
+filled with the ansatz, and the residual certified on the whole grid.
 
 Orientation: speeds are positive for fronts invading to the right. A
 negative speed is read as the mirrored problem (solve the reflected pair
@@ -33,6 +36,7 @@ only executable reading.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -48,7 +52,10 @@ from .errors import AssumptionFailure, NonConvergence, UsageError, require_finit
 from .kernels import KernelPair, Params, rho_bar, theta
 from .laplace import _fit, _fit_line
 
-_RIGHT_EFOLD = 34.0     # e-foldings of right tail; ~40 hits the float64 floor
+# e-foldings of the default right span; ~40 hits the float64 floor. The
+# Newton rounds stop where psi falls below _RIGHT_GRAFT theta, about 29
+# e-foldings out, and the grid's last rows are the graft's ansatz
+_RIGHT_EFOLD = 34.0
 _LEFT_EFOLD = 26.0
 _BULK_FLOOR = 1e-3      # psi/theta below this is the tail: the Newton split,
                         # the tilted convolution rows and the tail fit's top
@@ -56,6 +63,8 @@ _BULK_FLOOR = 1e-3      # psi/theta below this is the tail: the Newton split,
 # range, so neither the tilt nor its inverse overflows or goes subnormal.
 _TILT_SPAN = 0.5 * math.log(np.finfo(float).max)
 _SPECTRA = 3            # weight spectra a Convolver keeps, one per (FFT length, tilt)
+# psi/theta below this is the decay ansatz's: the graft writes those rows, and
+# the Newton rounds solve only the rows above the first of them
 _RIGHT_GRAFT = 3e-13
 _LEFT_GRAFT = 1e-6      # theta - V e^{lambda_left s} drops O(V^2/theta), ~1e-12 theta here
 _SWEEPS = 40            # warm start; much past 80 the iterate drifts at high speed
@@ -216,8 +225,7 @@ class Convolver:
         from a tilted FFT over segments of at most _TILT_SPAN e-foldings
         each; all other rows from the plain FFT of the whole vector."""
         L = self.w.shape[1]
-        nfft = next_fast_len(len(ext), True)
-        out = irfft(rfft(ext, nfft) * self._spectrum(nfft), nfft)[:, L - 1:len(ext)][:, :n]
+        out = self.plain(ext, n)
         n = out.shape[1]
         if i_deep is not None and i_deep < n:
             lh = rate * self.h
@@ -230,6 +238,15 @@ class Convolver:
                 full = irfft(rfft(v, nfft) * spec, nfft)
                 out[0, a:b] = np.exp(-lh * np.arange(b - a)) * full[L - 1:L - 1 + b - a]
         return out
+
+    def plain(self, ext, n=None, k=slice(None)):
+        """The rows of __call__(ext, n) without a tilt, from the plain FFT:
+        every kernel's for k a slice, kernel k's alone for k an index, one
+        product with its cached spectrum and one inverse FFT, the bits of
+        that row of the stacked transform."""
+        nfft = next_fast_len(len(ext), True)
+        full = irfft(rfft(ext, nfft) * self._spectrum(nfft)[k], nfft)
+        return full[..., self.w.shape[1] - 1:len(ext)][..., :n]
 
     def pad_responses(self, lshape, rshape):
         """(r_L, r_R), a row per kernel: what the pads lshape and rshape, K
@@ -341,7 +358,7 @@ class _Workspace:
         n, p = hi - lo, psi[lo:hi]
         diag = -self.m - 2 * self.kl * p
         if self.kn:
-            diag = diag - self.kn * self.conv(self.build_ext(psi)[lo:hi + 2 * K], n)[1]
+            diag = diag - self.kn * self.conv.plain(self.build_ext(psi)[lo:hi + 2 * K], n, 1)
         dl, dr = self.pad_shapes(psi)
         lcol = dl if lo == 0 else np.zeros(K)
         rcol = dr[:K] if hi == N else np.zeros(K)
@@ -412,18 +429,32 @@ class _Workspace:
     def graft(self, psi):
         """Replace both ends by their analytic panels: within 1e-6 theta of
         theta one exponential at rate lambda_left, below 3e-13 theta the decay
-        ansatz, each anchored at the last grid value outside that band."""
+        ansatz, each anchored at the last grid value outside that band. The
+        solver grafts the rows its rounds solved, on head(M), and fills the
+        caller's grid past them with the same ansatz."""
         psi = psi.copy()
         v = self.th - psi
         idx = np.where(v >= _LEFT_GRAFT * self.th)[0]
         iA = idx[0] if len(idx) else self.N - 1
         if iA > 0:
             psi[:iA] = self.th - v[iA] * np.exp(self.lam_left * (self.s[:iA] - self.s[iA]))
-        idx = np.where(psi >= _RIGHT_GRAFT * self.th)[0]
-        iA = idx[-1] if len(idx) else 0
+        iA = self.right_anchor(psi)
         if iA < self.N - 1:
             psi[iA + 1:] = psi[iA] * self.tailg(self.s[iA], self.N - 1 - iA)
         return psi
+
+    def right_anchor(self, psi):
+        """The last row where psi >= _RIGHT_GRAFT theta (0 if none): the right graft's anchor."""
+        idx = np.flatnonzero(psi >= _RIGHT_GRAFT * self.th)
+        return int(idx[-1]) if len(idx) else 0
+
+    def head(self, M):
+        """This workspace on the grid's first M rows, its right panel the decay
+        ansatz anchored at s[M-1]; the Convolver, with its spectra, is shared."""
+        out = copy.copy(self)
+        out.s, out.N = self.s[:M], M
+        out.rshape = self.tailg(out.s[-1], self.K + 1)
+        return out
 
     def cell_shift(self, psi):
         """Cells from the origin to psi's theta/2 crossing (or to N)."""
@@ -514,6 +545,9 @@ def _newton(ws: _Workspace, psi, lo, hi, tol, max_outer, maxiter):
     """Jacobian-free Newton-Krylov on rows lo..hi-1, the others frozen, taking
     whole steps, clipped to [0, theta] (>= 0 on the tail), while they lower the
     window's sup residual, over E on the tail; returns psi and that residual.
+    The solver passes ws.head(M), so the tail window ends at the right graft
+    with the decay ansatz as its panel: frozen rows past it would pin the
+    amplitude mode that the border leaves free.
 
     The bulk window (lo = 0) works on psi, preconditioned by the band. The
     tail works in coordinates psi = E v, E the decay ansatz anchored at
@@ -652,28 +686,33 @@ def solve_profile(pair: KernelPair, params: Params, c: float,
     if ws.cell_shift(psi) >= ws.N:
         raise UsageError(f"the warm start does not cross theta/2 on {short('right')}")
     psi = ws.recenter(psi)
+    # the rounds solve the rows above the right graft; the graft's ansatz
+    # replaces the others, so the right panel moves to the last kept row
+    cut = ws.head(ws.right_anchor(psi) + 1)
+    psi = psi[:cut.N]
 
     rr, kept = math.inf, 0
     for rounds in range(1, _NEWTON_ROUNDS + 1):
         # each phase cuts at the current psi: the tail's cut follows the bulk step
-        nxt, _ = _newton(ws, psi, 0, ws.bulk_end(psi), 1e-9, 25, 4)
-        lo = ws.bulk_end(nxt)
-        if lo < ws.N:
-            nxt, _ = _newton(ws, nxt, lo, ws.N, _TAIL_TOL, 15, 6)
-        rn = float(np.abs(ws.residual_vec(nxt)).max())
+        nxt, _ = _newton(cut, psi, 0, cut.bulk_end(psi), 1e-9, 25, 4)
+        lo = cut.bulk_end(nxt)
+        if lo < cut.N:
+            nxt, _ = _newton(cut, nxt, lo, cut.N, _TAIL_TOL, 15, 6)
+        rn = float(np.abs(cut.residual_vec(nxt)).max())
         if not rn < rr:     # a round that does not help is dropped and ends the loop
             break
         psi, rr, kept = nxt, rn, rounds
         # no tail rows: a right span that ends in the bulk is refused by name
-        if rr < _TAIL_TOL or lo == ws.N:
+        if rr < _TAIL_TOL or lo == cut.N:
             break
-    psi = ws.graft(np.clip(psi, 0.0, th))
+    psi = cut.graft(np.clip(psi, 0.0, th))
+    psi = np.concatenate([psi, psi[-1] * ws.tailg(cut.s[-1], ws.N - cut.N)])
     res = float(np.abs(ws.residual_vec(psi)).max())
     if res > tol:
         raise NonConvergence(
             "iteration-stalled",
             f"residual {res:.3e} above tolerance {tol:.1e} after correction round "
-            f"{kept}" + (f"; {short('right')} to reach the tail" if lo == ws.N else ""),
+            f"{kept}" + (f"; {short('right')} to reach the tail" if lo == cut.N else ""),
             {"residual": res, "pre_graft_residual": rr,
              "grid_points": ws.N, "h": ws.h})
     if not psi[-1] < 0.5 * th < psi[0]:
@@ -743,7 +782,7 @@ def _tail_prefactor(profile: WaveProfile, pair: KernelPair, params: Params) -> f
     f = kl * psi * psi
     if kn:      # a- * psi on the padded vector the residual reads
         ws, _ = _profile_workspace(profile, pair, params)
-        f = f + kn * psi * ws.conv(ws.build_ext(psi), ws.N)[1]
+        f = f + kn * psi * ws.conv.plain(ws.build_ext(psi), ws.N, 1)
     integrand = f * np.exp(lam * g)
     val = float(np.trapezoid(integrand, g))
     # the grid misses (-inf, s_0]; there f -> (kl+kn) theta^2, so close it

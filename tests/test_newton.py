@@ -7,7 +7,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from nlkpp.dispersion import minimal_speed
 from nlkpp.errors import NonConvergence, UsageError
 from nlkpp.kernels import Gaussian, KernelPair, Laplace, Params, Uniform
-from nlkpp.profile import (GridSpec, _make_workspace, _Workspace, solve_profile,
+from nlkpp.profile import (GridSpec, _make_workspace, _Workspace, residual, solve_profile,
                            tail_asymptotics)
 
 LK1 = Params(2.0, 1.0, 1.0, 0.0)
@@ -50,20 +50,7 @@ def test_tail_phase_jacobian_products(rep, monkeypatch, speed, head):
     # with), summed over a solve of the reference pair; head is the count
     # with the tilted tridiagonal band as preconditioner. The circulant
     # must save at least 30% of them.
-    linearize = _Workspace.linearize
-    count = [0]
-
-    def counted(self, psi, lo=0, hi=None):
-        diag, jmv = linearize(self, psi, lo=lo, hi=hi)
-        if lo == 0:
-            return diag, jmv
-
-        def tail_jmv(u):
-            count[0] += 1
-            return jmv(u)
-        return diag, tail_jmv
-
-    monkeypatch.setattr(_Workspace, "linearize", counted)
+    count = _count_products(monkeypatch, tail=True)
     c = rep.c_star if speed == "c_star" else speed
     prof = solve_profile(PAIR, LK1, c, report=rep)
     assert prof.residual_sup <= 1e-6
@@ -74,18 +61,20 @@ UNIFORM = KernelPair(Uniform(-0.5, 2.0), Uniform(-0.5, 2.0))
 GAUSS_KN = (KernelPair(Gaussian(1.0), Gaussian(0.5)), Params(2.0, 1.0, 0.5, 0.5))
 
 
-def _count_bulk_products(monkeypatch):
+def _count_products(monkeypatch, tail=False):
+    """A one-item list that counts the Jacobian products of the bulk phase
+    (tail False) or of the tail phase."""
     linearize, count = _Workspace.linearize, [0]
 
     def counted(self, psi, lo=0, hi=None):
         diag, jmv = linearize(self, psi, lo=lo, hi=hi)
-        if lo > 0:
+        if (lo > 0) != tail:
             return diag, jmv
 
-        def bulk_jmv(u):
+        def counted_jmv(u):
             count[0] += 1
             return jmv(u)
-        return diag, bulk_jmv
+        return diag, counted_jmv
 
     monkeypatch.setattr(_Workspace, "linearize", counted)
     return count
@@ -101,7 +90,7 @@ def test_bulk_phase_jacobian_products(monkeypatch, pair, factor, c, head):
     # 25% of them. Uniform(-0.5, 2) is skewed: without the first-moment
     # term its count stays near 23
     rep = minimal_speed(pair, LK1)
-    count = _count_bulk_products(monkeypatch)
+    count = _count_products(monkeypatch)
     prof = solve_profile(pair, LK1, factor * rep.c_star if c is None else c, report=rep)
     assert prof.residual_sup <= 1e-6
     assert 0 < count[0] <= 0.75 * head
@@ -299,3 +288,37 @@ def test_newton_phases_reach_their_tol(monkeypatch, pair, params, factor, c):
     prof = solve_profile(pair, params, factor * rep.c_star if c is None else c, report=rep)
     assert prof.residual_sup <= 1e-6
     assert calls and all(res < tol for _, _, tol, res in calls), calls
+
+
+def test_rounds_solve_the_rows_above_the_right_graft(monkeypatch):
+    # at c = 4 the warm start falls below the right graft's 3e-13 theta
+    # 1,651 rows (16.5 units) short of the grid's right end; the graft's
+    # decay ansatz replaces those rows, so the rounds solve the rows above
+    # it only, with the ansatz as their right panel (solving them too cost
+    # 47 tail products), on the caller's grid. The rows past the cut are
+    # the ansatz anchored at its last row, bit for bit
+    calls = _record_newton(monkeypatch)
+    count = _count_products(monkeypatch, tail=True)
+    prof = solve_profile(PAIR, LK1, 4.0)
+    ws = _make_workspace(PAIR, LK1, 4.0, GridSpec())
+    M = calls[-1][1]
+    assert prof.residual_sup <= 1e-6
+    assert 0 < count[0] <= 30
+    assert len(prof.grid) == ws.N == 22_991 and M < ws.N
+    assert prof.grid[0] == pytest.approx(-116.2156279372461, abs=1e-9)
+    assert prof.grid[-1] == pytest.approx(113.68437206275391, abs=1e-9)
+    assert np.array_equal(prof.values[M:], prof.values[M - 1] * ws.tailg(ws.s[M - 1], ws.N - M))
+
+
+@pytest.mark.parametrize("pair,params,factor,c", [(PAIR, LK1, None, 4.0), (*GAUSS_KN, 2.0, None)],
+                         ids=["reference-c=4", "gaussian-nonlocal-2c_star"])
+def test_certificate_covers_the_whole_grid(monkeypatch, pair, params, factor, c):
+    # the rounds stop at the right graft, but the residual a profile carries
+    # is the caller's whole grid's, the grafted rows and the panel past
+    # them included, as residual() recomputes it from the profile alone
+    calls = _record_newton(monkeypatch)
+    rep = minimal_speed(pair, params)
+    prof = solve_profile(pair, params, factor * rep.c_star if c is None else c, report=rep)
+    assert calls[-1][1] < len(prof.grid)
+    assert prof.residual_sup <= 1e-6
+    assert prof.residual_sup == pytest.approx(residual(prof, pair, params), rel=1e-6)
